@@ -7,8 +7,8 @@ functions; diffusion-advection simulation and parameter estimation.
 """
 
 from .checks import CheckResult, all_passed, run_checks
-from .convolve import (DIRECT, FOURIER, ConvPlan, conv, conv_direct,
-                       conv_fourier, make_plan, rule_coefficients)
+from .convolve import (DIRECT, FOURIER, conv, conv_direct, conv_fourier,
+                       rule_coefficients)
 from .fields import (FieldError, ProductRule, RuleError, TensorField,
                      components_for, field_norm, l2_basis, l2_from_matrix,
                      matrix_from_l2, pointwise_product, product_rule,
@@ -22,11 +22,10 @@ from .kernels import (SAMPLED, STENCIL, KernelError, KernelField,
                       inverse_r2, kernel_grid, laplacian_stencil, load_kernel,
                       log_r, named_profile, sample_kernel, save_kernel)
 from .learn import (AttentionLayer, FitResult, NeuralOp, NonlinearLayer,
-                    ParamRadial, apply_attention, apply_neural,
-                    apply_nonlinear, basis_kernels, default_param_radial,
-                    fit_gradient_descent, fit_least_squares, grad_params,
-                    load_model, loss, make_neural_op, power_profile,
-                    save_model)
+                    ParamRadial, apply_attention, apply_nonlinear,
+                    basis_kernels, default_param_radial, fit_gradient_descent,
+                    fit_least_squares, grad_params, load_model, loss,
+                    make_neural_op, power_profile, save_model)
 from .operators import (REGISTRY, EquivariantOp, curl, curl_op, diffusion,
                         diffusion_op, div, div_op, gauss_law, gauss_law_op,
                         grad, grad_op, identity_op, inverse_laplacian,

@@ -24,8 +24,8 @@ from .formats import (FormatError, fmt_float, format_keyvalues, read_eqf,
                       write_eqf, write_keyvalues)
 from .grid import BOUNDARIES, Grid, GridError
 from .kernels import KernelError, named_profile
-from .learn import (apply_neural, default_param_radial, fit_least_squares,
-                    load_model, loss, make_neural_op, save_model)
+from .learn import (default_param_radial, fit_least_squares, load_model, loss,
+                    make_neural_op, save_model)
 from .operators import REGISTRY, make_operator
 from .sim import (DiffusionAdvectionModel, EstimationError, SimulationError,
                   StabilityError, estimate_parameters, load_trajectory,
@@ -105,21 +105,16 @@ def cmd_apply(args) -> int:
                 return EXIT_FORMAT
             params = {"D": args.D, "t": args.t}
         op = make_operator(args.operator, u.grid, **params)
-        if args.path:
-            op.path = args.path
-        v = op.apply(u)
         op_label = args.operator
     elif os.path.exists(args.operator):
-        nop = load_model(args.operator)
-        if args.path:
-            nop.path = args.path
-        v = apply_neural(nop, u)
+        op = load_model(args.operator)
         op_label = f"model:{args.operator}"
     else:
         print(f"unknown operator {args.operator!r}; available: "
               f"{', '.join(sorted(REGISTRY))} (or a model manifest path)",
               file=sys.stderr)
         return EXIT_FORMAT
+    v = op.apply(u, path=args.path)
     elapsed = time.perf_counter() - t0
     write_eqf(args.output, v)
     in_max, _ = _norm_stats(u)

@@ -15,8 +15,6 @@ in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import fft as sfft
 
@@ -60,16 +58,14 @@ def rule_coefficients(rule: ProductRule, dim: int) -> np.ndarray:
     return coeff
 
 
-@dataclass
-class ConvPlan:
-    rule: ProductRule
-    path: str
-    boundary: str
-    coefficients: np.ndarray
+def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
+         path: str | None = None, boundary: str | None = None) -> TensorField:
+    """Tensor-field convolution; the one place a convolution path is chosen.
 
-
-def make_plan(u: TensorField, kernel: KernelField, rule: ProductRule,
-              path: str | None = None, boundary: str | None = None) -> ConvPlan:
+    Stencil kernels go through the direct path, sampled kernels through the
+    Fourier path.  ``path`` forces a path for this call only, so the two
+    can be checked against each other; ``boundary`` defaults to the field's.
+    """
     dim = u.grid.dim
     if kernel.grid.dim != dim:
         raise FieldError("field and kernel dimensions differ")
@@ -83,24 +79,13 @@ def make_plan(u: TensorField, kernel: KernelField, rule: ProductRule,
         raise RuleError(f"rule expects kernel order {rule.l_h}, kernel has l={kernel.l_h}")
     if path is None:
         path = DIRECT if kernel.kind == STENCIL else FOURIER
-    if path not in (DIRECT, FOURIER):
-        raise ValueError(f"path must be direct|fourier, got {path!r}")
     if boundary is None:
         boundary = u.grid.boundary
-    return ConvPlan(rule, path, boundary, rule_coefficients(rule, dim))
-
-
-def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
-         path: str | None = None, boundary: str | None = None) -> TensorField:
-    """Tensor-field convolution with automatic path selection.
-
-    Stencil kernels go through the direct path, sampled kernels through the
-    Fourier path unless overridden.
-    """
-    plan = make_plan(u, kernel, rule, path, boundary)
-    if plan.path == DIRECT:
-        return conv_direct(u, kernel, plan)
-    return conv_fourier(u, kernel, plan)
+    if path == DIRECT:
+        return conv_direct(u, kernel, rule, boundary)
+    if path == FOURIER:
+        return conv_fourier(u, kernel, rule, boundary)
+    raise ValueError(f"path must be direct|fourier, got {path!r}")
 
 
 def _shifted(arr: np.ndarray, shift, boundary: str) -> np.ndarray:
@@ -125,10 +110,11 @@ def _shifted(arr: np.ndarray, shift, boundary: str) -> np.ndarray:
     return out
 
 
-def conv_direct(u: TensorField, kernel: KernelField, plan: ConvPlan) -> TensorField:
+def conv_direct(u: TensorField, kernel: KernelField, rule: ProductRule,
+                boundary: str) -> TensorField:
     """Direct-space convolution, O(N * kernel support)."""
     karr = kernel.field.components
-    coeff = plan.coefficients
+    coeff = rule_coefficients(rule, u.grid.dim)
     kcenter = ((np.asarray(kernel.grid.shape) - 1) // 2)
     c_v = coeff.shape[2]
     out = np.zeros((c_v,) + u.grid.shape)
@@ -138,10 +124,10 @@ def conv_direct(u: TensorField, kernel: KernelField, plan: ConvPlan) -> TensorFi
         mix = np.einsum("mnp,n->mp", coeff, w)
         if not np.any(mix):
             continue
-        shifted = _shifted(u.components, idx - kcenter, plan.boundary)
+        shifted = _shifted(u.components, idx - kcenter, boundary)
         out += np.einsum("mp,m...->p...", mix, shifted)
     out *= u.grid.voxel_volume
-    return TensorField(u.grid, plan.rule.l_v, out)
+    return TensorField(u.grid, rule.l_v, out)
 
 
 def _circular_kernel(karr_n: np.ndarray, kshape, kcenter, target_shape) -> np.ndarray:
@@ -158,18 +144,19 @@ def _circular_kernel(karr_n: np.ndarray, kshape, kcenter, target_shape) -> np.nd
     return out
 
 
-def conv_fourier(u: TensorField, kernel: KernelField, plan: ConvPlan) -> TensorField:
+def conv_fourier(u: TensorField, kernel: KernelField, rule: ProductRule,
+                 boundary: str) -> TensorField:
     """FFT-path convolution via the tensor convolution theorem.
 
     Zero-pad boundary pads to the linear-convolution size (next fast FFT
     length); periodic boundary uses same-size circular transforms.
     """
-    coeff = plan.coefficients
+    coeff = rule_coefficients(rule, u.grid.dim)
     karr = kernel.field.components
     kshape = kernel.grid.shape
     kcenter = ((np.asarray(kshape) - 1) // 2)
     ushape = u.grid.shape
-    if plan.boundary == ZERO:
+    if boundary == ZERO:
         work = tuple(sfft.next_fast_len(nu + nk - 1)
                      for nu, nk in zip(ushape, kshape))
     else:
@@ -205,4 +192,4 @@ def conv_fourier(u: TensorField, kernel: KernelField, plan: ConvPlan) -> TensorF
             continue
         out[p] = sfft.irfftn(acc, s=work, axes=axes)[crop]
     out *= u.grid.voxel_volume
-    return TensorField(u.grid, plan.rule.l_v, out)
+    return TensorField(u.grid, rule.l_v, out)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import TensorField
-from .grid import BOUNDARIES, Grid
+from .grid import Grid, GridError
 
 MAGIC = "EQF1"
 
@@ -90,9 +90,10 @@ def read_eqf(path) -> tuple[TensorField, dict]:
         raise FormatError(f"{path}: bad header: {exc}") from exc
     if dim != len(shape):
         raise FormatError(f"{path}: dim={dim} does not match shape {shape}")
-    if boundary not in BOUNDARIES:
-        raise FormatError(f"{path}: unknown boundary {boundary!r}")
-    grid = Grid(shape, spacing, origin, boundary)
+    try:
+        grid = Grid(shape, spacing, origin, boundary)
+    except GridError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     data = np.frombuffer(payload, dtype="<f8")
     n_per_comp = int(np.prod(shape))
     if data.size % n_per_comp != 0:

@@ -42,8 +42,10 @@ class Grid:
             raise GridError("shape, spacing and origin must have matching length")
         if any(n < 3 for n in shape):
             raise GridError(f"every axis needs >= 3 voxels, got shape {shape}")
-        if any(s <= 0 for s in spacing):
-            raise GridError(f"spacing must be positive, got {spacing}")
+        if not all(0 < s < np.inf for s in spacing):
+            raise GridError(f"spacing must be positive and finite, got {spacing}")
+        if not all(np.isfinite(origin)):
+            raise GridError(f"origin must be finite, got {origin}")
         if self.boundary not in BOUNDARIES:
             raise GridError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
 

@@ -2,10 +2,11 @@
 
 Two kinds of kernel: ``sampled`` kernels evaluate a radial profile on a
 centered odd-extent grid, ``stencil`` kernels carry finite-difference
-weights on a compact (<= 3 voxels per axis) grid.  Stencil weights are
-stored pre-divided by the voxel volume so that the volume-scaled discrete
-convolution reproduces the finite difference exactly; the delta stencil's
-1/volume center weight is the defining case.
+weights on a compact (<= 5 voxels per axis) grid.  The kind alone picks the
+convolution path: stencils go direct, sampled kernels through the FFT.
+Stencil weights are stored pre-divided by the voxel volume so that the
+volume-scaled discrete convolution reproduces the finite difference
+exactly; the delta stencil's 1/volume center weight is the defining case.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def log_r() -> RadialProfile:
 
 def gaussian_diffusion(D: float, t: float, dim: int) -> RadialProfile:
     """Heat kernel (4 pi D t)^(-dim/2) exp(-r^2/(4 D t)); integrates to 1."""
-    if D <= 0 or t <= 0:
+    if not (D > 0 and t > 0):
         raise KernelError("gaussian_diffusion needs D > 0 and t > 0")
     norm = (4.0 * math.pi * D * t) ** (-dim / 2.0)
     return RadialProfile(lambda r: norm * np.exp(-r ** 2 / (4.0 * D * t)),
@@ -113,7 +114,7 @@ def named_profile(name: str, **params) -> RadialProfile:
     return _PROFILE_LIBRARY[name](**params)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelField:
     """A tensor field serving as a convolution kernel."""
 
@@ -127,8 +128,8 @@ class KernelField:
             raise KernelError(f"kernel kind must be sampled|stencil, got {self.kind!r}")
         if self.l_h != self.field.l:
             raise KernelError("kernel l_h does not match its field")
-        if self.kind == STENCIL and any(n > 3 for n in self.field.grid.shape):
-            raise KernelError("stencil kernels must be <= 3 voxels per axis")
+        if self.kind == STENCIL and any(n > 5 for n in self.field.grid.shape):
+            raise KernelError("stencil kernels must be <= 5 voxels per axis")
         for n in self.field.grid.shape:
             if n % 2 == 0:
                 raise KernelError("kernel grids need odd extent per axis")
@@ -217,8 +218,7 @@ def laplacian_stencil(grid: Grid) -> KernelField:
 
     Central-difference grad followed by central-difference div doubles the
     step, so the weights sit at offsets +-2 e_a with step 2 h_a (still
-    O(h^2) truncation).  Five voxels per axis exceeds the stencil-kind
-    cap, so the kernel is labeled sampled; callers pick the direct path.
+    O(h^2) truncation).
     """
     kgrid = kernel_grid((5,) * grid.dim, grid.spacing)
     vol = grid.voxel_volume
@@ -233,7 +233,7 @@ def laplacian_stencil(grid: Grid) -> KernelField:
         arr[(0, *lo)] += w
         arr[(0, *hi)] += w
         arr[center] -= 2.0 * w
-    return KernelField(TensorField(kgrid, 0, arr), 0, SAMPLED)
+    return KernelField(TensorField(kgrid, 0, arr), 0, STENCIL)
 
 
 def save_kernel(path, kernel: KernelField) -> None:

@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolve import FOURIER, conv
-from .fields import (FieldError, ProductRule, RuleError, TensorField,
-                     field_norm, pointwise_product, product_rule,
-                     supported_rules)
+from .convolve import conv
+from .fields import (ProductRule, RuleError, TensorField, field_norm,
+                     pointwise_product, product_rule, supported_rules)
 from .formats import FormatError, read_keyvalues, write_keyvalues
 from .grid import ZERO, Grid
 from .kernels import (SAMPLED, KernelField, RadialProfile, delta_stencil,
                       gaussian, gradient_stencil, kernel_grid, sample_kernel)
+from .operators import EquivariantOp
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -139,7 +139,7 @@ def default_param_radial(grid: Grid, l_h: int, n_gaussians: int = 8) -> ParamRad
     return ParamRadial(gaussians, powers, stencils)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NeuralOp:
     """Learnable convolution: kernel = sum of amplitude-weighted basis kernels.
 
@@ -150,15 +150,25 @@ class NeuralOp:
     param: ParamRadial
     rule: ProductRule
     grid: Grid
-    path: str = FOURIER
+
+    def __post_init__(self):
+        for _, order in self.param.stencils:
+            if order != self.l_h:
+                raise RuleError(f"order-{order} stencil cannot serve an "
+                                f"l_h={self.l_h} kernel")
 
     @property
     def l_h(self) -> int:
         return self.rule.l_h
 
     def with_params(self, amplitudes) -> "NeuralOp":
-        return NeuralOp(self.param.with_amplitudes(amplitudes), self.rule,
-                        self.grid, self.path)
+        return NeuralOp(self.param.with_amplitudes(amplitudes), self.rule, self.grid)
+
+    def apply(self, u: TensorField, path: str | None = None) -> TensorField:
+        """Convolve u with the current kernel; ``path`` forces a path for this call."""
+        op = EquivariantOp("neural", self.grid, self.kernel(), self.rule.kind,
+                           self.l_h, boundary=ZERO, input_l=self.rule.l_u)
+        return op.apply(u, path=path)
 
     def kernel(self) -> KernelField:
         basis = basis_kernels(self)
@@ -175,20 +185,7 @@ def make_neural_op(grid: Grid, kind: str = "scalar", l_u: int = 0, l_h: int = 0,
     rule = product_rule(kind, l_u, l_h, grid.dim)
     if param is None:
         param = default_param_radial(grid, l_h)
-    for _, order in param.stencils:
-        if order != l_h:
-            raise RuleError(f"order-{order} stencil cannot serve an l_h={l_h} kernel")
     return NeuralOp(param, rule, grid)
-
-
-def _embed_stencil(small: KernelField, kgrid: Grid) -> np.ndarray:
-    """Place a 3-wide stencil at the center of a larger kernel grid."""
-    comp = small.field.components
-    big = np.zeros((comp.shape[0],) + kgrid.shape)
-    c = kgrid.center_index()
-    block = tuple(slice(int(ci) - 1, int(ci) + 2) for ci in c)
-    big[(slice(None),) + block] = comp
-    return big
 
 
 def _build_basis(grid: Grid, l_h: int, param: ParamRadial) -> list:
@@ -199,15 +196,10 @@ def _build_basis(grid: Grid, l_h: int, param: ParamRadial) -> list:
     for _, k, r_min in param.powers:
         basis.append(sample_kernel(kgrid, power_profile(k, r_min), l_h))
     for _, order in param.stencils:
-        if order == 0:
-            if l_h != 0:
-                raise RuleError("order-0 stencil (delta) is an l_h=0 kernel")
-            small = delta_stencil(grid)
-        else:
-            if l_h != 1:
-                raise RuleError("order-1 stencil (gradient) is an l_h=1 kernel")
-            small = gradient_stencil(grid)
-        comps = _embed_stencil(small, kgrid)
+        small = delta_stencil(grid) if order == 0 else gradient_stencil(grid)
+        # center the 3-wide stencil on the (2n-1)-wide kernel grid
+        comps = np.pad(small.field.components,
+                       [(0, 0)] + [(n - 2, n - 2) for n in grid.shape])
         basis.append(KernelField(TensorField(kgrid, l_h, comps), l_h, SAMPLED))
     return basis
 
@@ -221,14 +213,6 @@ def basis_kernels(op: NeuralOp) -> list:
     if key not in _basis_cache:
         _basis_cache[key] = _build_basis(op.grid, op.l_h, op.param)
     return _basis_cache[key]
-
-
-def apply_neural(op: NeuralOp, u: TensorField) -> TensorField:
-    if u.grid != op.grid:
-        raise FieldError("field grid does not match the operator grid")
-    if u.l != op.rule.l_u:
-        raise RuleError(f"operator expects l={op.rule.l_u} input, got l={u.l}")
-    return conv(u, op.kernel(), op.rule, path=op.path, boundary=ZERO)
 
 
 def _check_dataset(op: NeuralOp, dataset) -> None:
@@ -251,7 +235,7 @@ def _design(op: NeuralOp, dataset) -> tuple:
     blocks = []
     targets = []
     for u, v in dataset:
-        cols = [conv(u, b, op.rule, path=op.path, boundary=ZERO).components.ravel()
+        cols = [conv(u, b, op.rule, boundary=ZERO).components.ravel()
                 for b in basis]
         blocks.append(np.stack(cols, axis=1))
         targets.append(v.components.ravel())
@@ -269,7 +253,7 @@ def loss(op: NeuralOp, dataset) -> float:
     num = 0.0
     den = 0.0
     for u, v in dataset:
-        pred = apply_neural(op, u)
+        pred = op.apply(u)
         num += float(np.sum((pred.components - v.components) ** 2))
         den += float(np.sum(v.components ** 2))
     if den == 0.0:
@@ -494,7 +478,6 @@ def save_model(path, op: NeuralOp) -> None:
         "kind": op.rule.kind,
         "l_u": op.rule.l_u,
         "l_h": op.rule.l_h,
-        "path": op.path,
         "gaussian_widths": [s for _, s in p.gaussians],
         "gaussian_amps": [a for a, _ in p.gaussians],
         "power_exponents": [k for _, k, _ in p.powers],
@@ -534,4 +517,4 @@ def load_model(path) -> NeuralOp:
                         tuple(zip(s_amps, orders)),
                         trainable)
     rule = product_rule(kv["kind"], int(kv["l_u"]), int(kv["l_h"]), grid.dim)
-    return NeuralOp(param, rule, grid, kv["path"])
+    return NeuralOp(param, rule, grid)   # a legacy path= key is ignored

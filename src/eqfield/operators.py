@@ -18,32 +18,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import DIRECT, FOURIER, conv
-from .fields import RuleError, TensorField, product_rule
+from .convolve import conv
+from .fields import FieldError, RuleError, TensorField, product_rule
 from .grid import ZERO, Grid
 from .kernels import (KernelField, delta_stencil, gaussian_diffusion,
                       gradient_stencil, inverse_r, inverse_r2, kernel_grid,
                       laplacian_stencil, log_r, sample_kernel)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquivariantOp:
-    """A kernel bundled with its product rule and convolution path."""
+    """A kernel bundled with its product rule, built for one grid."""
 
     name: str
+    grid: Grid
     kernel: KernelField
     kind: str
     l_h: int
-    path: str
     boundary: str | None = None   # None: follow the input grid
     input_l: int | None = None    # None: any order the rule accepts
 
-    def apply(self, u: TensorField) -> TensorField:
+    def apply(self, u: TensorField, path: str | None = None) -> TensorField:
+        """Convolve u with the kernel; ``path`` forces a path for this call."""
+        if u.grid != self.grid:
+            raise FieldError(f"operator {self.name!r} was built for another grid")
         if self.input_l is not None and u.l != self.input_l:
             raise RuleError(f"operator {self.name!r} expects l={self.input_l} input, "
                             f"got l={u.l}")
         rule = product_rule(self.kind, u.l, self.l_h, u.grid.dim)
-        return conv(u, self.kernel, rule, path=self.path, boundary=self.boundary)
+        return conv(u, self.kernel, rule, path=path, boundary=self.boundary)
 
     def __call__(self, u: TensorField) -> TensorField:
         return self.apply(u)
@@ -55,33 +58,33 @@ def _greens_kernel_grid(grid: Grid) -> Grid:
 
 
 def identity_op(grid: Grid) -> EquivariantOp:
-    return EquivariantOp("identity", delta_stencil(grid), "scalar", 0, DIRECT)
+    return EquivariantOp("identity", grid, delta_stencil(grid), "scalar", 0)
 
 
 def grad_op(grid: Grid) -> EquivariantOp:
-    return EquivariantOp("grad", gradient_stencil(grid), "scalar", 1, DIRECT, input_l=0)
+    return EquivariantOp("grad", grid, gradient_stencil(grid), "scalar", 1, input_l=0)
 
 
 def div_op(grid: Grid) -> EquivariantOp:
-    return EquivariantOp("div", gradient_stencil(grid), "dot", 1, DIRECT, input_l=1)
+    return EquivariantOp("div", grid, gradient_stencil(grid), "dot", 1, input_l=1)
 
 
 def curl_op(grid: Grid) -> EquivariantOp:
     # conv(u, h, cross) contracts u x h, which is the negative of curl for
     # the central-difference kernel; flip the stencil so curl(u) = nabla x u.
     stencil = gradient_stencil(grid).scaled(-1.0)
-    return EquivariantOp("curl", stencil, "cross", 1, DIRECT, input_l=1)
+    return EquivariantOp("curl", grid, stencil, "cross", 1, input_l=1)
 
 
 def laplacian_op(grid: Grid) -> EquivariantOp:
-    return EquivariantOp("laplacian", laplacian_stencil(grid), "scalar", 0, DIRECT,
+    return EquivariantOp("laplacian", grid, laplacian_stencil(grid), "scalar", 0,
                          input_l=0)
 
 
 def inverse_laplacian_op(grid: Grid) -> EquivariantOp:
     profile = inverse_r() if grid.dim == 3 else log_r()
     kernel = sample_kernel(_greens_kernel_grid(grid), profile, 0)
-    return EquivariantOp("inverse_laplacian", kernel, "scalar", 0, FOURIER,
+    return EquivariantOp("inverse_laplacian", grid, kernel, "scalar", 0,
                          boundary=ZERO, input_l=0)
 
 
@@ -89,7 +92,7 @@ def gauss_law_op(grid: Grid) -> EquivariantOp:
     if grid.dim != 3:
         raise RuleError("gauss_law is defined for 3d grids only")
     kernel = sample_kernel(_greens_kernel_grid(grid), inverse_r2(), 1)
-    return EquivariantOp("gauss_law", kernel, "scalar", 1, FOURIER,
+    return EquivariantOp("gauss_law", grid, kernel, "scalar", 1,
                          boundary=ZERO, input_l=0)
 
 
@@ -105,7 +108,7 @@ def diffusion_op(grid: Grid, D: float, t: float) -> EquivariantOp:
     kernel = sample_kernel(_greens_kernel_grid(grid), profile, 0)
     mass = float(np.sum(kernel.field.components)) * grid.voxel_volume
     kernel = kernel.scaled(1.0 / mass)
-    return EquivariantOp("diffusion", kernel, "scalar", 0, FOURIER)
+    return EquivariantOp("diffusion", grid, kernel, "scalar", 0)
 
 
 REGISTRY = {
@@ -126,7 +129,7 @@ _op_cache: dict = {}
 def make_operator(name: str, grid: Grid, **params) -> EquivariantOp:
     """Build a registered operator for a grid; diffusion takes D and t.
 
-    Instances are cached per (name, grid, params): kernels are immutable, and
+    Instances are cached per (name, grid, params): operators are frozen, and
     Green's-function kernels are expensive enough to be worth reusing.
     """
     if name not in REGISTRY:
@@ -137,32 +140,29 @@ def make_operator(name: str, grid: Grid, **params) -> EquivariantOp:
     return _op_cache[key]
 
 
-_cached = make_operator
-
-
 def grad(u: TensorField) -> TensorField:
-    return _cached("grad", u.grid).apply(u)
+    return make_operator("grad", u.grid).apply(u)
 
 
 def div(u: TensorField) -> TensorField:
-    return _cached("div", u.grid).apply(u)
+    return make_operator("div", u.grid).apply(u)
 
 
 def curl(u: TensorField) -> TensorField:
-    return _cached("curl", u.grid).apply(u)
+    return make_operator("curl", u.grid).apply(u)
 
 
 def laplacian(u: TensorField) -> TensorField:
-    return _cached("laplacian", u.grid).apply(u)
+    return make_operator("laplacian", u.grid).apply(u)
 
 
 def inverse_laplacian(u: TensorField) -> TensorField:
-    return _cached("inverse_laplacian", u.grid).apply(u)
+    return make_operator("inverse_laplacian", u.grid).apply(u)
 
 
 def gauss_law(u: TensorField) -> TensorField:
-    return _cached("gauss_law", u.grid).apply(u)
+    return make_operator("gauss_law", u.grid).apply(u)
 
 
 def diffusion(u: TensorField, D: float, t: float) -> TensorField:
-    return _cached("diffusion", u.grid, D=float(D), t=float(t)).apply(u)
+    return make_operator("diffusion", u.grid, D=float(D), t=float(t)).apply(u)

@@ -60,6 +60,8 @@ class DiffusionAdvectionModel:
         self.D = float(self.D)
         self.w = np.asarray(self.w, dtype=float)
         self.dt = float(self.dt)
+        if not np.all(np.isfinite(np.append(self.w, (self.D, self.dt)))):
+            raise ValueError("D, w and dt must be finite")
         if self.D < 0:
             raise ValueError("diffusivity must be >= 0")
         if self.w.shape != (self.grid.dim,):
@@ -111,8 +113,6 @@ def simulate(model: DiffusionAdvectionModel, u0: TensorField, n_steps: int) -> l
             u = step_euler(model, u)
         except FieldError as exc:
             raise SimulationError(f"non-finite state at step {k + 1}") from exc
-        if not np.all(np.isfinite(u.components)):
-            raise SimulationError(f"non-finite state at step {k + 1}")
         traj.append(u)
     return traj
 

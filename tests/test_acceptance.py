@@ -137,7 +137,7 @@ def test_criterion_5_equivariance_suite():
         op = eq.make_neural_op(g, kind=kind, l_u=l_u, l_h=l_h)
         op = op.with_params(rng.standard_normal(op.param.n_params))
         named.append((f"neural {kind}({l_u},{l_h})", l_u,
-                      lambda u, _op=op: eq.apply_neural(_op, u)))
+                      lambda u, _op=op: _op.apply(u)))
     rotations = eq.all_rotations(3)
     worst, worst_name = 0.0, ""
     for name, l_u, fn in named:
@@ -226,7 +226,6 @@ def test_criterion_9_fourier_scaling():
         g = eq.Grid.centered((n, n, n))
         u = eq.TensorField.random(g, 0, np.random.default_rng(9))
         op = eq.make_operator("inverse_laplacian", g)
-        op.path = eq.FOURIER
         op.apply(u)  # warm-up: kernel FFT and plan
         best = math.inf
         for _ in range(3):

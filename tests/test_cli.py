@@ -65,6 +65,45 @@ def test_apply_path_override(tmp_path):
     assert np.allclose(a.components, b.components, atol=1e-12)
 
 
+def test_apply_path_does_not_outlive_the_command(tmp_path):
+    g = eq.Grid.centered((9, 9, 9))
+    src = tmp_path / "in.eqf"
+    u = _write_scalar(src, g, _blob(g))
+    assert main(["apply", "laplacian", str(src), str(tmp_path / "f.eqf"),
+                 "--path", "fourier"]) == 0
+    direct = eq.conv(u, eq.laplacian_stencil(g), eq.product_rule("scalar", 0, 0, 3),
+                     path=eq.DIRECT)
+    assert np.array_equal(eq.laplacian(u).components, direct.components)
+
+
+def test_apply_model_on_another_grid_exits_3(tmp_path, capsys):
+    model = tmp_path / "m.eqm"
+    eq.save_model(model, eq.make_neural_op(eq.Grid.centered((9, 9, 9))))
+    g = eq.Grid.centered((7, 7, 7))
+    src = tmp_path / "in.eqf"
+    _write_scalar(src, g, _blob(g))
+    assert main(["apply", str(model), str(src), str(tmp_path / "o.eqf")]) == 3
+    assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("spacing", "nan,1,1"),
+    ("spacing", "-1,1,1"),
+    ("origin", "inf,0,0"),
+])
+def test_bad_header_geometry_exits_2(tmp_path, capsys, key, value):
+    g = eq.Grid.centered((5, 5, 5))
+    src = tmp_path / "in.eqf"
+    _write_scalar(src, g, _blob(g))
+    data = src.read_bytes()
+    header, payload = data.split(b"\n", 1)
+    tokens = [f"{key}={value}" if t.startswith(f"{key}=") else t
+              for t in header.decode().split()]
+    src.write_bytes(" ".join(tokens).encode() + b"\n" + payload)
+    assert main(["apply", "identity", str(src), str(tmp_path / "o.eqf")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_apply_diffusion_requires_parameters(tmp_path, capsys):
     g = eq.Grid.centered((8, 8))
     src = tmp_path / "in.eqf"
@@ -176,6 +215,16 @@ def test_simulate_unstable_dt_exits_4(tmp_path, capsys):
                  "--D", "0.1", "--wx", "0.2", "--wy", "-0.1",
                  "--dt", "5.0", "--steps", "10"]) == 4
     assert "largest stable dt" in capsys.readouterr().err
+
+
+def test_simulate_non_finite_diffusivity_exits_3(tmp_path, capsys):
+    g = eq.Grid.centered((16, 16), boundary=eq.PERIODIC)
+    u0 = tmp_path / "u0.eqf"
+    _write_scalar(u0, g, _blob(g))
+    assert main(["simulate", "none", str(u0), str(tmp_path / "run"),
+                 "--D", "nan", "--wx", "0.2", "--wy", "-0.1",
+                 "--dt", "0.5", "--steps", "10"]) == 3
+    assert "finite" in capsys.readouterr().err
 
 
 def test_estimate_recovers_parameters(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Convolution semantics: brute-force oracle, paths, boundaries, rules."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,7 @@ def _random_kernel(dim, l_h, rng, width=3):
     return eq.KernelField(field=field, l_h=l_h, kind=eq.STENCIL)
 
 
-@pytest.mark.parametrize("kind,l_u,l_h,dim", [
+ORACLE_RULES = [
     ("scalar", 0, 0, 2),
     ("scalar", 0, 1, 2),
     ("scalar", 1, 0, 3),
@@ -62,9 +64,19 @@ def _random_kernel(dim, l_h, rng, width=3):
     ("cross", 1, 1, 2),
     ("cross", 1, 1, 3),
     ("matvec", 2, 1, 3),
-])
+    ("scalar", 1, 0, 2),
+    ("dot", 1, 1, 2),
+    ("scalar", 0, 0, 3),
+    ("scalar", 0, 1, 3),
+    ("scalar", 0, 2, 3),
+    ("scalar", 2, 0, 3),
+]
+
+
+@pytest.mark.parametrize("kind,l_u,l_h,dim", ORACLE_RULES)
 def test_conv_matches_brute_force(kind, l_u, l_h, dim):
-    rng = np.random.default_rng(hash((kind, l_u, l_h, dim)) % 2 ** 31)
+    # crc32, unlike hash(), does not change with the per-process string salt
+    rng = np.random.default_rng(zlib.crc32(repr((kind, l_u, l_h, dim)).encode()))
     rule = eq.product_rule(kind, l_u, l_h, dim)
     shape = (5, 4) if dim == 2 else (4, 4, 3)
     kernel = _random_kernel(dim, l_h, rng)
@@ -211,3 +223,16 @@ def test_pointwise_product_matches_reference():
             wval = w.components[(slice(None),) + p]
             ref = _pointwise(uval, wval, rule)
             assert np.allclose(out.components[(slice(None),) + p], ref, atol=1e-13)
+
+
+def test_brute_force_oracle_covers_every_supported_rule():
+    for dim in (2, 3):
+        for rule in eq.supported_rules(dim):
+            assert (rule.kind, rule.l_u, rule.l_h, dim) in ORACLE_RULES
+
+
+def test_stencil_kernels_are_at_most_five_wide():
+    rng = np.random.default_rng(12)
+    _random_kernel(3, 0, rng, width=5)
+    with pytest.raises(eq.KernelError):
+        _random_kernel(3, 0, rng, width=7)

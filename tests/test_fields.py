@@ -1,5 +1,7 @@
 """Grid geometry, tensor storage, l=2 algebra, rotations, and file formats."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,11 @@ def test_grid_validation():
         eq.Grid.centered((5, 0, 5))
     with pytest.raises(eq.GridError):
         eq.Grid.centered((5, 5), spacing=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(eq.GridError):
+            eq.Grid.centered((5, 5), spacing=bad)
+        with pytest.raises(eq.GridError):
+            eq.Grid((5, 5), (1.0, 1.0), (0.0, bad))
 
 
 def test_with_boundary_round_trip():

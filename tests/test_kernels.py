@@ -35,6 +35,8 @@ def test_heat_profile_values():
     assert np.allclose(p(r), norm * np.exp(-r ** 2 / (4.0 * D * t)))
     with pytest.raises(eq.KernelError):
         eq.gaussian_diffusion(0.7, 0.0, 3)
+    with pytest.raises(eq.KernelError):
+        eq.gaussian_diffusion(0.7, math.nan, 3)
 
 
 def test_named_profile_lookup():
@@ -111,6 +113,7 @@ def test_gradient_stencil_weights():
 def test_laplacian_stencil_structure():
     g = eq.Grid.centered((9, 9), spacing=(0.5, 1.0))
     k = eq.laplacian_stencil(g)
+    assert k.kind == eq.STENCIL  # the kind sends it down the direct path
     vals = k.field.components[0]
     assert vals.shape == (5, 5)  # reaches +-2 voxels per axis
     assert np.sum(vals != 0.0) == 2 * g.dim + 1

@@ -86,9 +86,9 @@ def test_neural_op_is_linear_in_amplitudes():
     u = eq.TensorField.random(g, 0, rng)
     a1 = rng.standard_normal(4)
     a2 = rng.standard_normal(4)
-    out1 = eq.apply_neural(op.with_params(a1), u).components
-    out2 = eq.apply_neural(op.with_params(a2), u).components
-    mixed = eq.apply_neural(op.with_params(0.3 * a1 - 2.0 * a2), u).components
+    out1 = op.with_params(a1).apply(u).components
+    out2 = op.with_params(a2).apply(u).components
+    mixed = op.with_params(0.3 * a1 - 2.0 * a2).apply(u).components
     assert np.allclose(mixed, 0.3 * out1 - 2.0 * out2, atol=1e-12)
 
 
@@ -99,7 +99,7 @@ def test_least_squares_recovers_amplitudes():
     truth = np.array([0.5, -0.3, 0.8, 0.2])
     target_op = op.with_params(truth)
     data = [(eq.TensorField.random(g, 0, rng), None)]
-    data = [(u, eq.apply_neural(target_op, u)) for u, _ in data]
+    data = [(u, target_op.apply(u)) for u, _ in data]
     fit = eq.fit_least_squares(op, data)
     assert not fit.flagged
     assert fit.residual < 1e-15
@@ -121,7 +121,7 @@ def test_one_shot_greens_function_fit():
     for _ in range(5):
         u = eq.TensorField.random(g, 0, rng)
         ref = eq.inverse_laplacian(u)
-        pred = eq.apply_neural(fitted, u)
+        pred = fitted.apply(u)
         num = np.sqrt(np.sum((pred.components - ref.components) ** 2))
         den = np.sqrt(np.sum(ref.components ** 2))
         assert num / den < 1e-6
@@ -150,7 +150,7 @@ def test_gradient_descent_agrees_with_least_squares():
     op = eq.make_neural_op(g, kind="scalar", l_u=0, l_h=0, param=_small_param())
     truth = op.with_params([0.5, -0.3, 0.8, 0.2])
     u = eq.TensorField.random(g, 0, rng)
-    data = [(u, eq.apply_neural(truth, u))]
+    data = [(u, truth.apply(u))]
     ls = eq.fit_least_squares(op, data)
     gd = eq.fit_gradient_descent(op, data, steps=2000)
     assert abs(ls.residual - gd.residual) < 1e-4
@@ -185,10 +185,10 @@ def test_apply_neural_validates_input():
     g = eq.Grid.centered((9, 9, 9))
     op = eq.make_neural_op(g, kind="scalar", l_u=0, l_h=0, param=_small_param())
     with pytest.raises(eq.RuleError):
-        eq.apply_neural(op, eq.TensorField.random(g, 1, rng))
+        op.apply(eq.TensorField.random(g, 1, rng))
     other = eq.Grid.centered((7, 7, 7))
     with pytest.raises(eq.FieldError):
-        eq.apply_neural(op, eq.TensorField.random(other, 0, rng))
+        op.apply(eq.TensorField.random(other, 0, rng))
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -203,8 +203,7 @@ def test_model_save_load_round_trip(tmp_path):
     assert back.grid == op.grid
     assert np.array_equal(back.param.amplitudes, op.param.amplitudes)
     u = eq.TensorField.random(g, 1, rng)
-    assert np.array_equal(eq.apply_neural(back, u).components,
-                          eq.apply_neural(op, u).components)
+    assert np.array_equal(back.apply(u).components, op.apply(u).components)
 
 
 def test_load_model_rejects_garbage(tmp_path):
@@ -319,3 +318,25 @@ def test_attention_validates_output_orders():
     bad[0, att.pair_index(0, 0, "dot")] = 1.0
     with pytest.raises(eq.RuleError):
         eq.AttentionLayer(att.input_l, att.output_l, att.dim, att.pairs, bad)
+
+
+def test_neural_op_checks_stencil_order_at_construction():
+    g = eq.Grid.centered((9, 9, 9))
+    rule = eq.product_rule("scalar", 0, 1, 3)
+    with pytest.raises(eq.RuleError):
+        eq.NeuralOp(eq.ParamRadial(stencils=((1.0, 0),)), rule, g)
+
+
+def test_load_model_ignores_legacy_path_key(tmp_path):
+    rng = np.random.default_rng(13)
+    g = eq.Grid.centered((7, 7, 7))
+    op = eq.make_neural_op(g, param=_small_param())
+    op = op.with_params(rng.standard_normal(op.param.n_params))
+    path = tmp_path / "model.txt"
+    eq.save_model(path, op)
+    assert "path=" not in path.read_text()
+    with open(path, "a") as fh:
+        fh.write("path=direct\n")
+    u = eq.TensorField.random(g, 0, rng)
+    assert np.array_equal(eq.load_model(path).apply(u).components,
+                          op.apply(u).components)

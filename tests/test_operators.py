@@ -1,5 +1,6 @@
 """Named operators against closed-form oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -298,6 +299,8 @@ def test_diffusion_validates_parameters():
         eq.diffusion(u, -1.0, 1.0)
     with pytest.raises(eq.KernelError):
         eq.diffusion(u, 1.0, 0.0)
+    with pytest.raises(eq.KernelError):
+        eq.diffusion(u, 1.0, math.nan)
     out = eq.diffusion(u, 1.0, 1.0)
     assert np.allclose(out.components, 0.0)
 
@@ -323,3 +326,39 @@ def test_module_functions_match_operator_apply():
     u = eq.TensorField.random(g, 0, np.random.default_rng(2))
     via_op = eq.make_operator("grad", g).apply(u)
     assert np.array_equal(eq.grad(u).components, via_op.components)
+
+
+def test_operators_are_frozen():
+    g = eq.Grid.centered((9, 9, 9))
+    op = eq.make_operator("laplacian", g)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.kernel = eq.delta_stencil(g)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.path = eq.FOURIER
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.kernel.kind = eq.SAMPLED
+    nop = eq.make_neural_op(g)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nop.grid = eq.Grid.centered((7, 7, 7))
+
+
+def test_path_argument_forces_one_call_only():
+    g = eq.Grid.centered((9, 9, 9))
+    u = eq.TensorField.random(g, 0, np.random.default_rng(3))
+    op = eq.make_operator("laplacian", g)
+    direct = eq.conv(u, op.kernel, eq.product_rule("scalar", 0, 0, 3), path=eq.DIRECT)
+    forced = op.apply(u, path=eq.FOURIER)
+    assert np.allclose(forced.components, direct.components, atol=1e-12)
+    assert np.array_equal(op.apply(u).components, direct.components)
+
+
+def test_operator_rejects_field_on_another_grid():
+    # a kernel built for 9^3 spans too few displacements for a 17^3 field
+    op = eq.make_operator("inverse_laplacian", eq.Grid.centered((9, 9, 9)))
+    u = eq.TensorField.random(eq.Grid.centered((17, 17, 17)), 0,
+                              np.random.default_rng(4))
+    with pytest.raises(eq.FieldError):
+        op.apply(u)
+    grad = eq.make_operator("grad", eq.Grid.centered((9, 9, 9)))
+    with pytest.raises(eq.FieldError):
+        grad.apply(eq.TensorField.zeros(eq.Grid.centered((9, 9, 9), spacing=0.5), 0))

@@ -211,3 +211,17 @@ def test_load_trajectory_rejects_garbage(tmp_path):
     (d / "trajectory.txt").write_text("model=other\n")
     with pytest.raises(eq.FormatError):
         eq.load_trajectory(d)
+
+
+@pytest.mark.parametrize("D,w,dt", [
+    (math.nan, (0.0, 0.0), 0.01),
+    (math.inf, (0.0, 0.0), 0.01),
+    (0.1, (math.nan, 0.0), 0.01),
+    (0.1, (0.0, -math.inf), 0.01),
+    (0.1, (0.0, 0.0), math.nan),
+    (0.1, (0.0, 0.0), math.inf),
+])
+def test_model_rejects_non_finite_parameters(D, w, dt):
+    with pytest.raises(ValueError) as info:
+        eq.DiffusionAdvectionModel(_periodic((8, 8)), D, w, dt)
+    assert not isinstance(info.value, eq.StabilityError)
