@@ -20,7 +20,7 @@ from scipy import fft as sfft
 
 from .fields import (FieldError, ProductRule, RuleError, TensorField,
                      components_for, l2_basis)
-from .grid import PERIODIC, ZERO, Grid
+from .grid import PERIODIC, ZERO
 from .kernels import STENCIL, KernelField
 
 DIRECT = "direct"
@@ -88,49 +88,33 @@ def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
     raise ValueError(f"path must be direct|fourier, got {path!r}")
 
 
-def _shifted(arr: np.ndarray, shift, boundary: str) -> np.ndarray:
-    """out[r] = arr[r - shift] with zero fill or periodic wrap.
-
-    The leading component axis is untouched; ``shift`` is per spatial axis.
-    """
-    spatial = arr.shape[1:]
-    if boundary == PERIODIC:
-        return np.roll(arr, tuple(int(s) for s in shift), axis=tuple(range(1, arr.ndim)))
-    out = np.zeros_like(arr)
-    dst = [slice(None)]
-    src = [slice(None)]
-    for n, s in zip(spatial, shift):
-        s = int(s)
-        lo_d, hi_d = max(s, 0), n + min(s, 0)
-        if lo_d >= hi_d:
-            return out
-        dst.append(slice(lo_d, hi_d))
-        src.append(slice(lo_d - s, hi_d - s))
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
-
-
 def conv_direct(u: TensorField, kernel: KernelField, rule: ProductRule,
                 boundary: str) -> TensorField:
-    """Direct-space convolution, O(N * kernel support)."""
+    """Direct-space convolution, O(N * kernel support).
+
+    The input is padded once by the kernel radius (zeros, or its periodic
+    wrap); each tap then reads a shifted window of the padded input.
+    """
     karr = kernel.field.components
     coeff = rule_coefficients(rule, u.grid.dim)
-    kcenter = ((np.asarray(kernel.grid.shape) - 1) // 2)
-    c_v = coeff.shape[2]
-    out = np.zeros((c_v,) + u.grid.shape)
-    nonzero = np.argwhere(np.any(karr != 0.0, axis=0))
-    for idx in nonzero:
-        w = karr[(slice(None),) + tuple(idx)]
-        mix = np.einsum("mnp,n->mp", coeff, w)
+    kshape, ushape = kernel.grid.shape, u.grid.shape
+    mode = "wrap" if boundary == PERIODIC else "constant"
+    upad = np.pad(u.components, [(0, 0)] + [(k // 2, (k - 1) // 2) for k in kshape],
+                  mode=mode)
+    out = np.zeros((coeff.shape[2],) + ushape)
+    for idx in np.argwhere(np.any(karr != 0.0, axis=0)):
+        mix = np.einsum("mnp,n->mp", coeff, karr[(slice(None),) + tuple(idx)])
         if not np.any(mix):
             continue
-        shifted = _shifted(u.components, idx - kcenter, boundary)
-        out += np.einsum("mp,m...->p...", mix, shifted)
+        # the tap at idx reads u[r - (idx - center)], which is upad[r + k - 1 - idx]
+        window = upad[(slice(None),) + tuple(slice(k - 1 - i, k - 1 - i + n)
+                                             for k, i, n in zip(kshape, idx, ushape))]
+        out += np.einsum("mp,m...->p...", mix, window)
     out *= u.grid.voxel_volume
     return TensorField(u.grid, rule.l_v, out)
 
 
-def _circular_kernel(karr_n: np.ndarray, kshape, kcenter, target_shape) -> np.ndarray:
+def _circular_kernel(karr_n: np.ndarray, target_shape) -> np.ndarray:
     """Lay one kernel component out circularly (center at index 0).
 
     Offsets that alias onto the same target voxel are summed, which is the
@@ -138,9 +122,8 @@ def _circular_kernel(karr_n: np.ndarray, kshape, kcenter, target_shape) -> np.nd
     exceeds the field.
     """
     out = np.zeros(target_shape)
-    mesh = np.meshgrid(*(np.arange(n) for n in kshape), indexing="ij")
-    target = tuple((mesh[a] - kcenter[a]) % target_shape[a] for a in range(len(kshape)))
-    np.add.at(out, target, karr_n)
+    np.add.at(out, np.ix_(*[(np.arange(k) - (k - 1) // 2) % w
+                            for k, w in zip(karr_n.shape, target_shape)]), karr_n)
     return out
 
 
@@ -153,43 +136,26 @@ def conv_fourier(u: TensorField, kernel: KernelField, rule: ProductRule,
     """
     coeff = rule_coefficients(rule, u.grid.dim)
     karr = kernel.field.components
-    kshape = kernel.grid.shape
-    kcenter = ((np.asarray(kshape) - 1) // 2)
     ushape = u.grid.shape
     if boundary == ZERO:
         work = tuple(sfft.next_fast_len(nu + nk - 1)
-                     for nu, nk in zip(ushape, kshape))
+                     for nu, nk in zip(ushape, kernel.grid.shape))
     else:
         work = ushape
-
-    mn_pairs = np.argwhere(np.any(coeff != 0, axis=2))
-    needed_m = sorted({int(m) for m, _ in mn_pairs})
-    needed_n = sorted({int(n) for _, n in mn_pairs})
     axes = tuple(range(u.grid.dim))
-
-    u_hat = {}
-    for m in needed_m:
-        upad = np.zeros(work)
-        upad[tuple(slice(0, n) for n in ushape)] = u.components[m]
-        u_hat[m] = sfft.rfftn(upad, axes=axes)
-    h_hat = {}
-    for n in needed_n:
-        h_hat[n] = sfft.rfftn(_circular_kernel(karr[n], kshape, kcenter, work), axes=axes)
-
-    c_v = coeff.shape[2]
-    out = np.zeros((c_v,) + ushape)
+    mnp = np.argwhere(coeff != 0)
+    pad = [(0, w - nu) for nu, w in zip(ushape, work)]
+    u_hat = {m: sfft.rfftn(np.pad(u.components[m], pad), axes=axes)
+             for m in np.unique(mnp[:, 0])}
+    h_hat = {n: sfft.rfftn(_circular_kernel(karr[n], work), axes=axes)
+             for n in np.unique(mnp[:, 1])}
+    v_hat = {}
+    for m, n, p in mnp:
+        term = coeff[m, n, p] * u_hat[m] * h_hat[n]
+        v_hat[p] = v_hat[p] + term if p in v_hat else term
+    out = np.zeros((coeff.shape[2],) + ushape)
     crop = tuple(slice(0, n) for n in ushape)
-    for p in range(c_v):
-        acc = None
-        for m in needed_m:
-            for n in needed_n:
-                c = coeff[m, n, p]
-                if c == 0.0:
-                    continue
-                term = c * u_hat[m] * h_hat[n]
-                acc = term if acc is None else acc + term
-        if acc is None:
-            continue
+    for p, acc in v_hat.items():
         out[p] = sfft.irfftn(acc, s=work, axes=axes)[crop]
     out *= u.grid.voxel_volume
     return TensorField(u.grid, rule.l_v, out)

@@ -12,6 +12,9 @@ header are printed with 17 significant digits so the round trip is bit-exact.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
+
 import numpy as np
 
 from .fields import TensorField
@@ -95,7 +98,7 @@ def read_eqf(path) -> tuple[TensorField, dict]:
     except GridError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     data = np.frombuffer(payload, dtype="<f8")
-    n_per_comp = int(np.prod(shape))
+    n_per_comp = math.prod(shape)
     if data.size % n_per_comp != 0:
         raise FormatError(f"{path}: payload size {data.size} not a multiple of the grid size")
     n_comp = data.size // n_per_comp
@@ -124,15 +127,30 @@ def format_keyvalues(entries: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def manifest_values(path):
+    """Report a missing key or an unparsable value of a manifest as a FormatError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad value: {exc}") from exc
+
+
 def read_keyvalues(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text") from exc
     out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}: malformed line {line!r}")
-            k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}: malformed line {line!r}")
+        k, v = line.split("=", 1)
+        out[k.strip()] = v.strip()
     return out

@@ -162,6 +162,11 @@ def kernel_grid(shape, spacing, boundary="zero") -> Grid:
     return Grid.centered(shape, spacing, boundary)
 
 
+def free_space_kernel_grid(grid: Grid) -> Grid:
+    """Centered kernel grid spanning every displacement between voxels of ``grid``."""
+    return kernel_grid(tuple(2 * n - 1 for n in grid.shape), grid.spacing)
+
+
 def sample_kernel(grid: Grid, profile: RadialProfile, l_h: int) -> KernelField:
     """Sample R(|r|) Y_l(rhat) on a centered grid.
 

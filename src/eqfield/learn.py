@@ -18,10 +18,11 @@ import numpy as np
 from .convolve import conv
 from .fields import (ProductRule, RuleError, TensorField, field_norm,
                      pointwise_product, product_rule, supported_rules)
-from .formats import FormatError, read_keyvalues, write_keyvalues
+from .formats import FormatError, manifest_values, read_keyvalues, write_keyvalues
 from .grid import ZERO, Grid
 from .kernels import (SAMPLED, KernelField, RadialProfile, delta_stencil,
-                      gaussian, gradient_stencil, kernel_grid, sample_kernel)
+                      free_space_kernel_grid, gaussian, gradient_stencil,
+                      sample_kernel)
 from .operators import EquivariantOp
 
 RELU = "relu"
@@ -189,7 +190,7 @@ def make_neural_op(grid: Grid, kind: str = "scalar", l_u: int = 0, l_h: int = 0,
 
 
 def _build_basis(grid: Grid, l_h: int, param: ParamRadial) -> list:
-    kgrid = kernel_grid(tuple(2 * n - 1 for n in grid.shape), grid.spacing)
+    kgrid = free_space_kernel_grid(grid)
     basis = []
     for _, sigma in param.gaussians:
         basis.append(sample_kernel(kgrid, gaussian(sigma), l_h))
@@ -502,19 +503,21 @@ def load_model(path) -> NeuralOp:
     kv = read_keyvalues(path)
     if kv.get("model") != "eqfield-neural-v1":
         raise FormatError(f"{path}: not a neural-operator manifest")
-    grid = Grid(tuple(_ints(kv["shape"])), tuple(_floats(kv["spacing"])),
-                tuple(_floats(kv["origin"])), kv["boundary"])
-    widths = _floats(kv["gaussian_widths"])
-    g_amps = _floats(kv["gaussian_amps"])
-    exps = _ints(kv["power_exponents"])
-    rmins = _floats(kv["power_rmins"])
-    p_amps = _floats(kv["power_amps"])
-    orders = _ints(kv["stencil_orders"])
-    s_amps = _floats(kv["stencil_amps"])
-    trainable = np.array(_ints(kv["trainable"]), dtype=bool)
+    with manifest_values(path):
+        grid = Grid(tuple(_ints(kv["shape"])), tuple(_floats(kv["spacing"])),
+                    tuple(_floats(kv["origin"])), kv["boundary"])
+        kind, l_u, l_h = kv["kind"], int(kv["l_u"]), int(kv["l_h"])
+        widths = _floats(kv["gaussian_widths"])
+        g_amps = _floats(kv["gaussian_amps"])
+        exps = _ints(kv["power_exponents"])
+        rmins = _floats(kv["power_rmins"])
+        p_amps = _floats(kv["power_amps"])
+        orders = _ints(kv["stencil_orders"])
+        s_amps = _floats(kv["stencil_amps"])
+        trainable = np.array(_ints(kv["trainable"]), dtype=bool)
     param = ParamRadial(tuple(zip(g_amps, widths)),
                         tuple(zip(p_amps, exps, rmins)),
                         tuple(zip(s_amps, orders)),
                         trainable)
-    rule = product_rule(kv["kind"], int(kv["l_u"]), int(kv["l_h"]), grid.dim)
+    rule = product_rule(kind, l_u, l_h, grid.dim)
     return NeuralOp(param, rule, grid)   # a legacy path= key is ignored

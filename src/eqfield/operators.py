@@ -21,8 +21,8 @@ import numpy as np
 from .convolve import conv
 from .fields import FieldError, RuleError, TensorField, product_rule
 from .grid import ZERO, Grid
-from .kernels import (KernelField, delta_stencil, gaussian_diffusion,
-                      gradient_stencil, inverse_r, inverse_r2, kernel_grid,
+from .kernels import (KernelField, delta_stencil, free_space_kernel_grid,
+                      gaussian_diffusion, gradient_stencil, inverse_r, inverse_r2,
                       laplacian_stencil, log_r, sample_kernel)
 
 
@@ -52,11 +52,6 @@ class EquivariantOp:
         return self.apply(u)
 
 
-def _greens_kernel_grid(grid: Grid) -> Grid:
-    """Centered kernel grid spanning every displacement between field voxels."""
-    return kernel_grid(tuple(2 * n - 1 for n in grid.shape), grid.spacing)
-
-
 def identity_op(grid: Grid) -> EquivariantOp:
     return EquivariantOp("identity", grid, delta_stencil(grid), "scalar", 0)
 
@@ -83,7 +78,7 @@ def laplacian_op(grid: Grid) -> EquivariantOp:
 
 def inverse_laplacian_op(grid: Grid) -> EquivariantOp:
     profile = inverse_r() if grid.dim == 3 else log_r()
-    kernel = sample_kernel(_greens_kernel_grid(grid), profile, 0)
+    kernel = sample_kernel(free_space_kernel_grid(grid), profile, 0)
     return EquivariantOp("inverse_laplacian", grid, kernel, "scalar", 0,
                          boundary=ZERO, input_l=0)
 
@@ -91,7 +86,7 @@ def inverse_laplacian_op(grid: Grid) -> EquivariantOp:
 def gauss_law_op(grid: Grid) -> EquivariantOp:
     if grid.dim != 3:
         raise RuleError("gauss_law is defined for 3d grids only")
-    kernel = sample_kernel(_greens_kernel_grid(grid), inverse_r2(), 1)
+    kernel = sample_kernel(free_space_kernel_grid(grid), inverse_r2(), 1)
     return EquivariantOp("gauss_law", grid, kernel, "scalar", 1,
                          boundary=ZERO, input_l=0)
 
@@ -105,7 +100,7 @@ def diffusion_op(grid: Grid, D: float, t: float) -> EquivariantOp:
     to 1 as the kernel width grows past the spacing.
     """
     profile = gaussian_diffusion(D, t, grid.dim)
-    kernel = sample_kernel(_greens_kernel_grid(grid), profile, 0)
+    kernel = sample_kernel(free_space_kernel_grid(grid), profile, 0)
     mass = float(np.sum(kernel.field.components)) * grid.voxel_volume
     kernel = kernel.scaled(1.0 / mass)
     return EquivariantOp("diffusion", grid, kernel, "scalar", 0)

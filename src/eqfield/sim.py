@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldError, TensorField, rotate_field, rotate_vector
-from .formats import FormatError, read_eqf, read_keyvalues, write_eqf, write_keyvalues
+from .formats import (FormatError, manifest_values, read_eqf, read_keyvalues,
+                      write_eqf, write_keyvalues)
 from .grid import Grid
 from .operators import diffusion as _diffusion
 from .operators import grad as _grad
@@ -211,14 +212,17 @@ def load_trajectory(dirpath) -> tuple:
     kv = read_keyvalues(os.path.join(dirpath, "trajectory.txt"))
     if kv.get("model") != "eqfield-trajectory-v1":
         raise FormatError(f"{dirpath}: not a trajectory manifest")
-    n = int(kv["n_frames"])
+    with manifest_values(dirpath):
+        n = int(kv["n_frames"])
+        source_name = kv["source"]
+        D, dt = float(kv["D"]), float(kv["dt"])
+        w = [float(x) for x in kv["w"].split(",")]
+    if n < 1:
+        raise FormatError(f"{dirpath}: a trajectory needs at least one frame, got n_frames={n}")
     frames = []
     for k in range(n):
         u, _ = read_eqf(os.path.join(dirpath, f"frame_{k:05d}.eqf"))
         frames.append(u)
-    source, _ = read_eqf(os.path.join(dirpath, kv["source"]))
-    grid = frames[0].grid
-    model = DiffusionAdvectionModel(grid, float(kv["D"]),
-                                    [float(x) for x in kv["w"].split(",")],
-                                    float(kv["dt"]), source)
+    source, _ = read_eqf(os.path.join(dirpath, source_name))
+    model = DiffusionAdvectionModel(frames[0].grid, D, w, dt, source)
     return frames, model

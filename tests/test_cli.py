@@ -90,6 +90,7 @@ def test_apply_model_on_another_grid_exits_3(tmp_path, capsys):
     ("spacing", "nan,1,1"),
     ("spacing", "-1,1,1"),
     ("origin", "inf,0,0"),
+    ("shape", "4294967296,4294967296,3"),   # voxel count overflows int64
 ])
 def test_bad_header_geometry_exits_2(tmp_path, capsys, key, value):
     g = eq.Grid.centered((5, 5, 5))
@@ -101,6 +102,44 @@ def test_bad_header_geometry_exits_2(tmp_path, capsys, key, value):
               for t in header.decode().split()]
     src.write_bytes(" ".join(tokens).encode() + b"\n" + payload)
     assert main(["apply", "identity", str(src), str(tmp_path / "o.eqf")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def _rewrite_manifest_line(path, key, line):
+    """Replace the manifest line for ``key`` by ``line`` (bytes; b"" drops it)."""
+    lines = path.read_bytes().split(b"\n")
+    path.write_bytes(b"\n".join(line if raw.startswith(key + b"=") else raw
+                                for raw in lines))
+
+
+@pytest.mark.parametrize("key,line", [
+    (b"shape", b""),
+    (b"power_exponents", b"power_exponents=a,b"),
+    (b"kind", b"kind=scalar\xff"),                  # not UTF-8
+    (b"spacing", b"spacing=-1,1,1"),
+])
+def test_bad_model_manifest_exits_2(tmp_path, capsys, key, line):
+    g = eq.Grid.centered((7, 7, 7))
+    model = tmp_path / "m.eqm"
+    eq.save_model(model, eq.make_neural_op(g))
+    _rewrite_manifest_line(model, key, line)
+    src = tmp_path / "in.eqf"
+    _write_scalar(src, g, _blob(g))
+    assert main(["apply", str(model), str(src), str(tmp_path / "o.eqf")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,line", [
+    (b"n_frames", b""),
+    (b"n_frames", b"n_frames=0"),
+])
+def test_bad_trajectory_manifest_exits_2(tmp_path, capsys, key, line):
+    g = eq.Grid.centered((8, 8), boundary=eq.PERIODIC)
+    u = eq.TensorField.from_scalar(g, _blob(g))
+    model = eq.DiffusionAdvectionModel(g, 0.1, (0.0, 0.0), 0.1)
+    eq.save_trajectory(tmp_path / "run", [u, u], model)
+    _rewrite_manifest_line(tmp_path / "run" / "trajectory.txt", key, line)
+    assert main(["estimate", str(tmp_path / "run")]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -49,10 +49,10 @@ def _ref_conv(u, kernel, rule, boundary):
     return out
 
 
-def _random_kernel(dim, l_h, rng, width=3):
+def _random_kernel(dim, l_h, rng, width=3, kind=eq.STENCIL):
     kg = eq.kernel_grid((width,) * dim, 1.0)
     field = eq.TensorField.random(kg, l_h, rng)
-    return eq.KernelField(field=field, l_h=l_h, kind=eq.STENCIL)
+    return eq.KernelField(field=field, l_h=l_h, kind=kind)
 
 
 ORACLE_RULES = [
@@ -73,13 +73,20 @@ ORACLE_RULES = [
 ]
 
 
-@pytest.mark.parametrize("kind,l_u,l_h,dim", ORACLE_RULES)
-def test_conv_matches_brute_force(kind, l_u, l_h, dim):
+# width 7 is wider than the field on every axis: zero-boundary taps fall
+# wholly outside it and periodic taps alias onto the same voxel
+ORACLE_CASES = [pytest.param(*rule, width,
+                             id="-".join(map(str, rule)) + ("-wide" if width > 3 else ""))
+                for width in (3, 7) for rule in ORACLE_RULES]
+
+
+@pytest.mark.parametrize("kind,l_u,l_h,dim,width", ORACLE_CASES)
+def test_conv_matches_brute_force(kind, l_u, l_h, dim, width):
     # crc32, unlike hash(), does not change with the per-process string salt
     rng = np.random.default_rng(zlib.crc32(repr((kind, l_u, l_h, dim)).encode()))
     rule = eq.product_rule(kind, l_u, l_h, dim)
     shape = (5, 4) if dim == 2 else (4, 4, 3)
-    kernel = _random_kernel(dim, l_h, rng)
+    kernel = _random_kernel(dim, l_h, rng, width, eq.STENCIL if width <= 5 else eq.SAMPLED)
     for boundary in eq.BOUNDARIES:
         g = eq.Grid.centered(shape, boundary=boundary)
         u = eq.TensorField.random(g, l_u, rng)
