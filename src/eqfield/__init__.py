@@ -7,13 +7,12 @@ functions; diffusion-advection simulation and parameter estimation.
 """
 
 from .checks import CheckResult, all_passed, run_checks
-from .convolve import (DIRECT, FOURIER, conv, conv_direct, conv_fourier,
-                       rule_coefficients)
+from .convolve import DIRECT, FOURIER, conv, conv_direct, conv_fourier
 from .fields import (FieldError, ProductRule, RuleError, TensorField,
                      components_for, field_norm, l2_basis, l2_from_matrix,
                      matrix_from_l2, pointwise_product, product_rule,
-                     rotate_field, rotate_vector, supported_rules,
-                     tensor_product, unit_harmonic)
+                     rotate_field, rotate_vector, rule_coefficients,
+                     supported_rules, unit_harmonic)
 from .formats import FormatError, read_eqf, read_keyvalues, write_eqf, write_keyvalues
 from .grid import BOUNDARIES, PERIODIC, ZERO, Grid, GridError
 from .kernels import (SAMPLED, STENCIL, KernelError, KernelField,

@@ -10,7 +10,7 @@ import numpy as np
 from .convolve import DIRECT, FOURIER, conv
 from .fields import TensorField, rotate_field, supported_rules
 from .grid import PERIODIC, ZERO, Grid
-from .kernels import gaussian, kernel_grid, sample_kernel
+from .kernels import KernelField, gaussian, kernel_grid, sample_kernel
 from .operators import curl, div, grad, laplacian
 from .rotations import all_rotations
 
@@ -61,75 +61,60 @@ def compatible_rotations(grid: Grid) -> list:
     return out
 
 
-def _check_kernel(grid: Grid, l_h: int, corrupt: bool = False):
+def _check_kernel(grid: Grid, l_h: int) -> KernelField:
     """Smooth test kernel for property checks, capped at 9 voxels per axis."""
     kshape = tuple(min(2 * n - 1, 9) for n in grid.shape)
-    kern = sample_kernel(kernel_grid(kshape, grid.spacing),
+    return sample_kernel(kernel_grid(kshape, grid.spacing),
                          gaussian(2.0 * min(grid.spacing)), l_h)
-    if corrupt:
-        comps = kern.field.components.copy()
-        bump = tuple([0] + [1] * grid.dim)
-        comps[bump] += 0.1 * max(np.max(np.abs(comps)), 1.0)
-        kern = type(kern)(TensorField(kern.grid, l_h, comps), l_h, kern.kind)
-    return kern
 
 
-def check_equivariance(u: TensorField, corrupt: bool = False) -> list:
-    """rot(conv(u, h)) = conv(rot u, h) for every compatible rotation.
+def _corrupted(kern: KernelField) -> KernelField:
+    """The kernel with one off-center voxel bumped, which breaks its symmetry."""
+    comps = kern.field.components.copy()
+    comps[(0,) + (1,) * kern.grid.dim] += 0.1 * max(np.max(np.abs(comps)), 1.0)
+    return KernelField(TensorField(kern.grid, kern.l_h, comps), kern.l_h, kern.kind)
 
-    The kernel is the same on both sides: a radial profile times a solid
-    harmonic is exactly steerable, so rotating it reproduces itself.  A
-    kernel without that symmetry (the corrupt control) must fail here.
+
+def check_rules(u: TensorField, rng: np.random.Generator, corrupt: bool = False) -> list:
+    """Equivariance, linearity and path equivalence of conv(u, h) for every
+    rule that takes u: all equivariance results, then linearity, then paths.
+
+    Equivariance: rot(conv(u, h)) = conv(rot u, h) for every compatible
+    rotation.  The kernel is the same on both sides: a radial profile times
+    a solid harmonic is exactly steerable, so rotating it reproduces itself.
+    A kernel without that symmetry (the corrupt control) must fail there.
     """
-    results = []
     rots = compatible_rotations(u.grid)
+    v = TensorField.random(u.grid, u.l, rng)
+    alpha, beta = 0.7, -1.3
+    equivariance, linearity, paths = [], [], []
     for rule in supported_rules(u.grid.dim):
         if rule.l_u != u.l:
             continue
-        kern = _check_kernel(u.grid, rule.l_h, corrupt)
-        ref = conv(u, kern, rule)
+        kern = _check_kernel(u.grid, rule.l_h)
+        eq_kernel = _corrupted(kern) if corrupt else kern
+        ref = conv(u, eq_kernel, rule)
         worst = 0.0
         for rot in rots:
             left = rotate_field(ref, rot)
-            right = conv(rotate_field(u, rot), kern, rule)
+            right = conv(rotate_field(u, rot), eq_kernel, rule)
             worst = max(worst, _relative(left - right, ref))
-        results.append(CheckResult(
-            f"equivariance {rule.kind}({rule.l_u},{rule.l_h})->{rule.l_v}"
-            f" [{len(rots)} rotations]", worst, EQUIVARIANCE_TOL))
-    return results
+        equivariance.append(CheckResult(
+            f"equivariance {rule} [{len(rots)} rotations]", worst, EQUIVARIANCE_TOL))
 
-
-def check_linearity(u: TensorField, rng: np.random.Generator) -> list:
-    results = []
-    v = TensorField.random(u.grid, u.l, rng)
-    alpha, beta = 0.7, -1.3
-    for rule in supported_rules(u.grid.dim):
-        if rule.l_u != u.l:
-            continue
-        kern = _check_kernel(u.grid, rule.l_h)
         combined = conv(u * alpha + v * beta, kern, rule)
         separate = conv(u, kern, rule) * alpha + conv(v, kern, rule) * beta
-        results.append(CheckResult(
-            f"linearity {rule.kind}({rule.l_u},{rule.l_h})->{rule.l_v}",
-            _relative(combined - separate, combined), LINEARITY_TOL))
-    return results
+        linearity.append(CheckResult(f"linearity {rule}",
+                                     _relative(combined - separate, combined),
+                                     LINEARITY_TOL))
 
-
-def check_path_equivalence(u: TensorField) -> list:
-    results = []
-    for rule in supported_rules(u.grid.dim):
-        if rule.l_u != u.l:
-            continue
-        kern = _check_kernel(u.grid, rule.l_h)
         worst = 0.0
         for boundary in (ZERO, PERIODIC):
             d = conv(u, kern, rule, path=DIRECT, boundary=boundary)
             f = conv(u, kern, rule, path=FOURIER, boundary=boundary)
             worst = max(worst, _relative(d - f, d))
-        results.append(CheckResult(
-            f"path_equivalence {rule.kind}({rule.l_u},{rule.l_h})->{rule.l_v}",
-            worst, PATH_TOL))
-    return results
+        paths.append(CheckResult(f"path_equivalence {rule}", worst, PATH_TOL))
+    return equivariance + linearity + paths
 
 
 def _interior(values: np.ndarray, margin: int) -> np.ndarray:
@@ -173,9 +158,4 @@ def run_checks(u: TensorField, rng: np.random.Generator | None = None,
     control that breaks the radial symmetry of the equivariance kernels."""
     if rng is None:
         rng = np.random.default_rng(0)
-    results = []
-    results += check_equivariance(u, corrupt=corrupt)
-    results += check_linearity(u, rng)
-    results += check_path_equivalence(u)
-    results += check_calculus(u.grid, rng)
-    return results
+    return check_rules(u, rng, corrupt) + check_calculus(u.grid, rng)

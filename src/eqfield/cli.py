@@ -20,8 +20,8 @@ from scipy import fft as sfft
 from .checks import all_passed, run_checks
 from .convolve import DIRECT, FOURIER
 from .fields import FieldError, RuleError, TensorField
-from .formats import (FormatError, fmt_float, format_keyvalues, read_eqf,
-                      write_eqf, write_keyvalues)
+from .formats import (FormatError, fmt_float, format_keyvalues, manifest_lines,
+                      read_eqf, write_eqf, write_keyvalues)
 from .grid import BOUNDARIES, Grid, GridError
 from .kernels import KernelError, named_profile
 from .learn import (default_param_radial, fit_least_squares, load_model, loss,
@@ -134,16 +134,12 @@ def cmd_apply(args) -> int:
 def _read_pair_manifest(path) -> list:
     base = os.path.dirname(os.path.abspath(path))
     pairs = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"{path}: expected 'input.eqf output.eqf', got {line!r}")
-            paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in parts]
-            pairs.append((read_eqf(paths[0])[0], read_eqf(paths[1])[0]))
+    for line in manifest_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"{path}: expected 'input.eqf output.eqf', got {line!r}")
+        paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in parts]
+        pairs.append((read_eqf(paths[0])[0], read_eqf(paths[1])[0]))
     if not pairs:
         raise FormatError(f"{path}: manifest has no field pairs")
     return pairs

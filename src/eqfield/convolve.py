@@ -8,9 +8,8 @@ fields weighted by the product-expansion coefficients C_mnp:
 
 where * is the discrete convolution (kernel indexed by r - r~) and the
 voxel-volume factor makes the sum approximate the continuum integral.
-The coefficient tables are defined here independently of the pointwise
-product implementations in ``fields`` and are cross-checked against them
-in the test suite.
+The coefficients come from ``fields.rule_coefficients``, the same table
+that defines the pointwise product.
 """
 
 from __future__ import annotations
@@ -19,43 +18,12 @@ import numpy as np
 from scipy import fft as sfft
 
 from .fields import (FieldError, ProductRule, RuleError, TensorField,
-                     components_for, l2_basis)
+                     rule_coefficients)
 from .grid import PERIODIC, ZERO
 from .kernels import STENCIL, KernelField
 
 DIRECT = "direct"
 FOURIER = "fourier"
-
-
-def rule_coefficients(rule: ProductRule, dim: int) -> np.ndarray:
-    """Expansion coefficients C_mnp with (u (x) h)[p] = sum C_mnp u[m] h[n]."""
-    c_u = components_for(rule.l_u, dim)
-    c_h = components_for(rule.l_h, dim)
-    c_v = components_for(rule.l_v, dim)
-    coeff = np.zeros((c_u, c_h, c_v))
-    if rule.kind == "scalar":
-        if rule.l_u == 0:
-            coeff[0] = np.eye(c_h)
-        else:
-            coeff[:, 0, :] = np.eye(c_u)
-    elif rule.kind == "dot":
-        scale = 2.0 if rule.l_u == 2 else 1.0
-        coeff[:, :, 0] = scale * np.eye(c_u)
-    elif rule.kind == "cross" and rule.l_v == 0:
-        coeff[0, 1, 0] = 1.0
-        coeff[1, 0, 0] = -1.0
-    elif rule.kind == "cross":
-        eps = np.zeros((3, 3, 3))
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            eps[i, j, k] = 1.0
-            eps[i, k, j] = -1.0
-        coeff = eps
-    elif rule.kind == "matvec":
-        # v_p = sum_m c_m (B_m h)_p = sum_{m,n} c_m B_m[p,n] h_n
-        coeff = np.transpose(l2_basis(), (0, 2, 1))
-    else:
-        raise RuleError(f"unknown product kind {rule.kind!r}")
-    return coeff
 
 
 def conv(u: TensorField, kernel: KernelField, rule: ProductRule,

@@ -1,4 +1,5 @@
-"""Tensor fields over regular grids and their pointwise algebra.
+"""Tensor fields over regular grids, their pointwise algebra and the
+product rules that define every tensor product.
 
 A tensor field stores one real array per component with the component axis
 leading, so shape is (C, *grid.shape).  Rotation order l fixes C:
@@ -169,6 +170,9 @@ class ProductRule:
     l_h: int
     l_v: int
 
+    def __str__(self) -> str:
+        return f"{self.kind}({self.l_u},{self.l_h})->{self.l_v}"
+
 
 def supported_rules(dim: int) -> list[ProductRule]:
     rules = []
@@ -192,47 +196,58 @@ def product_rule(kind: str, l_u: int, l_h: int, dim: int) -> ProductRule:
     for rule in supported_rules(dim):
         if rule.kind == kind and rule.l_u == l_u and rule.l_h == l_h:
             return rule
-    listing = ", ".join(f"{r.kind}({r.l_u},{r.l_h})->{r.l_v}" for r in supported_rules(dim))
+    listing = ", ".join(str(r) for r in supported_rules(dim))
     raise RuleError(
         f"no product {kind!r} for (l_u={l_u}, l_h={l_h}) in {dim}d; supported: {listing}")
 
 
-def tensor_product(u: np.ndarray, h: np.ndarray, rule: ProductRule) -> np.ndarray:
-    """Pointwise tensor product of component arrays (component axis leading).
+def rule_coefficients(rule: ProductRule, dim: int) -> np.ndarray:
+    """Expansion coefficients C_mnp with (u (x) h)[p] = sum C_mnp u[m] h[n].
 
-    Bilinear in both arguments.  The l=2 dot product is the Frobenius
-    product of the underlying matrices, which is 2 * (component dot) in the
-    equal-norm basis.
+    This table is the one definition of what each product rule computes:
+    the pointwise product and both convolution paths read it.
     """
-    u = np.asarray(u, dtype=float)
-    h = np.asarray(h, dtype=float)
+    c_u = components_for(rule.l_u, dim)
+    c_h = components_for(rule.l_h, dim)
+    c_v = components_for(rule.l_v, dim)
+    coeff = np.zeros((c_u, c_h, c_v))
     if rule.kind == "scalar":
-        return u[0] * h if rule.l_u == 0 else u * h[0]
-    if rule.kind == "dot":
+        if rule.l_u == 0:
+            coeff[0] = np.eye(c_h)
+        else:
+            coeff[:, 0, :] = np.eye(c_u)
+    elif rule.kind == "dot":
+        # the l=2 dot is the Frobenius product of the matrices, which is
+        # 2 * (component dot) in the equal-norm basis
         scale = 2.0 if rule.l_u == 2 else 1.0
-        return scale * np.sum(u * h, axis=0)[None]
-    if rule.kind == "cross":
-        if rule.l_v == 0:  # 2d pseudo-scalar
-            return (u[0] * h[1] - u[1] * h[0])[None]
-        return np.stack([
-            u[1] * h[2] - u[2] * h[1],
-            u[2] * h[0] - u[0] * h[2],
-            u[0] * h[1] - u[1] * h[0],
-        ])
-    if rule.kind == "matvec":
-        m = matrix_from_l2(u)
-        return np.einsum("ij...,j...->i...", m, h)
-    raise RuleError(f"unknown product kind {rule.kind!r}")
+        coeff[:, :, 0] = scale * np.eye(c_u)
+    elif rule.kind == "cross" and rule.l_v == 0:
+        coeff[0, 1, 0] = 1.0
+        coeff[1, 0, 0] = -1.0
+    elif rule.kind == "cross":
+        eps = np.zeros((3, 3, 3))
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            eps[i, j, k] = 1.0
+            eps[i, k, j] = -1.0
+        coeff = eps
+    elif rule.kind == "matvec":
+        # v_p = sum_m c_m (B_m h)_p = sum_{m,n} c_m B_m[p,n] h_n
+        coeff = np.transpose(l2_basis(), (0, 2, 1))
+    else:
+        raise RuleError(f"unknown product kind {rule.kind!r}")
+    return coeff
 
 
 def pointwise_product(u: TensorField, w: TensorField, rule: ProductRule) -> TensorField:
-    """Apply the tensor product voxel by voxel."""
+    """Apply the tensor product voxel by voxel: v[p] = sum C_mnp u[m] w[n]."""
     if u.grid != w.grid:
         raise FieldError("pointwise product requires identical grids")
     if rule.l_u != u.l or rule.l_h != w.l:
         raise RuleError(f"rule expects orders ({rule.l_u},{rule.l_h}), "
                         f"fields have ({u.l},{w.l})")
-    return TensorField(u.grid, rule.l_v, tensor_product(u.components, w.components, rule))
+    values = np.einsum("mnp,m...,n...->p...", rule_coefficients(rule, u.grid.dim),
+                       u.components, w.components)
+    return TensorField(u.grid, rule.l_v, values)
 
 
 def field_norm(u: TensorField) -> TensorField:

@@ -138,17 +138,20 @@ def manifest_values(path):
         raise FormatError(f"{path}: bad value: {exc}") from exc
 
 
-def read_keyvalues(path) -> dict:
+def manifest_lines(path) -> list:
+    """The stripped lines of a UTF-8 text manifest, blank and '#' lines skipped."""
     with open(path, encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text") from exc
+    return [line for line in (raw.strip() for raw in lines)
+            if line and not line.startswith("#")]
+
+
+def read_keyvalues(path) -> dict:
     out = {}
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in manifest_lines(path):
         if "=" not in line:
             raise FormatError(f"{path}: malformed line {line!r}")
         k, v = line.split("=", 1)

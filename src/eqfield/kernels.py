@@ -116,7 +116,11 @@ def named_profile(name: str, **params) -> RadialProfile:
 
 @dataclass(frozen=True)
 class KernelField:
-    """A tensor field serving as a convolution kernel."""
+    """A tensor field serving as a convolution kernel.
+
+    Its component array is made read-only: operators and bases are cached
+    and share their kernels, so a write would change every later result.
+    """
 
     field: TensorField
     l_h: int
@@ -133,6 +137,7 @@ class KernelField:
         for n in self.field.grid.shape:
             if n % 2 == 0:
                 raise KernelError("kernel grids need odd extent per axis")
+        self.field.components.setflags(write=False)
 
     @property
     def grid(self) -> Grid:

@@ -168,7 +168,7 @@ class NeuralOp:
     def apply(self, u: TensorField, path: str | None = None) -> TensorField:
         """Convolve u with the current kernel; ``path`` forces a path for this call."""
         op = EquivariantOp("neural", self.grid, self.kernel(), self.rule.kind,
-                           self.l_h, boundary=ZERO, input_l=self.rule.l_u)
+                           boundary=ZERO, input_l=self.rule.l_u)
         return op.apply(u, path=path)
 
     def kernel(self) -> KernelField:
@@ -189,7 +189,7 @@ def make_neural_op(grid: Grid, kind: str = "scalar", l_u: int = 0, l_h: int = 0,
     return NeuralOp(param, rule, grid)
 
 
-def _build_basis(grid: Grid, l_h: int, param: ParamRadial) -> list:
+def _build_basis(grid: Grid, l_h: int, param: ParamRadial) -> tuple:
     kgrid = free_space_kernel_grid(grid)
     basis = []
     for _, sigma in param.gaussians:
@@ -202,14 +202,17 @@ def _build_basis(grid: Grid, l_h: int, param: ParamRadial) -> list:
         comps = np.pad(small.field.components,
                        [(0, 0)] + [(n - 2, n - 2) for n in grid.shape])
         basis.append(KernelField(TensorField(kgrid, l_h, comps), l_h, SAMPLED))
-    return basis
+    return tuple(basis)
 
 
 _basis_cache: dict = {}
 
 
-def basis_kernels(op: NeuralOp) -> list:
-    """One KernelField per amplitude, in amplitude order, cached per basis."""
+def basis_kernels(op: NeuralOp) -> tuple:
+    """One KernelField per amplitude, in amplitude order, cached per basis.
+
+    The tuple and its read-only kernels are shared by every caller.
+    """
     key = (op.grid, op.l_h, op.param.hyper_key())
     if key not in _basis_cache:
         _basis_cache[key] = _build_basis(op.grid, op.l_h, op.param)
@@ -413,8 +416,7 @@ class AttentionLayer:
                 rule = product_rule(kind, orders[a], orders[b], self.dim)
                 if self.weights[j, k] != 0.0 and rule.l_v != lo:
                     raise RuleError(
-                        f"pair {kind}({orders[a]},{orders[b]})->{rule.l_v} cannot "
-                        f"feed output channel {j} of order {lo}")
+                        f"pair {rule} cannot feed output channel {j} of order {lo}")
 
     @classmethod
     def create(cls, input_l, output_l, dim: int) -> "AttentionLayer":
@@ -506,18 +508,13 @@ def load_model(path) -> NeuralOp:
     with manifest_values(path):
         grid = Grid(tuple(_ints(kv["shape"])), tuple(_floats(kv["spacing"])),
                     tuple(_floats(kv["origin"])), kv["boundary"])
-        kind, l_u, l_h = kv["kind"], int(kv["l_u"]), int(kv["l_h"])
-        widths = _floats(kv["gaussian_widths"])
-        g_amps = _floats(kv["gaussian_amps"])
-        exps = _ints(kv["power_exponents"])
-        rmins = _floats(kv["power_rmins"])
-        p_amps = _floats(kv["power_amps"])
-        orders = _ints(kv["stencil_orders"])
-        s_amps = _floats(kv["stencil_amps"])
-        trainable = np.array(_ints(kv["trainable"]), dtype=bool)
-    param = ParamRadial(tuple(zip(g_amps, widths)),
-                        tuple(zip(p_amps, exps, rmins)),
-                        tuple(zip(s_amps, orders)),
-                        trainable)
-    rule = product_rule(kind, l_u, l_h, grid.dim)
-    return NeuralOp(param, rule, grid)   # a legacy path= key is ignored
+        param = ParamRadial(
+            tuple(zip(_floats(kv["gaussian_amps"]), _floats(kv["gaussian_widths"]),
+                      strict=True)),
+            tuple(zip(_floats(kv["power_amps"]), _ints(kv["power_exponents"]),
+                      _floats(kv["power_rmins"]), strict=True)),
+            tuple(zip(_floats(kv["stencil_amps"]), _ints(kv["stencil_orders"]),
+                      strict=True)),
+            np.array(_ints(kv["trainable"]), dtype=bool))
+        rule = product_rule(kv["kind"], int(kv["l_u"]), int(kv["l_h"]), grid.dim)
+        return NeuralOp(param, rule, grid)   # a legacy path= key is ignored

@@ -34,7 +34,6 @@ class EquivariantOp:
     grid: Grid
     kernel: KernelField
     kind: str
-    l_h: int
     boundary: str | None = None   # None: follow the input grid
     input_l: int | None = None    # None: any order the rule accepts
 
@@ -45,7 +44,7 @@ class EquivariantOp:
         if self.input_l is not None and u.l != self.input_l:
             raise RuleError(f"operator {self.name!r} expects l={self.input_l} input, "
                             f"got l={u.l}")
-        rule = product_rule(self.kind, u.l, self.l_h, u.grid.dim)
+        rule = product_rule(self.kind, u.l, self.kernel.l_h, u.grid.dim)
         return conv(u, self.kernel, rule, path=path, boundary=self.boundary)
 
     def __call__(self, u: TensorField) -> TensorField:
@@ -53,33 +52,33 @@ class EquivariantOp:
 
 
 def identity_op(grid: Grid) -> EquivariantOp:
-    return EquivariantOp("identity", grid, delta_stencil(grid), "scalar", 0)
+    return EquivariantOp("identity", grid, delta_stencil(grid), "scalar")
 
 
 def grad_op(grid: Grid) -> EquivariantOp:
-    return EquivariantOp("grad", grid, gradient_stencil(grid), "scalar", 1, input_l=0)
+    return EquivariantOp("grad", grid, gradient_stencil(grid), "scalar", input_l=0)
 
 
 def div_op(grid: Grid) -> EquivariantOp:
-    return EquivariantOp("div", grid, gradient_stencil(grid), "dot", 1, input_l=1)
+    return EquivariantOp("div", grid, gradient_stencil(grid), "dot", input_l=1)
 
 
 def curl_op(grid: Grid) -> EquivariantOp:
     # conv(u, h, cross) contracts u x h, which is the negative of curl for
     # the central-difference kernel; flip the stencil so curl(u) = nabla x u.
     stencil = gradient_stencil(grid).scaled(-1.0)
-    return EquivariantOp("curl", grid, stencil, "cross", 1, input_l=1)
+    return EquivariantOp("curl", grid, stencil, "cross", input_l=1)
 
 
 def laplacian_op(grid: Grid) -> EquivariantOp:
-    return EquivariantOp("laplacian", grid, laplacian_stencil(grid), "scalar", 0,
+    return EquivariantOp("laplacian", grid, laplacian_stencil(grid), "scalar",
                          input_l=0)
 
 
 def inverse_laplacian_op(grid: Grid) -> EquivariantOp:
     profile = inverse_r() if grid.dim == 3 else log_r()
     kernel = sample_kernel(free_space_kernel_grid(grid), profile, 0)
-    return EquivariantOp("inverse_laplacian", grid, kernel, "scalar", 0,
+    return EquivariantOp("inverse_laplacian", grid, kernel, "scalar",
                          boundary=ZERO, input_l=0)
 
 
@@ -87,7 +86,7 @@ def gauss_law_op(grid: Grid) -> EquivariantOp:
     if grid.dim != 3:
         raise RuleError("gauss_law is defined for 3d grids only")
     kernel = sample_kernel(free_space_kernel_grid(grid), inverse_r2(), 1)
-    return EquivariantOp("gauss_law", grid, kernel, "scalar", 1,
+    return EquivariantOp("gauss_law", grid, kernel, "scalar",
                          boundary=ZERO, input_l=0)
 
 
@@ -103,7 +102,7 @@ def diffusion_op(grid: Grid, D: float, t: float) -> EquivariantOp:
     kernel = sample_kernel(free_space_kernel_grid(grid), profile, 0)
     mass = float(np.sum(kernel.field.components)) * grid.voxel_volume
     kernel = kernel.scaled(1.0 / mass)
-    return EquivariantOp("diffusion", grid, kernel, "scalar", 0)
+    return EquivariantOp("diffusion", grid, kernel, "scalar")
 
 
 REGISTRY = {

@@ -117,6 +117,11 @@ def _rewrite_manifest_line(path, key, line):
     (b"power_exponents", b"power_exponents=a,b"),
     (b"kind", b"kind=scalar\xff"),                  # not UTF-8
     (b"spacing", b"spacing=-1,1,1"),
+    (b"trainable", b"trainable=1"),                 # mask shorter than the amplitudes
+    (b"gaussian_widths", b"gaussian_widths=-1,1,1,1,1,1,1,1"),
+    (b"gaussian_amps", b"gaussian_amps=0"),         # fewer amplitudes than widths
+    (b"stencil_orders", b"stencil_orders=5"),
+    (b"kind", b"kind=outer"),
 ])
 def test_bad_model_manifest_exits_2(tmp_path, capsys, key, line):
     g = eq.Grid.centered((7, 7, 7))
@@ -225,8 +230,10 @@ def test_fit_round_trip(tmp_path, capsys):
 
 def test_fit_rejects_bad_manifest(tmp_path, capsys):
     bad = tmp_path / "pairs.txt"
-    bad.write_text("only_one_column.eqf\n")
-    assert main(["fit", str(bad), "--model", str(tmp_path / "m.eqm")]) == 2
+    for content in (b"only_one_column.eqf\n",
+                    b"a\xff.eqf b.eqf\n"):                # not UTF-8
+        bad.write_bytes(content)
+        assert main(["fit", str(bad), "--model", str(tmp_path / "m.eqm")]) == 2
     capsys.readouterr()
 
 

@@ -219,17 +219,17 @@ def test_conv_rejects_mismatches():
 
 def test_pointwise_product_matches_reference():
     rng = np.random.default_rng(9)
-    g = eq.Grid.centered((4, 4, 4))
-    for kind, l_u, l_h in (("dot", 1, 1), ("cross", 1, 1), ("matvec", 2, 1)):
-        rule = eq.product_rule(kind, l_u, l_h, 3)
-        u = eq.TensorField.random(g, l_u, rng)
-        w = eq.TensorField.random(g, l_h, rng)
-        out = eq.pointwise_product(u, w, rule)
-        for p in [(0, 0, 0), (1, 2, 3), (3, 3, 3)]:
-            uval = u.components[(slice(None),) + p]
-            wval = w.components[(slice(None),) + p]
-            ref = _pointwise(uval, wval, rule)
-            assert np.allclose(out.components[(slice(None),) + p], ref, atol=1e-13)
+    for dim in (2, 3):
+        g = eq.Grid.centered((4,) * dim)
+        for rule in eq.supported_rules(dim):
+            u = eq.TensorField.random(g, rule.l_u, rng)
+            w = eq.TensorField.random(g, rule.l_h, rng)
+            out = eq.pointwise_product(u, w, rule)
+            for p in [(0,) * dim, (1, 2, 3)[:dim], (3,) * dim]:
+                uval = u.components[(slice(None),) + p]
+                wval = w.components[(slice(None),) + p]
+                ref = _pointwise(uval, wval, rule)
+                assert np.allclose(out.components[(slice(None),) + p], ref, atol=1e-13)
 
 
 def test_brute_force_oracle_covers_every_supported_rule():

@@ -342,6 +342,19 @@ def test_operators_are_frozen():
         nop.grid = eq.Grid.centered((7, 7, 7))
 
 
+def test_cached_kernels_are_read_only():
+    g = eq.Grid.centered((9, 9, 9))
+    u = eq.TensorField.random(g, 0, np.random.default_rng(5))
+    before = eq.grad(u)
+    with pytest.raises(ValueError):
+        eq.make_operator("grad", g).kernel.field.components[...] *= 2
+    assert np.array_equal(eq.grad(u).components, before.components)
+    basis = eq.basis_kernels(eq.make_neural_op(g))
+    assert isinstance(basis, tuple)
+    with pytest.raises(ValueError):
+        basis[0].field.components[...] = 0.0
+
+
 def test_path_argument_forces_one_call_only():
     g = eq.Grid.centered((9, 9, 9))
     u = eq.TensorField.random(g, 0, np.random.default_rng(3))
