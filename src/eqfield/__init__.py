@@ -15,11 +15,11 @@ from .fields import (FieldError, ProductRule, RuleError, TensorField,
                      supported_rules, unit_harmonic)
 from .formats import FormatError, read_eqf, read_keyvalues, write_eqf, write_keyvalues
 from .grid import BOUNDARIES, PERIODIC, ZERO, Grid, GridError
-from .kernels import (SAMPLED, STENCIL, KernelError, KernelField,
-                      RadialProfile, delta_stencil, gaussian,
-                      gaussian_diffusion, gradient_stencil, inverse_r,
-                      inverse_r2, kernel_grid, laplacian_stencil, load_kernel,
-                      log_r, named_profile, sample_kernel, save_kernel)
+from .kernels import (KernelError, KernelField, RadialProfile,
+                      delta_stencil, gaussian, gaussian_diffusion,
+                      gradient_stencil, inverse_r, inverse_r2, kernel_grid,
+                      laplacian_stencil, load_kernel, log_r, named_profile,
+                      sample_kernel, save_kernel)
 from .learn import (AttentionLayer, FitResult, NeuralOp, NonlinearLayer,
                     ParamRadial, apply_attention, apply_nonlinear,
                     basis_kernels, default_param_radial, fit_gradient_descent,

@@ -72,7 +72,7 @@ def _corrupted(kern: KernelField) -> KernelField:
     """The kernel with one off-center voxel bumped, which breaks its symmetry."""
     comps = kern.field.components.copy()
     comps[(0,) + (1,) * kern.grid.dim] += 0.1 * max(np.max(np.abs(comps)), 1.0)
-    return KernelField(TensorField(kern.grid, kern.l_h, comps), kern.l_h, kern.kind)
+    return KernelField(TensorField(kern.grid, kern.l_h, comps), kern.l_h)
 
 
 def check_rules(u: TensorField, rng: np.random.Generator, corrupt: bool = False) -> list:

@@ -1,5 +1,5 @@
-"""Tensor-field convolution: direct path for compact stencils, Fourier path
-for long-range kernels.
+"""Tensor-field convolution: direct path for compact kernels, Fourier path
+for long-range ones.
 
 A tensor convolution decomposes into scalar convolutions of component
 fields weighted by the product-expansion coefficients C_mnp:
@@ -20,19 +20,22 @@ from scipy import fft as sfft
 from .fields import (FieldError, ProductRule, RuleError, TensorField,
                      rule_coefficients)
 from .grid import PERIODIC, ZERO
-from .kernels import STENCIL, KernelField
+from .kernels import KernelField
 
 DIRECT = "direct"
 FOURIER = "fourier"
+DIRECT_MAX_EXTENT = 5   # widest kernel axis (voxels) that conv takes direct
 
 
 def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
          path: str | None = None, boundary: str | None = None) -> TensorField:
     """Tensor-field convolution; the one place a convolution path is chosen.
 
-    Stencil kernels go through the direct path, sampled kernels through the
-    Fourier path.  ``path`` forces a path for this call only, so the two
-    can be checked against each other; ``boundary`` defaults to the field's.
+    Kernels at most ``DIRECT_MAX_EXTENT`` voxels wide on every axis (the
+    finite-difference stencils) go through the direct path, wider ones
+    through the Fourier path.  ``path`` forces a path for this call only, so
+    the two can be checked against each other; ``boundary`` defaults to the
+    field's.
     """
     dim = u.grid.dim
     if kernel.grid.dim != dim:
@@ -46,7 +49,7 @@ def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
     if rule.l_h != kernel.l_h:
         raise RuleError(f"rule expects kernel order {rule.l_h}, kernel has l={kernel.l_h}")
     if path is None:
-        path = DIRECT if kernel.kind == STENCIL else FOURIER
+        path = DIRECT if max(kernel.grid.shape) <= DIRECT_MAX_EXTENT else FOURIER
     if boundary is None:
         boundary = u.grid.boundary
     if path == DIRECT:

@@ -4,7 +4,8 @@ EQF layout: one ASCII header line
 
     EQF1 dim=<d> l=<l> shape=<n1,n2[,n3]> spacing=<s1,...> origin=<o1,...> boundary=<zero|periodic>
 
-optionally extended with extra tokens (kernels carry kind=<sampled|stencil>),
+optionally extended with extra key=value tokens, which the reader returns
+unparsed (kernel files once carried kind=<sampled|stencil>; it is ignored),
 followed by the raw component array as little-endian 64-bit floats,
 component-major and row-major (C order) within a component.  Floats in the
 header are printed with 17 significant digits so the round trip is bit-exact.
@@ -97,6 +98,8 @@ def read_eqf(path) -> tuple[TensorField, dict]:
         grid = Grid(shape, spacing, origin, boundary)
     except GridError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    if len(payload) % 8:
+        raise FormatError(f"{path}: payload of {len(payload)} bytes is not whole 64-bit floats")
     data = np.frombuffer(payload, dtype="<f8")
     n_per_comp = math.prod(shape)
     if data.size % n_per_comp != 0:

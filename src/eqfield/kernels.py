@@ -1,12 +1,12 @@
 """Radially symmetric kernel fields h = R(r) Y_l(rhat).
 
-Two kinds of kernel: ``sampled`` kernels evaluate a radial profile on a
-centered odd-extent grid, ``stencil`` kernels carry finite-difference
-weights on a compact (<= 5 voxels per axis) grid.  The kind alone picks the
-convolution path: stencils go direct, sampled kernels through the FFT.
-Stencil weights are stored pre-divided by the voxel volume so that the
-volume-scaled discrete convolution reproduces the finite difference
-exactly; the delta stencil's 1/volume center weight is the defining case.
+A kernel is a tensor field on a centered odd-extent grid and nothing more:
+``sample_kernel`` evaluates a radial profile on it, and the finite-difference
+stencils carry their weights on a 3- or 5-wide grid.  ``conv`` picks the
+convolution path from the kernel's extent alone.  Stencil weights are stored
+pre-divided by the voxel volume so that the volume-scaled discrete
+convolution reproduces the finite difference exactly; the delta stencil's
+1/volume center weight is the defining case.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ from .fields import FieldError, TensorField, unit_harmonic
 from .formats import read_eqf, write_eqf
 from .grid import Grid
 
-SAMPLED = "sampled"
-STENCIL = "stencil"
-
-
 class KernelError(ValueError):
     pass
 
@@ -33,39 +29,27 @@ class KernelError(ValueError):
 class RadialProfile:
     """Scalar radial function R(r), a function of |r| only.
 
-    ``origin_value`` replaces R(0) when the profile is singular there;
-    None means sampling at r=0 is an error.  The default of zero excludes
-    the self-interaction term, which is how the singular Green's function
+    A profile singular at the origin reads 0 there.  That excludes the
+    self-interaction term, which is how the singular Green's function
     profiles stay finite on a grid.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
-    support_radius: float = math.inf
     singular_at_origin: bool = False
-    origin_value: float | None = 0.0
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
+        if not self.singular_at_origin:
+            return np.asarray(self.fn(r), dtype=float)
         at_origin = r == 0.0
-        if self.singular_at_origin:
-            if self.origin_value is None and np.any(at_origin):
-                raise KernelError(f"profile {self.name!r} is singular at r=0 "
-                                  "and has no origin value rule")
-            safe = np.where(at_origin, 1.0, r)
-            out = np.asarray(self.fn(safe), dtype=float)
-            out = np.where(at_origin, self.origin_value if self.origin_value is not None
-                           else np.nan, out)
-        else:
-            out = np.asarray(self.fn(r), dtype=float)
-        if math.isfinite(self.support_radius):
-            out = np.where(r > self.support_radius, 0.0, out)
-        return out
+        out = np.asarray(self.fn(np.where(at_origin, 1.0, r)), dtype=float)
+        return np.where(at_origin, 0.0, out)
 
 
 def gaussian(sigma: float) -> RadialProfile:
     """exp(-r^2 / sigma^2), value 1 at the origin."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise KernelError("gaussian width must be positive")
     return RadialProfile(lambda r: np.exp(-(r / sigma) ** 2), name=f"gaussian({sigma:g})")
 
@@ -90,9 +74,12 @@ def log_r() -> RadialProfile:
 
 def gaussian_diffusion(D: float, t: float, dim: int) -> RadialProfile:
     """Heat kernel (4 pi D t)^(-dim/2) exp(-r^2/(4 D t)); integrates to 1."""
-    if not (D > 0 and t > 0):
-        raise KernelError("gaussian_diffusion needs D > 0 and t > 0")
-    norm = (4.0 * math.pi * D * t) ** (-dim / 2.0)
+    if not (0 < D < math.inf and 0 < t < math.inf):
+        raise KernelError("gaussian_diffusion needs finite D > 0 and t > 0")
+    try:
+        norm = (4.0 * math.pi * D * t) ** (-dim / 2.0)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise KernelError(f"heat kernel for D={D:g}, t={t:g} is out of float range") from exc
     return RadialProfile(lambda r: norm * np.exp(-r ** 2 / (4.0 * D * t)),
                          name=f"gaussian_diffusion({D:g},{t:g})")
 
@@ -124,19 +111,12 @@ class KernelField:
 
     field: TensorField
     l_h: int
-    kind: str
-    profile: RadialProfile | None = None
 
     def __post_init__(self):
-        if self.kind not in (SAMPLED, STENCIL):
-            raise KernelError(f"kernel kind must be sampled|stencil, got {self.kind!r}")
         if self.l_h != self.field.l:
             raise KernelError("kernel l_h does not match its field")
-        if self.kind == STENCIL and any(n > 5 for n in self.field.grid.shape):
-            raise KernelError("stencil kernels must be <= 5 voxels per axis")
-        for n in self.field.grid.shape:
-            if n % 2 == 0:
-                raise KernelError("kernel grids need odd extent per axis")
+        if any(n % 2 == 0 for n in self.field.grid.shape):
+            raise KernelError("kernel grids need odd extent per axis")
         self.field.components.setflags(write=False)
 
     @property
@@ -146,14 +126,12 @@ class KernelField:
     def scaled(self, factor: float) -> "KernelField":
         return KernelField(TensorField(self.grid, self.l_h,
                                        self.field.components * float(factor)),
-                           self.l_h, self.kind, self.profile)
+                           self.l_h)
 
 
 def _check_centered(grid: Grid):
     center = grid.center_index()
     for a in range(grid.dim):
-        if grid.shape[a] % 2 == 0:
-            raise KernelError("kernel grids need odd extent per axis")
         pos = grid.origin[a] + center[a] * grid.spacing[a]
         if abs(pos) > 1e-9 * grid.spacing[a]:
             raise KernelError("kernel grid must be centered (a voxel at r=0)")
@@ -176,7 +154,7 @@ def sample_kernel(grid: Grid, profile: RadialProfile, l_h: int) -> KernelField:
     """Sample R(|r|) Y_l(rhat) on a centered grid.
 
     For l_h >= 1 the value at r=0 is the zero tensor (the direction is
-    undefined there); for l_h = 0 the profile's origin rule applies.
+    undefined there); for l_h = 0 a singular profile reads 0 there.
     """
     _check_centered(grid)
     center = grid.center_index()
@@ -190,8 +168,7 @@ def sample_kernel(grid: Grid, profile: RadialProfile, l_h: int) -> KernelField:
         rhat = np.where(r == 0.0, 0.0, pos / np.where(r == 0.0, 1.0, r))
         radial = np.where(r == 0.0, 0.0, profile(np.where(r == 0.0, 1.0, r)))
         values = radial[None] * unit_harmonic(l_h, rhat)
-    tf = TensorField(grid, l_h, values)
-    return KernelField(tf, l_h, SAMPLED, profile)
+    return KernelField(TensorField(grid, l_h, values), l_h)
 
 
 def delta_stencil(grid: Grid) -> KernelField:
@@ -199,7 +176,7 @@ def delta_stencil(grid: Grid) -> KernelField:
     kgrid = kernel_grid((3,) * grid.dim, grid.spacing)
     arr = np.zeros((1,) + kgrid.shape)
     arr[(0,) + (1,) * grid.dim] = 1.0 / grid.voxel_volume
-    return KernelField(TensorField(kgrid, 0, arr), 0, STENCIL)
+    return KernelField(TensorField(kgrid, 0, arr), 0)
 
 
 def gradient_stencil(grid: Grid) -> KernelField:
@@ -220,7 +197,7 @@ def gradient_stencil(grid: Grid) -> KernelField:
         plus[a] = 2
         arr[(a, *minus)] = +w
         arr[(a, *plus)] = -w
-    return KernelField(TensorField(kgrid, 1, arr), 1, STENCIL)
+    return KernelField(TensorField(kgrid, 1, arr), 1)
 
 
 def laplacian_stencil(grid: Grid) -> KernelField:
@@ -243,16 +220,14 @@ def laplacian_stencil(grid: Grid) -> KernelField:
         arr[(0, *lo)] += w
         arr[(0, *hi)] += w
         arr[center] -= 2.0 * w
-    return KernelField(TensorField(kgrid, 0, arr), 0, STENCIL)
+    return KernelField(TensorField(kgrid, 0, arr), 0)
 
 
 def save_kernel(path, kernel: KernelField) -> None:
-    write_eqf(path, kernel.field, extra={"kind": kernel.kind})
+    write_eqf(path, kernel.field)
 
 
 def load_kernel(path) -> KernelField:
-    tf, extra = read_eqf(path)
-    kind = extra.get("kind")
-    if kind not in (SAMPLED, STENCIL):
-        raise KernelError(f"{path}: missing or invalid kernel kind token")
-    return KernelField(tf, tf.l, kind)
+    """Read a kernel file; a legacy ``kind=`` header token is ignored."""
+    tf, _ = read_eqf(path)
+    return KernelField(tf, tf.l)

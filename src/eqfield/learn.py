@@ -20,7 +20,7 @@ from .fields import (ProductRule, RuleError, TensorField, field_norm,
                      pointwise_product, product_rule, supported_rules)
 from .formats import FormatError, manifest_values, read_keyvalues, write_keyvalues
 from .grid import ZERO, Grid
-from .kernels import (SAMPLED, KernelField, RadialProfile, delta_stencil,
+from .kernels import (KernelField, RadialProfile, delta_stencil,
                       free_space_kernel_grid, gaussian, gradient_stencil,
                       sample_kernel)
 from .operators import EquivariantOp
@@ -33,7 +33,7 @@ def power_profile(exponent: int, r_min: float) -> RadialProfile:
     """r^(-exponent) outside r_min, zero inside (regularized power law)."""
     if exponent <= 0:
         raise ValueError("power-law exponent must be a positive integer")
-    if r_min <= 0:
+    if not r_min > 0:
         raise ValueError("power-law inner cutoff must be positive")
     k = int(exponent)
 
@@ -65,9 +65,7 @@ class ParamRadial:
         self.gaussians = tuple((float(a), float(s)) for a, s in self.gaussians)
         self.powers = tuple((float(a), int(k), float(r)) for a, k, r in self.powers)
         self.stencils = tuple((float(a), int(o)) for a, o in self.stencils)
-        for _, s in self.gaussians:
-            if s <= 0:
-                raise ValueError("gaussian width must be positive")
+        self.smooth_profiles()   # rejects non-positive widths, exponents and cutoffs
         for _, o in self.stencils:
             if o not in (0, 1):
                 raise ValueError("stencil order must be 0 or 1")
@@ -109,15 +107,17 @@ class ParamRadial:
                 tuple((k, r) for _, k, r in self.powers),
                 tuple(o for _, o in self.stencils))
 
+    def smooth_profiles(self) -> list:
+        """The Gaussian and power-law shapes, in amplitude order."""
+        return ([gaussian(s) for _, s in self.gaussians]
+                + [power_profile(k, r_min) for _, k, r_min in self.powers])
+
     def evaluate(self, r) -> np.ndarray:
         """The smooth part R(r); stencil terms live on the lattice, not here."""
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
-        for a, s in self.gaussians:
-            out += a * np.exp(-((r / s) ** 2))
-        for a, k, r_min in self.powers:
-            safe = np.where(r >= r_min, r, 1.0)
-            out += np.where(r >= r_min, a * safe ** (-float(k)), 0.0)
+        for a, profile in zip(self.amplitudes, self.smooth_profiles()):
+            out += a * profile(r)
         return out
 
 
@@ -177,8 +177,7 @@ class NeuralOp:
         for a, k in zip(self.param.amplitudes, basis):
             if a != 0.0:
                 comps = comps + a * k.field.components
-        return KernelField(TensorField(basis[0].grid, self.l_h, comps),
-                           self.l_h, SAMPLED)
+        return KernelField(TensorField(basis[0].grid, self.l_h, comps), self.l_h)
 
 
 def make_neural_op(grid: Grid, kind: str = "scalar", l_u: int = 0, l_h: int = 0,
@@ -191,17 +190,13 @@ def make_neural_op(grid: Grid, kind: str = "scalar", l_u: int = 0, l_h: int = 0,
 
 def _build_basis(grid: Grid, l_h: int, param: ParamRadial) -> tuple:
     kgrid = free_space_kernel_grid(grid)
-    basis = []
-    for _, sigma in param.gaussians:
-        basis.append(sample_kernel(kgrid, gaussian(sigma), l_h))
-    for _, k, r_min in param.powers:
-        basis.append(sample_kernel(kgrid, power_profile(k, r_min), l_h))
+    basis = [sample_kernel(kgrid, profile, l_h) for profile in param.smooth_profiles()]
     for _, order in param.stencils:
         small = delta_stencil(grid) if order == 0 else gradient_stencil(grid)
         # center the 3-wide stencil on the (2n-1)-wide kernel grid
         comps = np.pad(small.field.components,
                        [(0, 0)] + [(n - 2, n - 2) for n in grid.shape])
-        basis.append(KernelField(TensorField(kgrid, l_h, comps), l_h, SAMPLED))
+        basis.append(KernelField(TensorField(kgrid, l_h, comps), l_h))
     return tuple(basis)
 
 
@@ -501,6 +496,15 @@ def _ints(s: str) -> list:
     return [int(x) for x in s.split(",") if x]
 
 
+def _per_term(kv: dict, **parsers) -> tuple:
+    """Zip the per-term lists under the given keys, which must be equally long."""
+    lists = {key: parse(kv[key]) for key, parse in parsers.items()}
+    if len({len(v) for v in lists.values()}) > 1:
+        raise ValueError("unequal per-term lists: "
+                         + ", ".join(f"{key} has {len(v)}" for key, v in lists.items()))
+    return tuple(zip(*lists.values()))
+
+
 def load_model(path) -> NeuralOp:
     kv = read_keyvalues(path)
     if kv.get("model") != "eqfield-neural-v1":
@@ -509,12 +513,9 @@ def load_model(path) -> NeuralOp:
         grid = Grid(tuple(_ints(kv["shape"])), tuple(_floats(kv["spacing"])),
                     tuple(_floats(kv["origin"])), kv["boundary"])
         param = ParamRadial(
-            tuple(zip(_floats(kv["gaussian_amps"]), _floats(kv["gaussian_widths"]),
-                      strict=True)),
-            tuple(zip(_floats(kv["power_amps"]), _ints(kv["power_exponents"]),
-                      _floats(kv["power_rmins"]), strict=True)),
-            tuple(zip(_floats(kv["stencil_amps"]), _ints(kv["stencil_orders"]),
-                      strict=True)),
+            _per_term(kv, gaussian_amps=_floats, gaussian_widths=_floats),
+            _per_term(kv, power_amps=_floats, power_exponents=_ints, power_rmins=_floats),
+            _per_term(kv, stencil_amps=_floats, stencil_orders=_ints),
             np.array(_ints(kv["trainable"]), dtype=bool))
         rule = product_rule(kv["kind"], int(kv["l_u"]), int(kv["l_h"]), grid.dim)
         return NeuralOp(param, rule, grid)   # a legacy path= key is ignored

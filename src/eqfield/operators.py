@@ -14,6 +14,7 @@ Sign and unit conventions (Gaussian units, eps0 = 1):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .convolve import conv
 from .fields import FieldError, RuleError, TensorField, product_rule
 from .grid import ZERO, Grid
-from .kernels import (KernelField, delta_stencil, free_space_kernel_grid,
+from .kernels import (KernelError, KernelField, delta_stencil, free_space_kernel_grid,
                       gaussian_diffusion, gradient_stencil, inverse_r, inverse_r2,
                       laplacian_stencil, log_r, sample_kernel)
 
@@ -101,6 +102,9 @@ def diffusion_op(grid: Grid, D: float, t: float) -> EquivariantOp:
     profile = gaussian_diffusion(D, t, grid.dim)
     kernel = sample_kernel(free_space_kernel_grid(grid), profile, 0)
     mass = float(np.sum(kernel.field.components)) * grid.voxel_volume
+    if not 0.0 < mass < math.inf:
+        raise KernelError(f"diffusion kernel for D={D:g}, t={t:g} has discrete mass "
+                          f"{mass:g} on this grid")
     kernel = kernel.scaled(1.0 / mass)
     return EquivariantOp("diffusion", grid, kernel, "scalar")
 

@@ -11,6 +11,7 @@ of the discretization).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -145,6 +146,8 @@ def estimate_parameters(trajectory: list, dt: float,
         raise ValueError("need at least two frames")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if not 0.0 <= smooth_sigma < math.inf:
+        raise ValueError(f"smooth_sigma must be finite and >= 0, got {smooth_sigma}")
     if smooth_sigma > 0:
         t_eq = smooth_sigma ** 2 / 4.0
         trajectory = [_diffusion(u, 1.0, t_eq) for u in trajectory]

@@ -162,8 +162,7 @@ def test_criterion_6_path_equivalence():
         g = eq.Grid.centered((9, 9, 9), boundary=boundary)
         u = eq.TensorField.random(g, rule.l_u, rng)
         kg = eq.kernel_grid((3, 3, 3), g.spacing)
-        kern = eq.KernelField(eq.TensorField.random(kg, rule.l_h, rng),
-                              rule.l_h, eq.STENCIL)
+        kern = eq.KernelField(eq.TensorField.random(kg, rule.l_h, rng), rule.l_h)
         d = eq.conv(u, kern, rule, path=eq.DIRECT)
         f = eq.conv(u, kern, rule, path=eq.FOURIER)
         worst = max(worst, _max_rel(f, d))

@@ -91,6 +91,7 @@ def test_apply_model_on_another_grid_exits_3(tmp_path, capsys):
     ("spacing", "-1,1,1"),
     ("origin", "inf,0,0"),
     ("shape", "4294967296,4294967296,3"),   # voxel count overflows int64
+    ("payload", "-3"),                      # truncated mid-float
 ])
 def test_bad_header_geometry_exits_2(tmp_path, capsys, key, value):
     g = eq.Grid.centered((5, 5, 5))
@@ -98,6 +99,8 @@ def test_bad_header_geometry_exits_2(tmp_path, capsys, key, value):
     _write_scalar(src, g, _blob(g))
     data = src.read_bytes()
     header, payload = data.split(b"\n", 1)
+    if key == "payload":
+        payload = payload[:int(value)]
     tokens = [f"{key}={value}" if t.startswith(f"{key}=") else t
               for t in header.decode().split()]
     src.write_bytes(" ".join(tokens).encode() + b"\n" + payload)
@@ -120,6 +123,10 @@ def _rewrite_manifest_line(path, key, line):
     (b"trainable", b"trainable=1"),                 # mask shorter than the amplitudes
     (b"gaussian_widths", b"gaussian_widths=-1,1,1,1,1,1,1,1"),
     (b"gaussian_amps", b"gaussian_amps=0"),         # fewer amplitudes than widths
+    (b"power_exponents", b"power_exponents=0,2"),
+    (b"power_rmins", b"power_rmins=-1,1"),
+    (b"gaussian_widths", b"gaussian_widths=nan,1,1,1,1,1,1,1"),
+    (b"power_rmins", b"power_rmins=nan,1"),
     (b"stencil_orders", b"stencil_orders=5"),
     (b"kind", b"kind=outer"),
 ])
@@ -131,7 +138,10 @@ def test_bad_model_manifest_exits_2(tmp_path, capsys, key, line):
     src = tmp_path / "in.eqf"
     _write_scalar(src, g, _blob(g))
     assert main(["apply", str(model), str(src), str(tmp_path / "o.eqf")]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if line == b"gaussian_amps=0":
+        assert "gaussian_amps" in err and "gaussian_widths" in err
 
 
 @pytest.mark.parametrize("key,line", [
@@ -291,6 +301,9 @@ def test_estimate_recovers_parameters(tmp_path, capsys):
     # the smoothing flag must not break the exact recovery
     assert main(["estimate", str(outdir), "--smooth", "2.0"]) == 0
     capsys.readouterr()
+    for sigma in ("nan", "-1", "inf"):
+        assert main(["estimate", str(outdir), "--smooth", sigma]) == 3
+        assert "smooth_sigma" in capsys.readouterr().err
 
 
 def test_estimate_unidentifiable_exits_4(tmp_path, capsys):

@@ -49,10 +49,10 @@ def _ref_conv(u, kernel, rule, boundary):
     return out
 
 
-def _random_kernel(dim, l_h, rng, width=3, kind=eq.STENCIL):
+def _random_kernel(dim, l_h, rng, width=3):
     kg = eq.kernel_grid((width,) * dim, 1.0)
     field = eq.TensorField.random(kg, l_h, rng)
-    return eq.KernelField(field=field, l_h=l_h, kind=kind)
+    return eq.KernelField(field=field, l_h=l_h)
 
 
 ORACLE_RULES = [
@@ -86,7 +86,7 @@ def test_conv_matches_brute_force(kind, l_u, l_h, dim, width):
     rng = np.random.default_rng(zlib.crc32(repr((kind, l_u, l_h, dim)).encode()))
     rule = eq.product_rule(kind, l_u, l_h, dim)
     shape = (5, 4) if dim == 2 else (4, 4, 3)
-    kernel = _random_kernel(dim, l_h, rng, width, eq.STENCIL if width <= 5 else eq.SAMPLED)
+    kernel = _random_kernel(dim, l_h, rng, width)
     for boundary in eq.BOUNDARIES:
         g = eq.Grid.centered(shape, boundary=boundary)
         u = eq.TensorField.random(g, l_u, rng)
@@ -210,7 +210,7 @@ def test_conv_rejects_mismatches():
     with pytest.raises(eq.RuleError):
         eq.conv(u, kernel, eq.product_rule("scalar", 0, 0, 3))  # kernel l mismatch
     kg = eq.kernel_grid((3, 3, 3), 0.5)  # spacing differs from the field grid
-    bad = eq.KernelField(field=eq.TensorField.random(kg, 1, rng), l_h=1, kind=eq.STENCIL)
+    bad = eq.KernelField(field=eq.TensorField.random(kg, 1, rng), l_h=1)
     with pytest.raises(eq.FieldError):
         eq.conv(u, bad, eq.product_rule("scalar", 0, 1, 3))
     with pytest.raises(ValueError):
@@ -238,8 +238,12 @@ def test_brute_force_oracle_covers_every_supported_rule():
             assert (rule.kind, rule.l_u, rule.l_h, dim) in ORACLE_RULES
 
 
-def test_stencil_kernels_are_at_most_five_wide():
+def test_default_path_follows_kernel_extent():
+    # at most 5 voxels on every axis goes direct, anything wider through the FFT
     rng = np.random.default_rng(12)
-    _random_kernel(3, 0, rng, width=5)
-    with pytest.raises(eq.KernelError):
-        _random_kernel(3, 0, rng, width=7)
+    rule = eq.product_rule("scalar", 0, 0, 3)
+    u = eq.TensorField.random(eq.Grid.centered((6, 5, 4)), 0, rng)
+    for width, path in ((5, eq.DIRECT), (7, eq.FOURIER)):
+        kernel = _random_kernel(3, 0, rng, width=width)
+        out = eq.conv(u, kernel, rule)
+        assert np.array_equal(out.components, eq.conv(u, kernel, rule, path=path).components)

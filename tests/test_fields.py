@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import eqfield as eq
 
@@ -220,6 +222,36 @@ def test_eqf_rejects_truncated_payload(tmp_path):
     path.write_bytes(data[:-16])
     with pytest.raises(eq.FormatError):
         eq.read_eqf(path)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.lists(st.integers(3, 4), min_size=2, max_size=3),
+       l=st.integers(0, 1), seed=st.integers(0, 2 ** 32 - 1),
+       at=st.integers(0, 200), byte=st.integers(0x80, 0xFF),
+       key=st.sampled_from(["spacing", "origin"]),
+       bad=st.sampled_from(["nan", "inf", "-inf"]))
+def test_read_eqf_rejects_corrupt_files(tmp_path, shape, l, seed, at, byte, key, bad):
+    g = eq.Grid.centered(tuple(shape), spacing=0.5)
+    path = tmp_path / "f.eqf"
+    eq.write_eqf(path, eq.TensorField.random(g, l, np.random.default_rng(seed)))
+    data = path.read_bytes()
+    header, payload = data.split(b"\n", 1)
+    cut = at % (len(header) + 1)
+    tokens = header.decode().split()
+    axis = at % g.dim
+    for i, tok in enumerate(tokens):
+        if tok.startswith(key + "="):
+            values = tok.split("=", 1)[1].split(",")
+            values[axis] = bad
+            tokens[i] = f"{key}=" + ",".join(values)
+    corrupt = [data[:n] for n in range(len(data))]   # every truncation
+    corrupt.append(header[:cut] + bytes([byte]) + header[cut:] + b"\n" + payload)
+    corrupt.append(" ".join(tokens).encode() + b"\n" + payload)
+    for blob in corrupt:
+        path.write_bytes(blob)
+        with pytest.raises(eq.FormatError):
+            eq.read_eqf(path)
 
 
 def test_keyvalues_round_trip(tmp_path):

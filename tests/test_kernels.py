@@ -86,7 +86,7 @@ def test_sampled_kernel_parity():
 def test_delta_stencil_identity_weight():
     g = eq.Grid.centered((5, 5), spacing=0.5)
     k = eq.delta_stencil(g)
-    assert k.kind == eq.STENCIL
+    assert k.grid.shape == (3, 3)
     vals = k.field.components[0]
     c = tuple(int(i) for i in k.field.grid.center_index())
     assert vals[c] == pytest.approx(1.0 / g.voxel_volume)
@@ -96,7 +96,7 @@ def test_delta_stencil_identity_weight():
 def test_gradient_stencil_weights():
     g = eq.Grid.centered((5, 5, 5), spacing=(0.5, 1.0, 2.0))
     k = eq.gradient_stencil(g)
-    assert k.kind == eq.STENCIL and k.l_h == 1
+    assert k.grid.shape == (3, 3, 3) and k.l_h == 1
     vals = k.field.components
     vol = g.voxel_volume
     c = tuple(int(i) for i in k.field.grid.center_index())
@@ -113,7 +113,11 @@ def test_gradient_stencil_weights():
 def test_laplacian_stencil_structure():
     g = eq.Grid.centered((9, 9), spacing=(0.5, 1.0))
     k = eq.laplacian_stencil(g)
-    assert k.kind == eq.STENCIL  # the kind sends it down the direct path
+    # 5 voxels per axis sends it down the direct path
+    u = eq.TensorField.random(g, 0, np.random.default_rng(3))
+    rule = eq.product_rule("scalar", 0, 0, g.dim)
+    assert np.array_equal(eq.conv(u, k, rule).components,
+                          eq.conv(u, k, rule, path=eq.DIRECT).components)
     vals = k.field.components[0]
     assert vals.shape == (5, 5)  # reaches +-2 voxels per axis
     assert np.sum(vals != 0.0) == 2 * g.dim + 1
@@ -131,8 +135,19 @@ def test_kernel_save_load_round_trip(tmp_path):
     eq.save_kernel(path, k)
     back = eq.load_kernel(path)
     assert back.l_h == 1
-    assert back.kind == k.kind
+    assert back.grid == k.grid
     assert np.array_equal(back.field.components, k.field.components)
+
+
+def test_kernel_file_with_legacy_kind_token_loads(tmp_path):
+    k = eq.gradient_stencil(eq.Grid.centered((5, 5)))
+    path = tmp_path / "k.eqf"
+    eq.write_eqf(path, k.field, extra={"kind": "stencil"})
+    back = eq.load_kernel(path)
+    assert back.l_h == 1
+    assert np.array_equal(back.field.components, k.field.components)
+    eq.save_kernel(path, back)
+    assert b"kind=" not in path.read_bytes().split(b"\n", 1)[0]
 
 
 def test_kernel_scaled():
@@ -140,4 +155,4 @@ def test_kernel_scaled():
     k = eq.sample_kernel(kg, eq.gaussian(1.0), 0)
     s = k.scaled(-2.5)
     assert np.allclose(s.field.components, -2.5 * k.field.components)
-    assert s.kind == k.kind and s.l_h == k.l_h
+    assert s.grid == k.grid and s.l_h == k.l_h

@@ -301,6 +301,11 @@ def test_diffusion_validates_parameters():
         eq.diffusion(u, 1.0, 0.0)
     with pytest.raises(eq.KernelError):
         eq.diffusion(u, 1.0, math.nan)
+    # in 3d, t=1e300 underflows the heat kernel's mass and D*t=1e-600 its width
+    u3 = eq.TensorField.zeros(eq.Grid.centered((5, 5, 5)), 0)
+    for D, t in ((1.0, math.inf), (math.inf, 1.0), (1.0, 1e300), (1e-300, 1e-300)):
+        with pytest.raises(eq.KernelError):
+            eq.diffusion(u3, D, t)
     out = eq.diffusion(u, 1.0, 1.0)
     assert np.allclose(out.components, 0.0)
 
@@ -336,7 +341,7 @@ def test_operators_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         op.path = eq.FOURIER
     with pytest.raises(dataclasses.FrozenInstanceError):
-        op.kernel.kind = eq.SAMPLED
+        op.kernel.l_h = 1
     nop = eq.make_neural_op(g)
     with pytest.raises(dataclasses.FrozenInstanceError):
         nop.grid = eq.Grid.centered((7, 7, 7))
