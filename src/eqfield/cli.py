@@ -8,14 +8,12 @@ unidentifiable parameters).  All numbers print at 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
 
 from .checks import all_passed, run_checks
 from .convolve import DIRECT, FOURIER
@@ -301,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eqfield",
         description="Rotation-equivariant tensor-field operators on regular grids.")
     p.add_argument("--seed", type=int, default=0, help="seed for generated fields")
-    p.add_argument("--threads", type=int, default=None,
-                   help="FFT worker threads (default: library default)")
     sub = p.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("apply", help="apply a named operator or fitted model")
@@ -366,10 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    ctx = sfft.set_workers(args.threads) if args.threads else contextlib.nullcontext()
     try:
-        with ctx:
-            return args.func(args)
+        return args.func(args)
     except (FileNotFoundError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

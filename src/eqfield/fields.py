@@ -130,9 +130,6 @@ class TensorField:
         c = components_for(l, grid.dim)
         return cls(grid, l, rng.standard_normal((c,) + grid.shape))
 
-    def copy(self) -> "TensorField":
-        return TensorField(self.grid, self.l, self.components.copy())
-
     def __add__(self, other: "TensorField") -> "TensorField":
         self._check_same(other)
         return TensorField(self.grid, self.l, self.components + other.components)

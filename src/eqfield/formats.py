@@ -32,7 +32,7 @@ def fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _header_line(field: TensorField, extra: dict | None = None) -> str:
+def _header_line(field: TensorField) -> str:
     g = field.grid
     tokens = [
         MAGIC,
@@ -43,33 +43,22 @@ def _header_line(field: TensorField, extra: dict | None = None) -> str:
         "origin=" + ",".join(fmt_float(o) for o in g.origin),
         f"boundary={g.boundary}",
     ]
-    for k, v in (extra or {}).items():
-        tok = f"{k}={v}"
-        if any(c.isspace() for c in tok) or "=" not in tok[1:]:
-            raise FormatError(f"extra header token {tok!r} must be key=value without whitespace")
-        tokens.append(tok)
     return " ".join(tokens) + "\n"
 
 
-def write_eqf(path, field: TensorField, extra: dict | None = None) -> None:
+def write_eqf(path, field: TensorField) -> None:
     with open(path, "wb") as fh:
-        fh.write(_header_line(field, extra).encode("ascii"))
+        fh.write(_header_line(field).encode("ascii"))
         fh.write(np.ascontiguousarray(field.components, dtype="<f8").tobytes())
 
 
 def read_eqf(path) -> tuple[TensorField, dict]:
     """Read an EQF file; returns the field plus any extra header tokens."""
     with open(path, "rb") as fh:
-        header = bytearray()
-        while True:
-            ch = fh.read(1)
-            if not ch:
-                raise FormatError(f"{path}: truncated header")
-            if ch == b"\n":
-                break
-            header.extend(ch)
-            if len(header) > 4096:
-                raise FormatError(f"{path}: header line too long")
+        header = fh.readline(4097)   # at most 4096 bytes before the newline
+        if not header.endswith(b"\n"):
+            raise FormatError(f"{path}: " + ("header line too long" if len(header) > 4096
+                                             else "truncated header"))
         payload = fh.read()
     try:
         tokens = header.decode("ascii").split()

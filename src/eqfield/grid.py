@@ -62,17 +62,6 @@ class Grid:
         return int(np.prod(self.shape))
 
     @classmethod
-    def regular(cls, shape, spacing=1.0, origin=0.0, boundary=ZERO) -> "Grid":
-        """Grid with uniform scalar spacing/origin broadcast over axes."""
-        shape = tuple(shape)
-        d = len(shape)
-        if np.isscalar(spacing):
-            spacing = (float(spacing),) * d
-        if np.isscalar(origin):
-            origin = (float(origin),) * d
-        return cls(shape, tuple(spacing), tuple(origin), boundary)
-
-    @classmethod
     def centered(cls, shape, spacing=1.0, boundary=ZERO) -> "Grid":
         """Grid whose world coordinates are symmetric about 0.
 

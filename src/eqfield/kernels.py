@@ -137,12 +137,12 @@ def _check_centered(grid: Grid):
             raise KernelError("kernel grid must be centered (a voxel at r=0)")
 
 
-def kernel_grid(shape, spacing, boundary="zero") -> Grid:
+def kernel_grid(shape, spacing) -> Grid:
     """Convenience: a centered, odd-extent grid suitable for kernels."""
     shape = tuple(shape)
     if any(n % 2 == 0 for n in shape):
         raise KernelError(f"kernel grids need odd extent per axis, got {shape}")
-    return Grid.centered(shape, spacing, boundary)
+    return Grid.centered(shape, spacing)
 
 
 def free_space_kernel_grid(grid: Grid) -> Grid:

@@ -3,9 +3,10 @@
 A NeuralOp is a convolution whose radial function is a weighted sum of
 fixed basis shapes (Gaussian bumps, inverse power laws, compact difference
 stencils).  The output is linear in the amplitude vector, so fitting is a
-linear least-squares problem; gradient descent is provided alongside for
-the same objective.  The norm nonlinearity and pairwise attention layers
-act voxel-by-voxel and are equivariant by construction.
+linear least-squares problem over all amplitudes at once; gradient descent
+is provided alongside for the same objective.  The norm nonlinearity and
+pairwise attention layers act voxel-by-voxel and are equivariant by
+construction.
 """
 
 from __future__ import annotations
@@ -53,13 +54,11 @@ class ParamRadial:
     stencils:  (amplitude, order), realized as compact difference kernels
                rather than smooth radial terms; order 0 is the delta
                (valid for l_h = 0), order 1 the gradient stencil (l_h = 1)
-    trainable: boolean mask over the amplitude vector, None = all trainable
     """
 
     gaussians: tuple = ()
     powers: tuple = ()
     stencils: tuple = ()
-    trainable: np.ndarray | None = None
 
     def __post_init__(self):
         self.gaussians = tuple((float(a), float(s)) for a, s in self.gaussians)
@@ -69,10 +68,6 @@ class ParamRadial:
         for _, o in self.stencils:
             if o not in (0, 1):
                 raise ValueError("stencil order must be 0 or 1")
-        if self.trainable is not None:
-            self.trainable = np.asarray(self.trainable, dtype=bool)
-            if self.trainable.shape != (self.n_params,):
-                raise ValueError("trainable mask length does not match amplitudes")
 
     @property
     def n_params(self) -> int:
@@ -84,12 +79,6 @@ class ParamRadial:
                         + [a for a, _, _ in self.powers]
                         + [a for a, _ in self.stencils])
 
-    @property
-    def trainable_mask(self) -> np.ndarray:
-        if self.trainable is None:
-            return np.ones(self.n_params, dtype=bool)
-        return self.trainable
-
     def with_amplitudes(self, p) -> "ParamRadial":
         p = np.asarray(p, dtype=float)
         if p.shape != (self.n_params,):
@@ -98,8 +87,7 @@ class ParamRadial:
         return ParamRadial(
             tuple((p[i], s) for i, (_, s) in enumerate(self.gaussians)),
             tuple((p[ng + i], k, r) for i, (_, k, r) in enumerate(self.powers)),
-            tuple((p[ng + npw + i], o) for i, (_, o) in enumerate(self.stencils)),
-            self.trainable)
+            tuple((p[ng + npw + i], o) for i, (_, o) in enumerate(self.stencils)))
 
     def hyper_key(self) -> tuple:
         """Hashable identity of the basis shapes (amplitudes excluded)."""
@@ -126,6 +114,8 @@ def default_param_radial(grid: Grid, l_h: int, n_gaussians: int = 8) -> ParamRad
     laws r^-1 and r^-2 cut off inside one spacing, and the compact stencil
     matching l_h (delta for scalars, gradient for vectors).  Amplitudes
     start at zero."""
+    if n_gaussians < 0:
+        raise ValueError(f"n_gaussians must be >= 0, got {n_gaussians}")
     h = min(grid.spacing)
     extent = min(n * s for n, s in zip(grid.shape, grid.spacing))
     widths = np.geomspace(h, extent / 4.0, n_gaussians)
@@ -281,33 +271,27 @@ class FitResult:
 
 
 def fit_least_squares(op: NeuralOp, dataset, ridge: float = 1e-10) -> FitResult:
-    """Solve the normal equations over the trainable amplitudes.
+    """Solve the normal equations over all amplitudes.
 
     ridge scales a Tikhonov term by trace(A)/n so the default 1e-10 is
     dimensionless; a condition estimate above 1e12 flags the result.
     """
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     X, b, norm = _design(op, dataset)
-    p0 = op.param.amplitudes
-    mask = op.param.trainable_mask
-    if not mask.any():
-        raise ValueError("no trainable amplitudes")
-    Xt = X[:, mask]
-    b_eff = b - X[:, ~mask] @ p0[~mask]
-    A = Xt.T @ Xt
-    n_t = A.shape[0]
-    lam = ridge * (np.trace(A) / n_t if np.trace(A) > 0 else 1.0)
-    A_reg = A + lam * np.eye(n_t)
+    A = X.T @ X
+    n = A.shape[0]
+    lam = ridge * (np.trace(A) / n if np.trace(A) > 0 else 1.0)
+    A_reg = A + lam * np.eye(n)
     flagged = False
     try:
-        sol = np.linalg.solve(A_reg, Xt.T @ b_eff)
+        p = np.linalg.solve(A_reg, X.T @ b)
     except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(A_reg, Xt.T @ b_eff, rcond=None)
+        p, *_ = np.linalg.lstsq(A_reg, X.T @ b, rcond=None)
         flagged = True
     condition = float(np.linalg.cond(A_reg))
     if not np.isfinite(condition) or condition > 1e12:
         flagged = True
-    p = p0.copy()
-    p[mask] = sol
     residual = float(np.sum((X @ p - b) ** 2) / norm)
     return FitResult(p, residual, condition, flagged)
 
@@ -323,9 +307,8 @@ def fit_gradient_descent(op: NeuralOp, dataset, steps: int = 500,
     if steps < 0:
         raise ValueError("steps must be >= 0")
     X, b, norm = _design(op, dataset)
-    mask = op.param.trainable_mask
+    A = X.T @ X
     if step_size is None:
-        A = X[:, mask].T @ X[:, mask]
         top = float(np.linalg.eigvalsh(A)[-1])
         if top <= 0:
             raise ValueError("basis responses vanish on this dataset")
@@ -341,15 +324,13 @@ def fit_gradient_descent(op: NeuralOp, dataset, steps: int = 500,
     flagged = False
     for _ in range(steps):
         g = 2.0 * (X.T @ (X @ p - b)) / norm
-        p[mask] -= step_size * g[mask]
+        p -= step_size * g
         val = current_loss()
         trace.append(val)
         if not math.isfinite(val) or val > 1e6 * max(trace[0], 1e-300):
             flagged = True
             break
-    A_reg = X[:, mask].T @ X[:, mask]
-    condition = float(np.linalg.cond(A_reg)) if A_reg.size else float("inf")
-    return FitResult(p, trace[-1], condition, flagged, trace)
+    return FitResult(p, trace[-1], float(np.linalg.cond(A)), flagged, trace)
 
 
 @dataclass
@@ -483,7 +464,6 @@ def save_model(path, op: NeuralOp) -> None:
         "power_amps": [a for a, _, _ in p.powers],
         "stencil_orders": [o for _, o in p.stencils],
         "stencil_amps": [a for a, _ in p.stencils],
-        "trainable": [int(t) for t in p.trainable_mask],
     }
     write_keyvalues(path, entries)
 
@@ -515,7 +495,6 @@ def load_model(path) -> NeuralOp:
         param = ParamRadial(
             _per_term(kv, gaussian_amps=_floats, gaussian_widths=_floats),
             _per_term(kv, power_amps=_floats, power_exponents=_ints, power_rmins=_floats),
-            _per_term(kv, stencil_amps=_floats, stencil_orders=_ints),
-            np.array(_ints(kv["trainable"]), dtype=bool))
+            _per_term(kv, stencil_amps=_floats, stencil_orders=_ints))
         rule = product_rule(kv["kind"], int(kv["l_u"]), int(kv["l_h"]), grid.dim)
-        return NeuralOp(param, rule, grid)   # a legacy path= key is ignored
+        return NeuralOp(param, rule, grid)   # legacy path= and trainable= keys are ignored

@@ -48,9 +48,6 @@ class EquivariantOp:
         rule = product_rule(self.kind, u.l, self.kernel.l_h, u.grid.dim)
         return conv(u, self.kernel, rule, path=path, boundary=self.boundary)
 
-    def __call__(self, u: TensorField) -> TensorField:
-        return self.apply(u)
-
 
 def identity_op(grid: Grid) -> EquivariantOp:
     return EquivariantOp("identity", grid, delta_stencil(grid), "scalar")

@@ -34,10 +34,6 @@ class LatticeRotation:
     def inverse(self) -> "LatticeRotation":
         return LatticeRotation(self.matrix.T)
 
-    def compose(self, other: "LatticeRotation") -> "LatticeRotation":
-        """self after other: (self*other) x = self(other(x))."""
-        return LatticeRotation(self.matrix @ other.matrix)
-
     def __eq__(self, other):
         return isinstance(other, LatticeRotation) and np.array_equal(self.matrix, other.matrix)
 

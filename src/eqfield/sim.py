@@ -38,8 +38,8 @@ class EstimationError(ValueError):
     """Feature matrix is rank deficient; parameters are not identifiable."""
 
 
-def max_stable_dt(grid: Grid, D: float, w, safety: float = 0.5) -> float:
-    """Largest admissible Euler step: safety * min(h^2/(2 dim D), h/|w|)."""
+def max_stable_dt(grid: Grid, D: float, w) -> float:
+    """Largest admissible Euler step: 0.5 * min(h^2/(2 dim D), h/|w|)."""
     h = min(grid.spacing)
     bound = np.inf
     if D > 0:
@@ -47,7 +47,7 @@ def max_stable_dt(grid: Grid, D: float, w, safety: float = 0.5) -> float:
     speed = float(np.linalg.norm(np.asarray(w, dtype=float)))
     if speed > 0:
         bound = min(bound, h / speed)
-    return safety * bound
+    return 0.5 * bound
 
 
 @dataclass
@@ -227,5 +227,6 @@ def load_trajectory(dirpath) -> tuple:
         u, _ = read_eqf(os.path.join(dirpath, f"frame_{k:05d}.eqf"))
         frames.append(u)
     source, _ = read_eqf(os.path.join(dirpath, source_name))
-    model = DiffusionAdvectionModel(frames[0].grid, D, w, dt, source)
+    with manifest_values(dirpath):   # bad D, w or dt, including an unstable dt
+        model = DiffusionAdvectionModel(frames[0].grid, D, w, dt, source)
     return frames, model

@@ -58,8 +58,7 @@ def test_apply_path_override(tmp_path):
     out_d = tmp_path / "d.eqf"
     out_f = tmp_path / "f.eqf"
     assert main(["apply", "laplacian", str(src), str(out_d), "--path", "direct"]) == 0
-    assert main(["--threads", "2",
-                 "apply", "laplacian", str(src), str(out_f), "--path", "fourier"]) == 0
+    assert main(["apply", "laplacian", str(src), str(out_f), "--path", "fourier"]) == 0
     a, _ = eq.read_eqf(out_d)
     b, _ = eq.read_eqf(out_f)
     assert np.allclose(a.components, b.components, atol=1e-12)
@@ -120,7 +119,6 @@ def _rewrite_manifest_line(path, key, line):
     (b"power_exponents", b"power_exponents=a,b"),
     (b"kind", b"kind=scalar\xff"),                  # not UTF-8
     (b"spacing", b"spacing=-1,1,1"),
-    (b"trainable", b"trainable=1"),                 # mask shorter than the amplitudes
     (b"gaussian_widths", b"gaussian_widths=-1,1,1,1,1,1,1,1"),
     (b"gaussian_amps", b"gaussian_amps=0"),         # fewer amplitudes than widths
     (b"power_exponents", b"power_exponents=0,2"),
@@ -147,6 +145,9 @@ def test_bad_model_manifest_exits_2(tmp_path, capsys, key, line):
 @pytest.mark.parametrize("key,line", [
     (b"n_frames", b""),
     (b"n_frames", b"n_frames=0"),
+    (b"dt", b"dt=nan"),
+    (b"dt", b"dt=50"),                              # beyond the stability guard
+    (b"w", b"w=0,0,0"),                             # a 3-vector on a 2d grid
 ])
 def test_bad_trajectory_manifest_exits_2(tmp_path, capsys, key, line):
     g = eq.Grid.centered((8, 8), boundary=eq.PERIODIC)
@@ -236,6 +237,21 @@ def test_fit_round_trip(tmp_path, capsys):
     scale = float(np.max(np.abs(phi.components)))
     assert np.allclose(phi_hat.components, phi.components, atol=1e-4 * scale)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag,value,code", [
+    ("--ridge", "-1", 3),
+    ("--ridge", "nan", 3),
+    ("--ridge", "inf", 3),
+    ("--gaussians", "-2", 3),
+    ("--ridge", "0", 0),
+])
+def test_fit_validates_ridge_and_gaussians(tmp_path, capsys, flag, value, code):
+    train = _make_pair_manifest(tmp_path, eq.Grid.centered((7, 7, 7)), 1, seed=1)
+    assert main(["fit", str(train), "--model", str(tmp_path / "m.eqm"),
+                 flag, value]) == code
+    if code:
+        assert flag.lstrip("-") in capsys.readouterr().err
 
 
 def test_fit_rejects_bad_manifest(tmp_path, capsys):

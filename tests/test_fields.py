@@ -191,19 +191,29 @@ def test_eqf_round_trip_bitexact(tmp_path):
         g = eq.Grid.centered(shape, spacing=0.75, boundary=eq.PERIODIC)
         u = eq.TensorField.random(g, l, rng)
         path = tmp_path / f"f{len(shape)}_{l}.eqf"
-        eq.write_eqf(path, u, extra={"note": "round-trip"})
+        eq.write_eqf(path, u)
         v, meta = eq.read_eqf(path)
         assert v.grid == u.grid
         assert v.l == u.l
         assert np.array_equal(v.components, u.components)  # bit exact
-        assert meta["note"] == "round-trip"
+        assert meta == {}
 
 
-def test_eqf_rejects_whitespace_extra(tmp_path):
-    g = eq.Grid.centered((5, 5))
-    u = eq.TensorField.zeros(g, 0)
-    with pytest.raises(eq.FormatError):
-        eq.write_eqf(tmp_path / "x.eqf", u, extra={"note": "two words"})
+def test_eqf_header_line_limit_is_4096_bytes(tmp_path):
+    u = eq.TensorField.random(eq.Grid.centered((3, 4)), 0, np.random.default_rng(3))
+    path = tmp_path / "h.eqf"
+    eq.write_eqf(path, u)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    for size in (4096, 4097):
+        pad = b" pad=" + b"x" * (size - len(header) - len(b" pad="))
+        path.write_bytes(header + pad + b"\n" + payload)
+        if size == 4096:
+            v, meta = eq.read_eqf(path)
+            assert np.array_equal(v.components, u.components)
+            assert len(meta["pad"]) == len(pad) - len(b" pad=")
+        else:
+            with pytest.raises(eq.FormatError, match="too long"):
+                eq.read_eqf(path)
 
 
 def test_eqf_rejects_garbage(tmp_path):

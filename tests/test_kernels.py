@@ -142,7 +142,9 @@ def test_kernel_save_load_round_trip(tmp_path):
 def test_kernel_file_with_legacy_kind_token_loads(tmp_path):
     k = eq.gradient_stencil(eq.Grid.centered((5, 5)))
     path = tmp_path / "k.eqf"
-    eq.write_eqf(path, k.field, extra={"kind": "stencil"})
+    eq.write_eqf(path, k.field)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b" kind=stencil\n" + payload)
     back = eq.load_kernel(path)
     assert back.l_h == 1
     assert np.array_equal(back.field.components, k.field.components)

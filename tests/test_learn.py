@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import eqfield as eq
 
@@ -335,8 +337,44 @@ def test_load_model_ignores_legacy_path_key(tmp_path):
     path = tmp_path / "model.txt"
     eq.save_model(path, op)
     assert "path=" not in path.read_text()
+    assert "trainable=" not in path.read_text()
     with open(path, "a") as fh:
-        fh.write("path=direct\n")
+        fh.write("path=direct\ntrainable=1\n")
     u = eq.TensorField.random(g, 0, rng)
+    assert np.array_equal(eq.load_model(path).apply(u).components,
+                          op.apply(u).components)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_model_manifest_round_trip_property(tmp_path, data):
+    dim = data.draw(st.sampled_from([2, 3]))
+    rule = data.draw(st.sampled_from(eq.supported_rules(dim)))
+    shape = tuple(data.draw(st.lists(st.integers(3, 5), min_size=dim, max_size=dim)))
+    spacing = data.draw(st.floats(0.25, 2.0))
+    g = eq.Grid.centered(shape, spacing=spacing,
+                         boundary=data.draw(st.sampled_from(eq.BOUNDARIES)))
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    positive = st.floats(1e-3, 10.0)
+    gaussians = data.draw(st.lists(st.tuples(finite, positive), max_size=3))
+    powers = data.draw(st.lists(st.tuples(finite, st.integers(1, 3), positive),
+                                max_size=2))
+    stencils = data.draw(st.lists(st.tuples(finite, st.just(rule.l_h)), max_size=1)
+                         if rule.l_h <= 1 else st.just([]))
+    param = eq.ParamRadial(tuple(gaussians), tuple(powers), tuple(stencils))
+    op = eq.NeuralOp(param, rule, g)
+    path = tmp_path / "m.eqm"
+    eq.save_model(path, op)
+    back = eq.load_model(path)
+    assert back.grid == g and back.rule == rule
+    for name in ("gaussians", "powers", "stencils"):
+        # bit-identical amplitudes, widths, exponents, cutoffs and orders
+        assert getattr(back.param, name) == getattr(param, name)
+    if param.n_params == 0:   # an empty basis has no kernel to apply
+        return
+    with open(path, "a") as fh:
+        fh.write("path=direct\ntrainable=1\n")
+    u = eq.TensorField.random(g, rule.l_u, np.random.default_rng(0))
     assert np.array_equal(eq.load_model(path).apply(u).components,
                           op.apply(u).components)
