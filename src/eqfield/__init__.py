@@ -20,8 +20,8 @@ from .kernels import (KernelError, KernelField, RadialProfile,
                       gradient_stencil, inverse_r, inverse_r2, kernel_grid,
                       laplacian_stencil, load_kernel, log_r, named_profile,
                       sample_kernel, save_kernel)
-from .learn import (AttentionLayer, FitResult, NeuralOp, NonlinearLayer,
-                    ParamRadial, apply_attention, apply_nonlinear,
+from .learn import (AttentionLayer, EmptyBasisError, FitResult, NeuralOp,
+                    NonlinearLayer, ParamRadial, apply_attention, apply_nonlinear,
                     basis_kernels, default_param_radial, fit_gradient_descent,
                     fit_least_squares, grad_params, load_model, loss,
                     make_neural_op, power_profile, save_model)

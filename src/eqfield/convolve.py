@@ -10,6 +10,11 @@ where * is the discrete convolution (kernel indexed by r - r~) and the
 voxel-volume factor makes the sum approximate the continuum integral.
 The coefficients come from ``fields.rule_coefficients``, the same table
 that defines the pointwise product.
+
+The Fourier path transforms the zero-boundary case at the Hockney size,
+N + min(kernel radius, N - 1) per axis rounded up to a fast FFT length,
+and the periodic case at the field's own size.  ``kernel_spectrum`` is the
+kernel's half of that product; an operator computes it once and keeps it.
 """
 
 from __future__ import annotations
@@ -28,14 +33,18 @@ DIRECT_MAX_EXTENT = 5   # widest kernel axis (voxels) that conv takes direct
 
 
 def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
-         path: str | None = None, boundary: str | None = None) -> TensorField:
+         path: str | None = None, boundary: str | None = None,
+         spectrum=None) -> TensorField:
     """Tensor-field convolution; the one place a convolution path is chosen.
 
     Kernels at most ``DIRECT_MAX_EXTENT`` voxels wide on every axis (the
     finite-difference stencils) go through the direct path, wider ones
     through the Fourier path.  ``path`` forces a path for this call only, so
     the two can be checked against each other; ``boundary`` defaults to the
-    field's.
+    field's.  ``spectrum``, if given, is a no-argument callable that returns
+    the kernel's ``kernel_spectrum`` for this field shape and boundary; it is
+    called only on the Fourier path, so a caller can keep the spectrum
+    without paying for it on the direct one.
     """
     dim = u.grid.dim
     if kernel.grid.dim != dim:
@@ -55,7 +64,8 @@ def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
     if path == DIRECT:
         return conv_direct(u, kernel, rule, boundary)
     if path == FOURIER:
-        return conv_fourier(u, kernel, rule, boundary)
+        return conv_fourier(u, kernel, rule, boundary,
+                            None if spectrum is None else spectrum())
     raise ValueError(f"path must be direct|fourier, got {path!r}")
 
 
@@ -98,31 +108,61 @@ def _circular_kernel(karr_n: np.ndarray, target_shape) -> np.ndarray:
     return out
 
 
+def work_shape(ushape, kshape, boundary: str) -> tuple:
+    """FFT size per axis for a field of ``ushape`` and a kernel of ``kshape``.
+
+    Periodic boundary: the field's own size.  Zero boundary: N + c rounded
+    up to a fast length, where c = min(kernel radius, N - 1) is the farthest
+    offset that reaches the kept crop [0, N); no wrapped-around product lands
+    in that crop (Hockney-Eastwood free-space doubling).
+    """
+    if boundary == PERIODIC:
+        return tuple(ushape)
+    return tuple(sfft.next_fast_len(n + min((k - 1) // 2, n - 1))
+                 for n, k in zip(ushape, kshape))
+
+
+def kernel_spectrum(kernel: KernelField, ushape, boundary: str) -> np.ndarray:
+    """rfftn of each kernel component laid out on the work shape, read-only.
+
+    For the zero boundary the kernel is first cropped to offsets within
+    N - 1 of its center; the periodic layout sums aliased offsets.
+    """
+    work = work_shape(ushape, kernel.grid.shape, boundary)
+    karr = kernel.field.components
+    if boundary == ZERO:
+        kshape = kernel.grid.shape
+        reach = [min((k - 1) // 2, n - 1) for n, k in zip(ushape, kshape)]
+        karr = karr[(slice(None),) + tuple(slice((k - 1) // 2 - c, (k + 1) // 2 + c)
+                                           for k, c in zip(kshape, reach))]
+    axes = tuple(range(len(work)))
+    spectrum = np.stack([sfft.rfftn(_circular_kernel(k, work), axes=axes) for k in karr])
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def conv_fourier(u: TensorField, kernel: KernelField, rule: ProductRule,
-                 boundary: str) -> TensorField:
+                 boundary: str, spectrum: np.ndarray | None = None) -> TensorField:
     """FFT-path convolution via the tensor convolution theorem.
 
-    Zero-pad boundary pads to the linear-convolution size (next fast FFT
-    length); periodic boundary uses same-size circular transforms.
+    Transforms at ``work_shape``: the field's own size for the periodic
+    boundary, the Hockney size for the zero boundary.  ``spectrum`` is
+    ``kernel_spectrum(kernel, u.grid.shape, boundary)`` when the caller keeps
+    one; otherwise it is computed here and not kept.
     """
     coeff = rule_coefficients(rule, u.grid.dim)
-    karr = kernel.field.components
     ushape = u.grid.shape
-    if boundary == ZERO:
-        work = tuple(sfft.next_fast_len(nu + nk - 1)
-                     for nu, nk in zip(ushape, kernel.grid.shape))
-    else:
-        work = ushape
+    if spectrum is None:
+        spectrum = kernel_spectrum(kernel, ushape, boundary)
+    work = work_shape(ushape, kernel.grid.shape, boundary)
     axes = tuple(range(u.grid.dim))
     mnp = np.argwhere(coeff != 0)
     pad = [(0, w - nu) for nu, w in zip(ushape, work)]
     u_hat = {m: sfft.rfftn(np.pad(u.components[m], pad), axes=axes)
              for m in np.unique(mnp[:, 0])}
-    h_hat = {n: sfft.rfftn(_circular_kernel(karr[n], work), axes=axes)
-             for n in np.unique(mnp[:, 1])}
     v_hat = {}
     for m, n, p in mnp:
-        term = coeff[m, n, p] * u_hat[m] * h_hat[n]
+        term = coeff[m, n, p] * u_hat[m] * spectrum[n]
         v_hat[p] = v_hat[p] + term if p in v_hat else term
     out = np.zeros((coeff.shape[2],) + ushape)
     crop = tuple(slice(0, n) for n in ushape)

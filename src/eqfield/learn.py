@@ -24,7 +24,7 @@ from .grid import ZERO, Grid
 from .kernels import (KernelField, RadialProfile, delta_stencil,
                       free_space_kernel_grid, gaussian, gradient_stencil,
                       sample_kernel)
-from .operators import EquivariantOp
+from .operators import ByteLRU, EquivariantOp
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -43,6 +43,10 @@ def power_profile(exponent: int, r_min: float) -> RadialProfile:
         return np.where(r >= r_min, safe ** (-float(k)), 0.0)
 
     return RadialProfile(fn, name=f"power({k})")
+
+
+class EmptyBasisError(ValueError):
+    """A learnable operator needs at least one basis term."""
 
 
 @dataclass
@@ -143,6 +147,9 @@ class NeuralOp:
     grid: Grid
 
     def __post_init__(self):
+        if self.param.n_params == 0:
+            raise EmptyBasisError("operator has an empty basis: no Gaussian, power or "
+                                  "stencil term")
         for _, order in self.param.stencils:
             if order != self.l_h:
                 raise RuleError(f"order-{order} stencil cannot serve an "
@@ -190,7 +197,7 @@ def _build_basis(grid: Grid, l_h: int, param: ParamRadial) -> tuple:
     return tuple(basis)
 
 
-_basis_cache: dict = {}
+_basis_cache = ByteLRU(lambda basis: sum(k.field.components.nbytes for k in basis))
 
 
 def basis_kernels(op: NeuralOp) -> tuple:
@@ -198,10 +205,8 @@ def basis_kernels(op: NeuralOp) -> tuple:
 
     The tuple and its read-only kernels are shared by every caller.
     """
-    key = (op.grid, op.l_h, op.param.hyper_key())
-    if key not in _basis_cache:
-        _basis_cache[key] = _build_basis(op.grid, op.l_h, op.param)
-    return _basis_cache[key]
+    return _basis_cache.get((op.grid, op.l_h, op.param.hyper_key()),
+                            lambda: _build_basis(op.grid, op.l_h, op.param))
 
 
 def _check_dataset(op: NeuralOp, dataset) -> None:
@@ -218,8 +223,6 @@ def _design(op: NeuralOp, dataset) -> tuple:
     """Stack basis responses into a design matrix: column i is conv(u, basis_i)
     over all samples, so predictions are X @ amplitudes."""
     _check_dataset(op, dataset)
-    if op.param.n_params == 0:
-        raise ValueError("operator has an empty basis")
     basis = basis_kernels(op)
     blocks = []
     targets = []

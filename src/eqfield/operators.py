@@ -14,12 +14,14 @@ Sign and unit conventions (Gaussian units, eps0 = 1):
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import conv
+from .convolve import conv, kernel_spectrum, work_shape
 from .fields import FieldError, RuleError, TensorField, product_rule
 from .grid import ZERO, Grid
 from .kernels import (KernelError, KernelField, delta_stencil, free_space_kernel_grid,
@@ -38,6 +40,22 @@ class EquivariantOp:
     boundary: str | None = None   # None: follow the input grid
     input_l: int | None = None    # None: any order the rule accepts
 
+    @property
+    def _boundary(self) -> str:
+        return self.boundary or self.grid.boundary
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """The kernel spectrum on this grid, computed on first use and kept."""
+        return kernel_spectrum(self.kernel, self.grid.shape, self._boundary)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the kernel and its spectrum, whether computed yet or not."""
+        work = work_shape(self.grid.shape, self.kernel.grid.shape, self._boundary)
+        karr = self.kernel.field.components
+        return karr.nbytes + 16 * len(karr) * math.prod(work[:-1]) * (work[-1] // 2 + 1)
+
     def apply(self, u: TensorField, path: str | None = None) -> TensorField:
         """Convolve u with the kernel; ``path`` forces a path for this call."""
         if u.grid != self.grid:
@@ -46,7 +64,8 @@ class EquivariantOp:
             raise RuleError(f"operator {self.name!r} expects l={self.input_l} input, "
                             f"got l={u.l}")
         rule = product_rule(self.kind, u.l, self.kernel.l_h, u.grid.dim)
-        return conv(u, self.kernel, rule, path=path, boundary=self.boundary)
+        return conv(u, self.kernel, rule, path=path, boundary=self._boundary,
+                    spectrum=lambda: self.spectrum)
 
 
 def identity_op(grid: Grid) -> EquivariantOp:
@@ -118,21 +137,47 @@ REGISTRY = {
 }
 
 
-_op_cache: dict = {}
+CACHE_BYTES = 256 * 2**20   # budget of each ByteLRU: operators, neural bases
+
+
+class ByteLRU:
+    """Values evicted least recently used first once their bytes pass
+    ``CACHE_BYTES``; the newest value always stays, however large."""
+
+    def __init__(self, nbytes):
+        self._nbytes = nbytes          # value -> its size in bytes
+        self._entries = OrderedDict()  # key -> (value, size)
+        self.total = 0
+
+    def get(self, key, build):
+        """The value cached under ``key``, built by ``build()`` on a miss."""
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            return self._entries[key][0]
+        value = build()
+        size = self._nbytes(value)
+        self._entries[key] = (value, size)
+        self.total += size
+        while self.total > CACHE_BYTES and len(self._entries) > 1:
+            self.total -= self._entries.popitem(last=False)[1][1]
+        return value
+
+
+_op_cache = ByteLRU(lambda op: op.nbytes)
 
 
 def make_operator(name: str, grid: Grid, **params) -> EquivariantOp:
     """Build a registered operator for a grid; diffusion takes D and t.
 
     Instances are cached per (name, grid, params): operators are frozen, and
-    Green's-function kernels are expensive enough to be worth reusing.
+    Green's-function kernels and their spectra are expensive enough to be
+    worth reusing.  The cache holds at most ``CACHE_BYTES`` of kernels and
+    spectra, counting a spectrum before it is computed.
     """
     if name not in REGISTRY:
         raise KeyError(f"unknown operator {name!r}; registry: {sorted(REGISTRY)}")
     key = (name, grid, tuple(sorted(params.items())))
-    if key not in _op_cache:
-        _op_cache[key] = REGISTRY[name](grid, **params)
-    return _op_cache[key]
+    return _op_cache.get(key, lambda: REGISTRY[name](grid, **params))
 
 
 def grad(u: TensorField) -> TensorField:

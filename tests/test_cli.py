@@ -114,6 +114,12 @@ def _rewrite_manifest_line(path, key, line):
                                 for raw in lines))
 
 
+# the per-term lists, all empty; stencil_amps is the last one save_model writes
+EMPTY_BASIS = b"\n".join(key + b"=" for key in (
+    b"gaussian_widths", b"gaussian_amps", b"power_exponents", b"power_rmins",
+    b"power_amps", b"stencil_orders", b"stencil_amps"))
+
+
 @pytest.mark.parametrize("key,line", [
     (b"shape", b""),
     (b"power_exponents", b"power_exponents=a,b"),
@@ -127,6 +133,7 @@ def _rewrite_manifest_line(path, key, line):
     (b"power_rmins", b"power_rmins=nan,1"),
     (b"stencil_orders", b"stencil_orders=5"),
     (b"kind", b"kind=outer"),
+    pytest.param(b"stencil_amps", EMPTY_BASIS, id="empty-basis"),
 ])
 def test_bad_model_manifest_exits_2(tmp_path, capsys, key, line):
     g = eq.Grid.centered((7, 7, 7))
@@ -140,6 +147,8 @@ def test_bad_model_manifest_exits_2(tmp_path, capsys, key, line):
     assert "error:" in err
     if line == b"gaussian_amps=0":
         assert "gaussian_amps" in err and "gaussian_widths" in err
+    if line == EMPTY_BASIS:
+        assert "empty basis" in err
 
 
 @pytest.mark.parametrize("key,line", [

@@ -4,6 +4,7 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 import eqfield as eq
 
@@ -73,11 +74,15 @@ ORACLE_RULES = [
 ]
 
 
+ORACLE_SHAPES = {2: (5, 4), 3: (4, 4, 3)}
+
 # width 7 is wider than the field on every axis: zero-boundary taps fall
-# wholly outside it and periodic taps alias onto the same voxel
-ORACLE_CASES = [pytest.param(*rule, width,
-                             id="-".join(map(str, rule)) + ("-wide" if width > 3 else ""))
-                for width in (3, 7) for rule in ORACLE_RULES]
+# wholly outside it and periodic taps alias onto the same voxel; "wider",
+# 2N+3 for the longest axis, also passes 2N-1 on every axis, so the
+# zero-boundary Fourier path crops it
+ORACLE_CASES = [pytest.param(*rule, width, id="-".join(map(str, rule)) + suffix)
+                for width, suffix in ((3, ""), (7, "-wide"), (None, "-wider"))
+                for rule in ORACLE_RULES]
 
 
 @pytest.mark.parametrize("kind,l_u,l_h,dim,width", ORACLE_CASES)
@@ -85,8 +90,8 @@ def test_conv_matches_brute_force(kind, l_u, l_h, dim, width):
     # crc32, unlike hash(), does not change with the per-process string salt
     rng = np.random.default_rng(zlib.crc32(repr((kind, l_u, l_h, dim)).encode()))
     rule = eq.product_rule(kind, l_u, l_h, dim)
-    shape = (5, 4) if dim == 2 else (4, 4, 3)
-    kernel = _random_kernel(dim, l_h, rng, width)
+    shape = ORACLE_SHAPES[dim]
+    kernel = _random_kernel(dim, l_h, rng, width or 2 * max(shape) + 3)
     for boundary in eq.BOUNDARIES:
         g = eq.Grid.centered(shape, boundary=boundary)
         u = eq.TensorField.random(g, l_u, rng)
@@ -247,3 +252,24 @@ def test_default_path_follows_kernel_extent():
         kernel = _random_kernel(3, 0, rng, width=width)
         out = eq.conv(u, kernel, rule)
         assert np.array_equal(out.components, eq.conv(u, kernel, rule, path=path).components)
+
+
+def test_fourier_work_shape(fft_calls):
+    # zero boundary: N + min(radius, N - 1) rounded up to a fast length, with
+    # the (2N+3)-wide kernel cropped; periodic: the field's own shape
+    rng = np.random.default_rng(13)
+    shape = (6, 5, 4)
+    rule = eq.product_rule("scalar", 0, 0, 3)
+    for width in (7, 9, 2 * max(shape) + 3):
+        kernel = _random_kernel(3, 0, rng, width)
+        for boundary in eq.BOUNDARIES:
+            u = eq.TensorField.random(eq.Grid.centered(shape, boundary=boundary), 0, rng)
+            fft_calls.forward.clear()
+            fft_calls.inverse.clear()
+            eq.conv(u, kernel, rule)
+            if boundary == eq.PERIODIC:
+                work = shape
+            else:
+                work = tuple(next_fast_len(n + min((width - 1) // 2, n - 1)) for n in shape)
+            assert fft_calls.forward == [work, work]   # the kernel, then the input
+            assert fft_calls.inverse == [work]

@@ -354,6 +354,10 @@ def test_cached_kernels_are_read_only():
     with pytest.raises(ValueError):
         eq.make_operator("grad", g).kernel.field.components[...] *= 2
     assert np.array_equal(eq.grad(u).components, before.components)
+    before = eq.gauss_law(u)
+    with pytest.raises(ValueError):
+        eq.make_operator("gauss_law", g).spectrum[...] = 0.0
+    assert np.array_equal(eq.gauss_law(u).components, before.components)
     basis = eq.basis_kernels(eq.make_neural_op(g))
     assert isinstance(basis, tuple)
     with pytest.raises(ValueError):
@@ -380,3 +384,49 @@ def test_operator_rejects_field_on_another_grid():
     grad = eq.make_operator("grad", eq.Grid.centered((9, 9, 9)))
     with pytest.raises(eq.FieldError):
         grad.apply(eq.TensorField.zeros(eq.Grid.centered((9, 9, 9), spacing=0.5), 0))
+
+
+def test_second_apply_transforms_only_the_input(fft_calls):
+    g = eq.Grid.centered((9, 8, 7))
+    u = eq.TensorField.random(g, 0, np.random.default_rng(6))
+    for name in ("inverse_laplacian", "gauss_law"):
+        first = eq.make_operator(name, g).apply(u)
+        fft_calls.forward.clear()
+        second = eq.make_operator(name, g).apply(u)
+        assert len(fft_calls.forward) == 1
+        assert np.array_equal(first.components, second.components)
+
+
+def test_direct_call_never_computes_the_spectrum(fft_calls):
+    g = eq.Grid.centered((5, 5, 5))
+    op = eq.inverse_laplacian_op(g)
+    op.apply(eq.TensorField.random(g, 0, np.random.default_rng(7)), path=eq.DIRECT)
+    assert fft_calls.forward == [] and "spectrum" not in vars(op)
+
+
+def test_operator_bytes_count_the_spectrum_before_it_exists():
+    for boundary in eq.BOUNDARIES:
+        g = eq.Grid.centered((9, 8, 7), boundary=boundary)
+        for op in (eq.diffusion_op(g, 1.0, 0.5), eq.gauss_law_op(g), eq.grad_op(g)):
+            predicted = op.nbytes
+            assert predicted == op.kernel.field.components.nbytes + op.spectrum.nbytes
+
+
+def test_operator_cache_is_bounded_by_bytes(monkeypatch):
+    g = eq.Grid.centered((10, 10, 10))
+    budget = 3 * eq.diffusion_op(g, 1.0, 0.5).nbytes
+    monkeypatch.setattr(eq.operators, "CACHE_BYTES", budget)
+    oldest = eq.make_operator("diffusion", g, D=1.0, t=0.01)
+    for t in np.linspace(0.02, 0.5, 12):
+        newest = eq.make_operator("diffusion", g, D=1.0, t=float(t))
+        assert eq.operators._op_cache.total <= budget
+    assert eq.make_operator("diffusion", g, D=1.0, t=float(t)) is newest
+    assert eq.make_operator("diffusion", g, D=1.0, t=0.01) is not oldest
+
+
+def test_cache_budget_holds_the_greens_benchmark_operators():
+    # bench/workloads.py applies these four in turn; all must stay cached
+    g48, g32 = eq.Grid.centered((48,) * 3), eq.Grid.centered((32,) * 3)
+    ops = (eq.inverse_laplacian_op(g48), eq.diffusion_op(g48, 1.0, 0.5),
+           eq.gauss_law_op(g32), eq.inverse_laplacian_op(eq.Grid.centered((256, 256))))
+    assert sum(op.nbytes for op in ops) <= eq.operators.CACHE_BYTES
