@@ -11,16 +11,19 @@ voxel-volume factor makes the sum approximate the continuum integral.
 The coefficients come from ``fields.rule_coefficients``, the same table
 that defines the pointwise product.
 
-The Fourier path transforms the zero-boundary case at the Hockney size,
-N + min(kernel radius, N - 1) per axis rounded up to a fast FFT length,
-and the periodic case at the field's own size.  ``kernel_spectrum`` is the
-kernel's half of that product; an operator computes it once and keeps it.
+The Fourier path runs on ``numpy.fft``.  It transforms the zero-boundary
+case at the Hockney size, N + min(kernel radius, N - 1) per axis rounded up
+to the next 11-smooth length, and the periodic case at the field's own
+size.  ``kernel_spectrum`` is the kernel's half of that product; an
+operator computes it once and keeps it.  Every forward transform is given
+its ``out``, so numpy's rfftn runs each axis pass in that one array instead
+of allocating a new one per axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as sfft
+from numpy import fft as sfft
 
 from .fields import (FieldError, ProductRule, RuleError, TensorField,
                      rule_coefficients)
@@ -32,19 +35,24 @@ FOURIER = "fourier"
 DIRECT_MAX_EXTENT = 5   # widest kernel axis (voxels) that conv takes direct
 
 
+def default_path(kernel: KernelField) -> str:
+    """The path ``conv`` takes unless told otherwise: direct for kernels at
+    most ``DIRECT_MAX_EXTENT`` voxels wide on every axis, Fourier otherwise."""
+    return DIRECT if max(kernel.grid.shape) <= DIRECT_MAX_EXTENT else FOURIER
+
+
 def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
          path: str | None = None, boundary: str | None = None,
          spectrum=None) -> TensorField:
     """Tensor-field convolution; the one place a convolution path is chosen.
 
-    Kernels at most ``DIRECT_MAX_EXTENT`` voxels wide on every axis (the
-    finite-difference stencils) go through the direct path, wider ones
-    through the Fourier path.  ``path`` forces a path for this call only, so
-    the two can be checked against each other; ``boundary`` defaults to the
-    field's.  ``spectrum``, if given, is a no-argument callable that returns
-    the kernel's ``kernel_spectrum`` for this field shape and boundary; it is
-    called only on the Fourier path, so a caller can keep the spectrum
-    without paying for it on the direct one.
+    ``default_path`` sends the finite-difference stencils through the direct
+    path and wider kernels through the Fourier path.  ``path`` forces a path
+    for this call only, so the two can be checked against each other;
+    ``boundary`` defaults to the field's.  ``spectrum``, if given, is a
+    no-argument callable that returns the kernel's ``kernel_spectrum`` for
+    this field shape and boundary; it is called only on the Fourier path, so
+    a caller can keep the spectrum without paying for it on the direct one.
     """
     dim = u.grid.dim
     if kernel.grid.dim != dim:
@@ -58,7 +66,7 @@ def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
     if rule.l_h != kernel.l_h:
         raise RuleError(f"rule expects kernel order {rule.l_h}, kernel has l={kernel.l_h}")
     if path is None:
-        path = DIRECT if max(kernel.grid.shape) <= DIRECT_MAX_EXTENT else FOURIER
+        path = default_path(kernel)
     if boundary is None:
         boundary = u.grid.boundary
     if path == DIRECT:
@@ -108,17 +116,30 @@ def _circular_kernel(karr_n: np.ndarray, target_shape) -> np.ndarray:
     return out
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 11-smooth integer >= n (factors 2, 3, 5, 7, 11 only)."""
+    while True:
+        r = n
+        for f in (2, 3, 5, 7, 11):
+            while r % f == 0:
+                r //= f
+        if r == 1:
+            return n
+        n += 1
+
+
 def work_shape(ushape, kshape, boundary: str) -> tuple:
     """FFT size per axis for a field of ``ushape`` and a kernel of ``kshape``.
 
     Periodic boundary: the field's own size.  Zero boundary: N + c rounded
-    up to a fast length, where c = min(kernel radius, N - 1) is the farthest
-    offset that reaches the kept crop [0, N); no wrapped-around product lands
-    in that crop (Hockney-Eastwood free-space doubling).
+    up to the next 11-smooth length (``_fast_len``), where c = min(kernel
+    radius, N - 1) is the farthest offset that reaches the kept crop [0, N);
+    no wrapped-around product lands in that crop (Hockney-Eastwood
+    free-space doubling).
     """
     if boundary == PERIODIC:
         return tuple(ushape)
-    return tuple(sfft.next_fast_len(n + min((k - 1) // 2, n - 1))
+    return tuple(_fast_len(n + min((k - 1) // 2, n - 1))
                  for n, k in zip(ushape, kshape))
 
 
@@ -136,7 +157,9 @@ def kernel_spectrum(kernel: KernelField, ushape, boundary: str) -> np.ndarray:
         karr = karr[(slice(None),) + tuple(slice((k - 1) // 2 - c, (k + 1) // 2 + c)
                                            for k, c in zip(kshape, reach))]
     axes = tuple(range(len(work)))
-    spectrum = np.stack([sfft.rfftn(_circular_kernel(k, work), axes=axes) for k in karr])
+    spectrum = np.empty((len(karr),) + work[:-1] + (work[-1] // 2 + 1,), complex)
+    for k, out in zip(karr, spectrum):
+        sfft.rfftn(_circular_kernel(k, work), axes=axes, out=out)
     spectrum.flags.writeable = False
     return spectrum
 
@@ -158,8 +181,9 @@ def conv_fourier(u: TensorField, kernel: KernelField, rule: ProductRule,
     axes = tuple(range(u.grid.dim))
     mnp = np.argwhere(coeff != 0)
     pad = [(0, w - nu) for nu, w in zip(ushape, work)]
-    u_hat = {m: sfft.rfftn(np.pad(u.components[m], pad), axes=axes)
-             for m in np.unique(mnp[:, 0])}
+    u_hat = {m: sfft.rfftn(np.pad(u.components[m], pad), axes=axes,
+                           out=np.empty(spectrum.shape[1:], complex))
+             for m in set(mnp[:, 0])}
     v_hat = {}
     for m, n, p in mnp:
         term = coeff[m, n, p] * u_hat[m] * spectrum[n]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import conv, kernel_spectrum, work_shape
+from .convolve import FOURIER, conv, default_path, kernel_spectrum, work_shape
 from .fields import FieldError, RuleError, TensorField, product_rule
 from .grid import ZERO, Grid
 from .kernels import (KernelError, KernelField, delta_stencil, free_space_kernel_grid,
@@ -50,10 +50,19 @@ class EquivariantOp:
         return kernel_spectrum(self.kernel, self.grid.shape, self._boundary)
 
     @property
+    def _keeps_spectrum(self) -> bool:
+        """Only an operator whose default path is Fourier keeps its spectrum;
+        a forced Fourier call on a stencil computes one and drops it."""
+        return default_path(self.kernel) == FOURIER
+
+    @property
     def nbytes(self) -> int:
-        """Bytes of the kernel and its spectrum, whether computed yet or not."""
-        work = work_shape(self.grid.shape, self.kernel.grid.shape, self._boundary)
+        """Bytes of the kernel, plus those of the spectrum it keeps, whether
+        computed yet or not."""
         karr = self.kernel.field.components
+        if not self._keeps_spectrum:
+            return karr.nbytes
+        work = work_shape(self.grid.shape, self.kernel.grid.shape, self._boundary)
         return karr.nbytes + 16 * len(karr) * math.prod(work[:-1]) * (work[-1] // 2 + 1)
 
     def apply(self, u: TensorField, path: str | None = None) -> TensorField:
@@ -65,7 +74,7 @@ class EquivariantOp:
                             f"got l={u.l}")
         rule = product_rule(self.kind, u.l, self.kernel.l_h, u.grid.dim)
         return conv(u, self.kernel, rule, path=path, boundary=self._boundary,
-                    spectrum=lambda: self.spectrum)
+                    spectrum=(lambda: self.spectrum) if self._keeps_spectrum else None)
 
 
 def identity_op(grid: Grid) -> EquivariantOp:

@@ -14,9 +14,9 @@ class _RecordingFFT:
         self.forward = []
         self.inverse = []
 
-    def rfftn(self, x, axes):
+    def rfftn(self, x, axes, out=None):
         self.forward.append(tuple(x.shape[a] for a in axes))
-        return self._fft.rfftn(x, axes=axes)
+        return self._fft.rfftn(x, axes=axes, out=out)
 
     def irfftn(self, x, s, axes):
         self.inverse.append(tuple(s))

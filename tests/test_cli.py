@@ -1,10 +1,16 @@
 """End-to-end CLI runs, in process, pinned to the documented exit codes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import eqfield as eq
-from eqfield.cli import main
+from eqfield.cli import _read_pair_manifest, main
 
 
 def _write_scalar(path, grid, values):
@@ -263,6 +269,39 @@ def test_fit_validates_ridge_and_gaussians(tmp_path, capsys, flag, value, code):
         assert flag.lstrip("-") in capsys.readouterr().err
 
 
+@settings(derandomize=True, max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_pair_manifest_relative_paths_round_trip(tmp_path, monkeypatch, data):
+    # relative paths resolve against the manifest's directory, not the cwd
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir(exist_ok=True)
+    monkeypatch.chdir(elsewhere)
+    dim = data.draw(st.sampled_from([2, 3]))
+    shape = data.draw(st.lists(st.integers(3, 5), min_size=dim, max_size=dim))
+    g = eq.Grid.centered(shape, spacing=data.draw(st.floats(1e-3, 1e3)),
+                         boundary=data.draw(st.sampled_from(eq.BOUNDARIES)))
+    l_in, l_out = data.draw(st.lists(st.integers(0, 1), min_size=2, max_size=2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    (tmp_path / "data").mkdir(exist_ok=True)
+    pairs, lines = [], ["# input target", ""]
+    for k in range(data.draw(st.integers(1, 3))):
+        pair = (eq.TensorField.random(g, l_in, rng), eq.TensorField.random(g, l_out, rng))
+        names = [f"data/in_{k}.eqf", f"data/out_{k}.eqf"]
+        for name, u in zip(names, pair):
+            eq.write_eqf(tmp_path / name, u)
+        pairs.append(pair)
+        lines.append(" ".join(names))
+    manifest = tmp_path / "pairs.txt"
+    manifest.write_text("\n".join(lines) + "\n")
+    back = _read_pair_manifest(str(manifest))
+    assert len(back) == len(pairs)
+    for got, want in zip(back, pairs):
+        for a, b in zip(got, want):
+            assert (a.grid, a.l) == (b.grid, b.l)
+            assert a.components.tobytes() == b.components.tobytes()
+
+
 def test_fit_rejects_bad_manifest(tmp_path, capsys):
     bad = tmp_path / "pairs.txt"
     for content in (b"only_one_column.eqf\n",
@@ -365,3 +404,15 @@ def test_check_on_saved_field(tmp_path, capsys):
 def test_check_without_input_exits_2(capsys):
     assert main(["check"]) == 2
     capsys.readouterr()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the package's one numerical dependency; check in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eq.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import eqfield.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

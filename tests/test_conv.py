@@ -254,6 +254,12 @@ def test_default_path_follows_kernel_extent():
         assert np.array_equal(out.components, eq.conv(u, kernel, rule, path=path).components)
 
 
+def test_fast_len_matches_scipy():
+    # scipy's next_fast_len is the independent reference for the 11-smooth rule
+    assert [eq.convolve._fast_len(n) for n in range(1, 4097)] == \
+        [next_fast_len(n) for n in range(1, 4097)]
+
+
 def test_fourier_work_shape(fft_calls):
     # zero boundary: N + min(radius, N - 1) rounded up to a fast length, with
     # the (2N+3)-wide kernel cropped; periodic: the field's own shape

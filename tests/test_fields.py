@@ -199,6 +199,32 @@ def test_eqf_round_trip_bitexact(tmp_path):
         assert meta == {}
 
 
+@settings(derandomize=True, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_eqf_round_trip_property(tmp_path, data):
+    # any grid, order and finite values, subnormals and -0.0 included, come back bit for bit
+    finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+    dim = data.draw(st.sampled_from([2, 3]))
+    l = data.draw(st.integers(0, 2 if dim == 3 else 1))
+    shape = data.draw(st.lists(st.integers(3, 5), min_size=dim, max_size=dim))
+    spacing = data.draw(st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                                 min_size=dim, max_size=dim))
+    origin = data.draw(st.lists(finite_floats, min_size=dim, max_size=dim))
+    g = eq.Grid(shape, spacing, origin, data.draw(st.sampled_from(eq.BOUNDARIES)))
+    u = eq.TensorField.random(g, l, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    specials = data.draw(st.lists(finite_floats, max_size=8))
+    u.components.flat[:len(specials)] = specials
+    path = tmp_path / "f.eqf"
+    eq.write_eqf(path, u)
+    v, meta = eq.read_eqf(path)
+    assert meta == {}
+    assert (v.grid.shape, v.grid.boundary, v.l) == (g.shape, g.boundary, l)
+    for a, b in ((v.grid.spacing, g.spacing), (v.grid.origin, g.origin)):
+        assert np.array(a).tobytes() == np.array(b).tobytes()
+    assert v.components.tobytes() == u.components.tobytes()
+
+
 def test_eqf_header_line_limit_is_4096_bytes(tmp_path):
     u = eq.TensorField.random(eq.Grid.centered((3, 4)), 0, np.random.default_rng(3))
     path = tmp_path / "h.eqf"

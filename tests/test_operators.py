@@ -407,9 +407,25 @@ def test_direct_call_never_computes_the_spectrum(fft_calls):
 def test_operator_bytes_count_the_spectrum_before_it_exists():
     for boundary in eq.BOUNDARIES:
         g = eq.Grid.centered((9, 8, 7), boundary=boundary)
-        for op in (eq.diffusion_op(g, 1.0, 0.5), eq.gauss_law_op(g), eq.grad_op(g)):
+        for op in (eq.diffusion_op(g, 1.0, 0.5), eq.gauss_law_op(g)):
             predicted = op.nbytes
             assert predicted == op.kernel.field.components.nbytes + op.spectrum.nbytes
+        # a stencil goes direct by default and keeps no spectrum
+        op = eq.grad_op(g)
+        assert op.nbytes == op.kernel.field.components.nbytes
+    op = eq.grad_op(eq.Grid.centered((128,) * 3))
+    assert op.nbytes == op.kernel.field.components.nbytes
+
+
+def test_forced_fourier_call_on_a_stencil_keeps_no_spectrum():
+    g = eq.Grid.centered((9, 8, 7))
+    u = eq.TensorField.random(g, 0, np.random.default_rng(8))
+    op = eq.grad_op(g)
+    out = op.apply(u, path=eq.FOURIER)
+    assert "spectrum" not in vars(op)
+    rule = eq.product_rule("scalar", 0, 1, 3)
+    assert np.array_equal(out.components,
+                          eq.conv(u, op.kernel, rule, path=eq.FOURIER).components)
 
 
 def test_operator_cache_is_bounded_by_bytes(monkeypatch):

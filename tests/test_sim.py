@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import eqfield as eq
 
@@ -203,6 +205,33 @@ def test_trajectory_save_load_round_trip(tmp_path):
     assert np.array_equal(back.w, model.w)
     assert back.dt == model.dt
     assert np.array_equal(back.source.components, model.source.components)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_trajectory_round_trip_property(tmp_path, data):
+    dim = data.draw(st.sampled_from([2, 3]))
+    shape = data.draw(st.lists(st.integers(3, 5), min_size=dim, max_size=dim))
+    g = eq.Grid.centered(shape, spacing=data.draw(st.floats(1e-3, 1e3)),
+                         boundary=data.draw(st.sampled_from(eq.BOUNDARIES)))
+    D = data.draw(st.floats(0.0, 1e3))
+    w = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim))
+    limit = min(eq.max_stable_dt(g, D, w), 1.0)
+    dt = data.draw(st.floats(1e-6, 1.0)) * limit
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    model = eq.DiffusionAdvectionModel(g, D, w, dt, eq.TensorField.random(g, 0, rng))
+    traj = [eq.TensorField.random(g, 0, rng)
+            for _ in range(data.draw(st.integers(1, 3)))]
+    out = tmp_path / "run"
+    eq.save_trajectory(out, traj, model)
+    frames, back = eq.load_trajectory(out)
+    assert len(frames) == len(traj)
+    for a, b in zip(frames, traj):
+        assert a.grid == b.grid and a.components.tobytes() == b.components.tobytes()
+    assert back.source.components.tobytes() == model.source.components.tobytes()
+    assert (back.D, back.dt) == (model.D, model.dt)
+    assert back.w.tobytes() == model.w.tobytes()
 
 
 def test_load_trajectory_rejects_garbage(tmp_path):
