@@ -17,31 +17,23 @@ import numpy as np
 
 from .checks import all_passed, run_checks
 from .convolve import DIRECT, FOURIER
-from .fields import FieldError, RuleError, TensorField
-from .formats import (FormatError, fmt_float, format_keyvalues, manifest_lines,
-                      read_eqf, write_eqf, write_keyvalues)
-from .grid import BOUNDARIES, Grid, GridError
-from .kernels import KernelError, named_profile
+from .fields import TensorField
+from .formats import (FormatError, fmt_value, format_keyvalues, manifest_lines,
+                      parse_list, read_eqf, write_eqf, write_keyvalues)
+from .grid import BOUNDARIES, Grid
+from .kernels import named_profile
 from .learn import (default_param_radial, fit_least_squares, load_model, loss,
                     make_neural_op, save_model)
 from .operators import REGISTRY, make_operator
 from .sim import (DiffusionAdvectionModel, EstimationError, SimulationError,
                   StabilityError, estimate_parameters, load_trajectory,
-                  max_stable_dt, save_trajectory, simulate)
+                  save_trajectory, simulate)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_FORMAT = 2
 EXIT_RULE = 3
 EXIT_NUMERIC = 4
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return fmt_float(float(v))
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return ",".join(_fmt(x) for x in v)
-    return str(v)
 
 
 @dataclass
@@ -54,26 +46,19 @@ class RunReport:
 
     def keyvalues(self) -> dict:
         kv = {"command": self.command}
-        for k, v in self.inputs.items():
-            kv[f"input.{k}"] = _fmt(v)
-        for k, v in self.parameters.items():
-            kv[f"param.{k}"] = _fmt(v)
-        for k, v in self.metrics.items():
-            kv[f"metric.{k}"] = _fmt(v)
-        for i, p in enumerate(self.outputs):
-            kv[f"output.{i}"] = str(p)
+        sections = {"input": self.inputs, "param": self.parameters,
+                    "metric": self.metrics, "output": dict(enumerate(self.outputs))}
+        for section, entries in sections.items():
+            kv.update({f"{section}.{k}": fmt_value(v) for k, v in entries.items()})
         return kv
 
     def text(self) -> str:
+        labels = {"input": "input", "param": "parameter", "metric": "metric"}
         lines = [f"command: {self.command}"]
-        for k, v in self.inputs.items():
-            lines.append(f"  input     {k} = {_fmt(v)}")
-        for k, v in self.parameters.items():
-            lines.append(f"  parameter {k} = {_fmt(v)}")
-        for k, v in self.metrics.items():
-            lines.append(f"  metric    {k} = {_fmt(v)}")
-        for p in self.outputs:
-            lines.append(f"  output    {p}")
+        for key, v in list(self.keyvalues().items())[1:]:   # after "command"
+            section, _, name = key.partition(".")
+            lines.append(f"  output    {v}" if section == "output"
+                         else f"  {labels[section]:<9} {name} = {v}")
         return "\n".join(lines)
 
 
@@ -99,8 +84,7 @@ def cmd_apply(args) -> int:
         params = {}
         if args.operator == "diffusion":
             if args.D is None or args.t is None:
-                print("apply diffusion requires --D and --t", file=sys.stderr)
-                return EXIT_FORMAT
+                raise FormatError("apply diffusion requires --D and --t")
             params = {"D": args.D, "t": args.t}
         op = make_operator(args.operator, u.grid, **params)
         op_label = args.operator
@@ -108,10 +92,8 @@ def cmd_apply(args) -> int:
         op = load_model(args.operator)
         op_label = f"model:{args.operator}"
     else:
-        print(f"unknown operator {args.operator!r}; available: "
-              f"{', '.join(sorted(REGISTRY))} (or a model manifest path)",
-              file=sys.stderr)
-        return EXIT_FORMAT
+        raise FormatError(f"unknown operator {args.operator!r}; available: "
+                          f"{', '.join(sorted(REGISTRY))} (or a model manifest path)")
     v = op.apply(u, path=args.path)
     elapsed = time.perf_counter() - t0
     write_eqf(args.output, v)
@@ -154,9 +136,7 @@ def _write_radial_csv(path, param, grid, reference: str | None) -> None:
         columns.append("R_reference")
         rows.append(named_profile(reference)(radii))
     with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for k in range(len(radii)):
-            fh.write(",".join(fmt_float(float(row[k])) for row in rows) + "\n")
+        fh.writelines(fmt_value(line) + "\n" for line in [columns, *zip(*rows)])
 
 
 def cmd_fit(args) -> int:
@@ -208,12 +188,7 @@ def cmd_simulate(args) -> int:
         w.append(args.wz)
     elif args.wz is not None:
         raise ValueError("--wz given for a 2d grid")
-    try:
-        model = DiffusionAdvectionModel(grid, args.D, w, args.dt, source)
-    except StabilityError as exc:
-        limit = max_stable_dt(grid, args.D, w)
-        print(f"{exc}; largest stable dt = {fmt_float(limit)}", file=sys.stderr)
-        return EXIT_NUMERIC
+    model = DiffusionAdvectionModel(grid, args.D, w, args.dt, source)
     t0 = time.perf_counter()
     traj = simulate(model, u0, args.steps)
     elapsed = time.perf_counter() - t0
@@ -268,13 +243,12 @@ def cmd_check(args) -> int:
         u, _ = read_eqf(args.input)
         source = args.input
     elif args.random:
-        shape = tuple(int(x) for x in args.random.split(","))
+        shape = parse_list(args.random, int)
         grid = Grid.centered(shape, 1.0, boundary=args.boundary or "zero")
         u = TensorField.random(grid, args.l, rng)
         source = f"random shape={args.random} l={args.l} seed={args.seed}"
     else:
-        print("check needs an input file or --random SHAPE", file=sys.stderr)
-        return EXIT_FORMAT
+        raise FormatError("check needs an input file or --random SHAPE")
     results = run_checks(u, rng, corrupt=args.corrupt)
     for r in results:
         print(r.line())
@@ -364,15 +338,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, FormatError) as exc:
+    except (FileNotFoundError, SimulationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (StabilityError, SimulationError, EstimationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (RuleError, FieldError, GridError, KernelError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RULE
+        if isinstance(exc, (FileNotFoundError, FormatError)):
+            return EXIT_FORMAT
+        if isinstance(exc, (StabilityError, SimulationError, EstimationError)):
+            return EXIT_NUMERIC
+        return EXIT_RULE   # RuleError, FieldError, GridError, KernelError, other ValueErrors
 
 
 if __name__ == "__main__":

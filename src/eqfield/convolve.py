@@ -93,12 +93,11 @@ def conv_direct(u: TensorField, kernel: KernelField, rule: ProductRule,
     out = np.zeros((coeff.shape[2],) + ushape)
     for idx in np.argwhere(np.any(karr != 0.0, axis=0)):
         mix = np.einsum("mnp,n->mp", coeff, karr[(slice(None),) + tuple(idx)])
-        if not np.any(mix):
-            continue
         # the tap at idx reads u[r - (idx - center)], which is upad[r + k - 1 - idx]
         window = upad[(slice(None),) + tuple(slice(k - 1 - i, k - 1 - i + n)
                                              for k, i, n in zip(kshape, idx, ushape))]
-        out += np.einsum("mp,m...->p...", mix, window)
+        for m, p in np.argwhere(mix):
+            out[p] += mix[m, p] * window[m]
     out *= u.grid.voxel_volume
     return TensorField(u.grid, rule.l_v, out)
 

@@ -1,5 +1,10 @@
 """EQF binary field files and plain-text key=value manifests.
 
+This module alone encodes values as text: ``fmt_value`` writes floats at 17
+significant digits (bit-exact round trips) and lists comma-joined,
+``parse_list`` reads lists back, and ``grid_entries``/``grid_from_entries``
+write and read the grid keys of EQF headers and model manifests.
+
 EQF layout: one ASCII header line
 
     EQF1 dim=<d> l=<l> shape=<n1,n2[,n3]> spacing=<s1,...> origin=<o1,...> boundary=<zero|periodic>
@@ -7,8 +12,7 @@ EQF layout: one ASCII header line
 optionally extended with extra key=value tokens, which the reader returns
 unparsed (kernel files once carried kind=<sampled|stencil>; it is ignored),
 followed by the raw component array as little-endian 64-bit floats,
-component-major and row-major (C order) within a component.  Floats in the
-header are printed with 17 significant digits so the round trip is bit-exact.
+component-major and row-major (C order) within a component.
 """
 
 from __future__ import annotations
@@ -28,22 +32,41 @@ class FormatError(ValueError):
     pass
 
 
-def fmt_float(x: float) -> str:
-    return f"{float(x):.17g}"
+def fmt_value(v) -> str:
+    """Floats at 17 significant digits, sequences comma-joined, the rest by str."""
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.17g}"
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return ",".join(fmt_value(x) for x in v)
+    return str(v)
+
+
+def parse_list(text: str, kind) -> list:
+    """Read a ``fmt_value`` list back: '' is [], and an empty item raises."""
+    return [kind(x) for x in text.split(",")] if text else []
+
+
+def grid_entries(grid: Grid) -> dict:
+    """A grid as text keys, in header order; ``grid_from_entries`` reads them."""
+    return {"dim": grid.dim, "shape": grid.shape, "spacing": grid.spacing,
+            "origin": grid.origin, "boundary": grid.boundary}
+
+
+def grid_from_entries(kv: dict) -> Grid:
+    """Pops ``grid_entries``' keys from ``kv``; a dim that is not len(shape)
+    or a bad geometry is a GridError."""
+    dim = int(kv.pop("dim"))
+    shape = tuple(parse_list(kv.pop("shape"), int))
+    if dim != len(shape):
+        raise GridError(f"dim={dim} does not match shape {shape}")
+    return Grid(shape, parse_list(kv.pop("spacing"), float),
+                parse_list(kv.pop("origin"), float), kv.pop("boundary"))
 
 
 def _header_line(field: TensorField) -> str:
-    g = field.grid
-    tokens = [
-        MAGIC,
-        f"dim={g.dim}",
-        f"l={field.l}",
-        "shape=" + ",".join(str(n) for n in g.shape),
-        "spacing=" + ",".join(fmt_float(s) for s in g.spacing),
-        "origin=" + ",".join(fmt_float(o) for o in g.origin),
-        f"boundary={g.boundary}",
-    ]
-    return " ".join(tokens) + "\n"
+    # listing dim first keeps it ahead of l when grid_entries repeats it
+    entries = {"dim": field.grid.dim, "l": field.l, **grid_entries(field.grid)}
+    return " ".join([MAGIC] + [f"{k}={fmt_value(v)}" for k, v in entries.items()]) + "\n"
 
 
 def write_eqf(path, field: TensorField) -> None:
@@ -66,36 +89,21 @@ def read_eqf(path) -> tuple[TensorField, dict]:
         raise FormatError(f"{path}: header is not ASCII") from exc
     if not tokens or tokens[0] != MAGIC:
         raise FormatError(f"{path}: missing {MAGIC} magic")
-    kv = {}
-    for tok in tokens[1:]:
-        if "=" not in tok:
-            raise FormatError(f"{path}: malformed header token {tok!r}")
-        k, v = tok.split("=", 1)
-        kv[k] = v
+    kv = _pairs(path, tokens[1:], "header token")
     try:
-        dim = int(kv.pop("dim"))
         l = int(kv.pop("l"))
-        shape = tuple(int(n) for n in kv.pop("shape").split(","))
-        spacing = tuple(float(s) for s in kv.pop("spacing").split(","))
-        origin = tuple(float(o) for o in kv.pop("origin").split(","))
-        boundary = kv.pop("boundary")
-    except (KeyError, ValueError) as exc:
+        grid = grid_from_entries(kv)
+    except (KeyError, ValueError) as exc:   # GridError included
         raise FormatError(f"{path}: bad header: {exc}") from exc
-    if dim != len(shape):
-        raise FormatError(f"{path}: dim={dim} does not match shape {shape}")
-    try:
-        grid = Grid(shape, spacing, origin, boundary)
-    except GridError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
     if len(payload) % 8:
         raise FormatError(f"{path}: payload of {len(payload)} bytes is not whole 64-bit floats")
     data = np.frombuffer(payload, dtype="<f8")
-    n_per_comp = math.prod(shape)
+    n_per_comp = math.prod(grid.shape)
     if data.size % n_per_comp != 0:
         raise FormatError(f"{path}: payload size {data.size} not a multiple of the grid size")
     n_comp = data.size // n_per_comp
     try:
-        field = TensorField(grid, l, data.reshape((n_comp,) + shape).copy())
+        field = TensorField(grid, l, data.reshape((n_comp,) + grid.shape).copy())
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return field, kv
@@ -108,15 +116,7 @@ def write_keyvalues(path, entries: dict) -> None:
 
 
 def format_keyvalues(entries: dict) -> str:
-    lines = []
-    for k, v in entries.items():
-        if isinstance(v, float):
-            v = fmt_float(v)
-        elif isinstance(v, (list, tuple, np.ndarray)):
-            v = ",".join(fmt_float(x) if isinstance(x, (float, np.floating)) else str(x)
-                         for x in v)
-        lines.append(f"{k}={v}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{k}={fmt_value(v)}\n" for k, v in entries.items())
 
 
 @contextmanager
@@ -141,11 +141,15 @@ def manifest_lines(path) -> list:
             if line and not line.startswith("#")]
 
 
-def read_keyvalues(path) -> dict:
+def _pairs(path, items, what: str) -> dict:
     out = {}
-    for line in manifest_lines(path):
-        if "=" not in line:
-            raise FormatError(f"{path}: malformed line {line!r}")
-        k, v = line.split("=", 1)
+    for item in items:
+        if "=" not in item:
+            raise FormatError(f"{path}: malformed {what} {item!r}")
+        k, v = item.split("=", 1)
         out[k.strip()] = v.strip()
     return out
+
+
+def read_keyvalues(path) -> dict:
+    return _pairs(path, manifest_lines(path), "line")

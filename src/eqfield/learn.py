@@ -19,7 +19,8 @@ import numpy as np
 from .convolve import conv
 from .fields import (ProductRule, RuleError, TensorField, field_norm,
                      pointwise_product, product_rule, supported_rules)
-from .formats import FormatError, manifest_values, read_keyvalues, write_keyvalues
+from .formats import (FormatError, grid_entries, grid_from_entries, manifest_values,
+                      parse_list, read_keyvalues, write_keyvalues)
 from .grid import ZERO, Grid
 from .kernels import (KernelField, RadialProfile, delta_stencil,
                       free_space_kernel_grid, gaussian, gradient_stencil,
@@ -448,15 +449,10 @@ def apply_attention(layer: AttentionLayer, fields: list) -> list:
 
 def save_model(path, op: NeuralOp) -> None:
     """Text manifest: grid header, rule, basis hyperparameters, amplitudes."""
-    g = op.grid
     p = op.param
     entries = {
         "model": "eqfield-neural-v1",
-        "dim": g.dim,
-        "shape": list(g.shape),
-        "spacing": list(g.spacing),
-        "origin": list(g.origin),
-        "boundary": g.boundary,
+        **grid_entries(op.grid),
         "kind": op.rule.kind,
         "l_u": op.rule.l_u,
         "l_h": op.rule.l_h,
@@ -471,17 +467,9 @@ def save_model(path, op: NeuralOp) -> None:
     write_keyvalues(path, entries)
 
 
-def _floats(s: str) -> list:
-    return [float(x) for x in s.split(",") if x]
-
-
-def _ints(s: str) -> list:
-    return [int(x) for x in s.split(",") if x]
-
-
-def _per_term(kv: dict, **parsers) -> tuple:
+def _per_term(kv: dict, **kinds) -> tuple:
     """Zip the per-term lists under the given keys, which must be equally long."""
-    lists = {key: parse(kv[key]) for key, parse in parsers.items()}
+    lists = {key: parse_list(kv[key], kind) for key, kind in kinds.items()}
     if len({len(v) for v in lists.values()}) > 1:
         raise ValueError("unequal per-term lists: "
                          + ", ".join(f"{key} has {len(v)}" for key, v in lists.items()))
@@ -493,11 +481,10 @@ def load_model(path) -> NeuralOp:
     if kv.get("model") != "eqfield-neural-v1":
         raise FormatError(f"{path}: not a neural-operator manifest")
     with manifest_values(path):
-        grid = Grid(tuple(_ints(kv["shape"])), tuple(_floats(kv["spacing"])),
-                    tuple(_floats(kv["origin"])), kv["boundary"])
+        grid = grid_from_entries(kv)
         param = ParamRadial(
-            _per_term(kv, gaussian_amps=_floats, gaussian_widths=_floats),
-            _per_term(kv, power_amps=_floats, power_exponents=_ints, power_rmins=_floats),
-            _per_term(kv, stencil_amps=_floats, stencil_orders=_ints))
+            _per_term(kv, gaussian_amps=float, gaussian_widths=float),
+            _per_term(kv, power_amps=float, power_exponents=int, power_rmins=float),
+            _per_term(kv, stencil_amps=float, stencil_orders=int))
         rule = product_rule(kv["kind"], int(kv["l_u"]), int(kv["l_h"]), grid.dim)
         return NeuralOp(param, rule, grid)   # legacy path= and trainable= keys are ignored

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldError, TensorField, rotate_field, rotate_vector
-from .formats import (FormatError, manifest_values, read_eqf, read_keyvalues,
-                      write_eqf, write_keyvalues)
+from .formats import (FormatError, fmt_value, manifest_values, parse_list, read_eqf,
+                      read_keyvalues, write_eqf, write_keyvalues)
 from .grid import Grid
 from .operators import diffusion as _diffusion
 from .operators import grad as _grad
@@ -78,7 +78,8 @@ class DiffusionAdvectionModel:
         if self.dt > limit:
             raise StabilityError(
                 f"dt={self.dt:g} exceeds the stability guard {limit:g} "
-                f"for D={self.D:g}, |w|={np.linalg.norm(self.w):g}")
+                f"for D={self.D:g}, |w|={np.linalg.norm(self.w):g}; "
+                f"largest stable dt = {fmt_value(limit)}")
 
     def rotated(self, rot) -> "DiffusionAdvectionModel":
         """The same model in a rotated frame: w as l=1, source as a field."""
@@ -219,7 +220,7 @@ def load_trajectory(dirpath) -> tuple:
         n = int(kv["n_frames"])
         source_name = kv["source"]
         D, dt = float(kv["D"]), float(kv["dt"])
-        w = [float(x) for x in kv["w"].split(",")]
+        w = parse_list(kv["w"], float)
     if n < 1:
         raise FormatError(f"{dirpath}: a trajectory needs at least one frame, got n_frames={n}")
     frames = []

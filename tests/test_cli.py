@@ -158,6 +158,24 @@ def test_bad_model_manifest_exits_2(tmp_path, capsys, key, line):
 
 
 @pytest.mark.parametrize("key,line", [
+    (b"dim", b"dim=2"),                             # beside a 3-d shape
+    (b"gaussian_amps", b"gaussian_amps=0,0,0,0,,0,0,0,0"),
+    (b"power_exponents", b"power_exponents=1,2,"),
+    (b"stencil_orders", b"stencil_orders=,0"),
+])
+def test_model_manifest_grid_and_list_mismatches_exit_2(tmp_path, capsys, key, line):
+    # the text reader keeps every item: an empty one is an error, not a skip
+    g = eq.Grid.centered((7, 7, 7))
+    model = tmp_path / "m.eqm"
+    eq.save_model(model, eq.make_neural_op(g))
+    _rewrite_manifest_line(model, key, line)
+    src = tmp_path / "in.eqf"
+    _write_scalar(src, g, _blob(g))
+    assert main(["apply", str(model), str(src), str(tmp_path / "o.eqf")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,line", [
     (b"n_frames", b""),
     (b"n_frames", b"n_frames=0"),
     (b"dt", b"dt=nan"),

@@ -4,9 +4,12 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 import eqfield as eq
+from eqfield.checks import EQUIVARIANCE_TOL, LINEARITY_TOL, compatible_rotations
 
 
 def _pointwise(uval, hval, rule):
@@ -279,3 +282,54 @@ def test_fourier_work_shape(fft_calls):
                 work = tuple(next_fast_len(n + min((width - 1) // 2, n - 1)) for n in shape)
             assert fft_calls.forward == [work, work]   # the kernel, then the input
             assert fft_calls.inverse == [work]
+
+
+def _relative_deviation(a, b):
+    scale = max(float(np.max(np.abs(b))), 1e-300)
+    return float(np.max(np.abs(a - b))) / scale
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_conv_equivariance_property(data):
+    # a sampled radial kernel is steerable, so conv commutes with every
+    # lattice rotation that maps the grid onto itself, on both paths
+    dim = data.draw(st.sampled_from([2, 3]))
+    rule = data.draw(st.sampled_from(eq.supported_rules(dim)))
+    shape = data.draw(st.lists(st.integers(3, 7), min_size=dim, max_size=dim))
+    if data.draw(st.booleans()):   # a cube admits every rotation
+        shape = [shape[0]] * dim
+    spacing = data.draw(st.floats(0.5, 2.0))
+    g = eq.Grid.centered(shape, spacing, boundary=data.draw(st.sampled_from(eq.BOUNDARIES)))
+    width = data.draw(st.sampled_from([3, 5, 7, 9]))
+    kernel = eq.sample_kernel(eq.kernel_grid((width,) * dim, spacing),
+                              eq.gaussian(data.draw(st.floats(0.5, 3.0)) * spacing), rule.l_h)
+    path = data.draw(st.sampled_from([eq.DIRECT, eq.FOURIER]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u = eq.TensorField.random(g, rule.l_u, rng)
+    ref = eq.conv(u, kernel, rule, path=path)
+    for rot in compatible_rotations(g):
+        out = eq.conv(eq.rotate_field(u, rot), kernel, rule, path=path)
+        assert _relative_deviation(out.components,
+                                   eq.rotate_field(ref, rot).components) < EQUIVARIANCE_TOL
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_conv_linearity_property(data):
+    dim = data.draw(st.sampled_from([2, 3]))
+    rule = data.draw(st.sampled_from(eq.supported_rules(dim)))
+    shape = data.draw(st.lists(st.integers(3, 7), min_size=dim, max_size=dim))
+    g = eq.Grid.centered(shape, boundary=data.draw(st.sampled_from(eq.BOUNDARIES)))
+    kshape = data.draw(st.lists(st.sampled_from([3, 5, 7, 9]), min_size=dim, max_size=dim))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kernel = eq.KernelField(eq.TensorField.random(eq.kernel_grid(kshape, 1.0), rule.l_h, rng),
+                            rule.l_h)
+    path = data.draw(st.sampled_from([eq.DIRECT, eq.FOURIER]))
+    u, v = (eq.TensorField.random(g, rule.l_u, rng) for _ in range(2))
+    weight = st.one_of(st.floats(-2.0, -0.1), st.floats(0.1, 2.0))   # no subnormal products
+    alpha, beta = data.draw(weight), data.draw(weight)
+    combined = eq.conv(u * alpha + v * beta, kernel, rule, path=path).components
+    separate = (eq.conv(u, kernel, rule, path=path).components * alpha
+                + eq.conv(v, kernel, rule, path=path).components * beta)
+    assert _relative_deviation(separate, combined) < LINEARITY_TOL

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import eqfield as eq
+from eqfield.formats import _header_line, fmt_value, parse_list
 
 
 def test_centered_grid_geometry():
@@ -288,6 +289,31 @@ def test_read_eqf_rejects_corrupt_files(tmp_path, shape, l, seed, at, byte, key,
         path.write_bytes(blob)
         with pytest.raises(eq.FormatError):
             eq.read_eqf(path)
+
+
+def test_eqf_header_line_golden():
+    g = eq.Grid((5, 4, 3), (0.1, 0.25, 1 / 3), (-0.2, -0.0, 5e-324), eq.PERIODIC)
+    assert _header_line(eq.TensorField.zeros(g, 1)) == (
+        "EQF1 dim=3 l=1 shape=5,4,3 "
+        "spacing=0.10000000000000001,0.25,0.33333333333333331 "
+        "origin=-0.20000000000000001,-0,4.9406564584124654e-324 boundary=periodic\n")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(floats=st.lists(st.floats(allow_nan=False)), ints=st.lists(st.integers()))
+@example(floats=[-0.0, 5e-324, -2.2250738585072009e-308, 1e308], ints=[0, -1, 2**70])
+def test_list_text_round_trip_property(floats, ints):
+    # -0.0, subnormals and the infinities come back bit for bit
+    back = parse_list(fmt_value(floats), float)
+    assert np.array(back).tobytes() == np.array(floats, dtype=float).tobytes()
+    assert parse_list(fmt_value(ints), int) == ints
+    assert fmt_value([]) == "" and parse_list("", float) == []
+
+
+def test_parse_list_rejects_empty_items():
+    for text in (",", "1,", ",1", "1,,2"):
+        with pytest.raises(ValueError):
+            parse_list(text, float)
 
 
 def test_keyvalues_round_trip(tmp_path):
