@@ -15,9 +15,11 @@ The Fourier path runs on ``numpy.fft``.  It transforms the zero-boundary
 case at the Hockney size, N + min(kernel radius, N - 1) per axis rounded up
 to the next 11-smooth length, and the periodic case at the field's own
 size.  ``kernel_spectrum`` is the kernel's half of that product; an
-operator computes it once and keeps it.  Every forward transform is given
-its ``out``, so numpy's rfftn runs each axis pass in that one array instead
-of allocating a new one per axis.
+operator computes it once and keeps it.  The input and output transforms
+are pruned: one axis pass at a time, in place, the forward pass skips the
+lines that are all zero padding and the inverse pass skips the lines that
+fall outside the kept crop, so no line is transformed only to be thrown
+away.
 """
 
 from __future__ import annotations
@@ -163,6 +165,40 @@ def kernel_spectrum(kernel: KernelField, ushape, boundary: str) -> np.ndarray:
     return spectrum
 
 
+def _rfftn_padded(x: np.ndarray, work) -> np.ndarray:
+    """``rfftn`` of ``x`` zero-padded to ``work``, without transforming the
+    lines that are all padding.
+
+    The real-axis pass runs only on the rows of ``x``; the pass on a leading
+    axis a then runs in place on the rows whose earlier axes lie below N,
+    from the last leading axis to the first, as ``rfftn`` orders them.
+    """
+    d = x.ndim
+    buf = np.zeros(x.shape[:-1] + (work[-1],))
+    buf[..., :x.shape[-1]] = x
+    out = np.zeros(tuple(work[:-1]) + (work[-1] // 2 + 1,), complex)
+    sfft.rfftn(buf, axes=(d - 1,), out=out[tuple(slice(0, n) for n in x.shape[:-1])])
+    for a in range(d - 2, -1, -1):
+        rows = out[tuple(slice(0, n) for n in x.shape[:a])]
+        sfft.fft(rows, axis=a, out=rows)
+    return out
+
+
+def _irfftn_cropped(acc: np.ndarray, work, shape) -> np.ndarray:
+    """``irfftn(acc, s=work)`` cropped to ``shape``, overwriting ``acc``.
+
+    The pass on leading axis a runs in place on the rows whose earlier axes
+    lie inside the crop, in ``irfftn``'s order; the real-axis pass then runs
+    only on the kept rows.
+    """
+    d = acc.ndim
+    for a in range(d - 1):
+        rows = acc[tuple(slice(0, n) for n in shape[:a])]
+        sfft.ifft(rows, axis=a, out=rows)
+    rows = acc[tuple(slice(0, n) for n in shape[:-1])]
+    return sfft.irfftn(rows, s=(work[-1],), axes=(d - 1,))[..., :shape[-1]]
+
+
 def conv_fourier(u: TensorField, kernel: KernelField, rule: ProductRule,
                  boundary: str, spectrum: np.ndarray | None = None) -> TensorField:
     """FFT-path convolution via the tensor convolution theorem.
@@ -177,19 +213,18 @@ def conv_fourier(u: TensorField, kernel: KernelField, rule: ProductRule,
     if spectrum is None:
         spectrum = kernel_spectrum(kernel, ushape, boundary)
     work = work_shape(ushape, kernel.grid.shape, boundary)
-    axes = tuple(range(u.grid.dim))
     mnp = np.argwhere(coeff != 0)
-    pad = [(0, w - nu) for nu, w in zip(ushape, work)]
-    u_hat = {m: sfft.rfftn(np.pad(u.components[m], pad), axes=axes,
-                           out=np.empty(spectrum.shape[1:], complex))
-             for m in set(mnp[:, 0])}
+    u_hat = {m: _rfftn_padded(u.components[m], work) for m in set(mnp[:, 0])}
     v_hat = {}
     for m, n, p in mnp:
-        term = coeff[m, n, p] * u_hat[m] * spectrum[n]
-        v_hat[p] = v_hat[p] + term if p in v_hat else term
+        term = u_hat[m] * coeff[m, n, p]
+        term *= spectrum[n]
+        if p in v_hat:
+            v_hat[p] += term
+        else:
+            v_hat[p] = term
     out = np.zeros((coeff.shape[2],) + ushape)
-    crop = tuple(slice(0, n) for n in ushape)
     for p, acc in v_hat.items():
-        out[p] = sfft.irfftn(acc, s=work, axes=axes)[crop]
+        out[p] = _irfftn_cropped(acc, work, ushape)
     out *= u.grid.voxel_volume
     return TensorField(u.grid, rule.l_v, out)

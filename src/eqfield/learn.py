@@ -468,8 +468,14 @@ def save_model(path, op: NeuralOp) -> None:
 
 
 def _per_term(kv: dict, **kinds) -> tuple:
-    """Zip the per-term lists under the given keys, which must be equally long."""
-    lists = {key: parse_list(kv[key], kind) for key, kind in kinds.items()}
+    """Zip the per-term lists under the given keys, which must be equally long;
+    an item that does not parse is reported with its key."""
+    lists = {}
+    for key, kind in kinds.items():
+        try:
+            lists[key] = parse_list(kv[key], kind)
+        except ValueError as exc:
+            raise ValueError(f"{key} {exc}") from None
     if len({len(v) for v in lists.values()}) > 1:
         raise ValueError("unequal per-term lists: "
                          + ", ".join(f"{key} has {len(v)}" for key, v in lists.items()))

@@ -175,6 +175,18 @@ def test_model_manifest_grid_and_list_mismatches_exit_2(tmp_path, capsys, key, l
     assert "error:" in capsys.readouterr().err
 
 
+def test_bad_list_item_error_names_its_key_and_position(tmp_path, capsys):
+    g = eq.Grid.centered((7, 7, 7))
+    model = tmp_path / "m.eqm"
+    eq.save_model(model, eq.make_neural_op(g))
+    _rewrite_manifest_line(model, b"gaussian_amps", b"gaussian_amps=0,,0,0,0,0,0,0,0")
+    src = tmp_path / "in.eqf"
+    _write_scalar(src, g, _blob(g))
+    assert main(["apply", str(model), str(src), str(tmp_path / "o.eqf")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "gaussian_amps item 2 is not float: ''" in line
+
+
 @pytest.mark.parametrize("key,line", [
     (b"n_frames", b""),
     (b"n_frames", b"n_frames=0"),
