@@ -24,6 +24,8 @@ away.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from numpy import fft as sfft
 
@@ -107,13 +109,22 @@ def conv_direct(u: TensorField, kernel: KernelField, rule: ProductRule,
 def _circular_kernel(karr_n: np.ndarray, target_shape) -> np.ndarray:
     """Lay one kernel component out circularly (center at index 0).
 
-    Offsets that alias onto the same target voxel are summed, which is the
-    image-sum treatment a periodic domain calls for when the kernel extent
-    exceeds the field.
+    Index i lands on (i - center) mod w, so each axis splits where that wraps
+    to 0 into runs with contiguous targets; each combination of runs is one
+    sliced add, in kernel-index order.  Offsets that alias onto the same
+    target voxel are summed, in ``np.add.at``'s order: the image sum that a
+    periodic domain narrower than the kernel calls for.
     """
+    runs = []
+    for k, w in zip(karr_n.shape, target_shape):
+        c = (k - 1) // 2
+        cuts = [0, *range(c % w or w, k, w), k]
+        runs.append([(slice((a - c) % w, (a - c) % w + b - a), slice(a, b))
+                     for a, b in zip(cuts, cuts[1:])])
     out = np.zeros(target_shape)
-    np.add.at(out, np.ix_(*[(np.arange(k) - (k - 1) // 2) % w
-                            for k, w in zip(karr_n.shape, target_shape)]), karr_n)
+    for pairs in itertools.product(*runs):
+        dst, src = zip(*pairs)
+        out[dst] += karr_n[src]
     return out
 
 

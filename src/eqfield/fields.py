@@ -87,11 +87,10 @@ def unit_harmonic(l: int, rhat: np.ndarray) -> np.ndarray:
     if l == 1:
         return rhat.copy()
     if l == 2 and dim == 3:
-        outer = np.einsum("i...,j...->ij...", rhat, rhat)
-        eye = np.zeros_like(outer)
+        m = 3.0 * np.einsum("i...,j...->ij...", rhat, rhat)
         for i in range(3):
-            eye[i, i] = 1.0
-        return l2_from_matrix(3.0 * outer - eye)
+            m[i, i] -= 1.0
+        return l2_from_matrix(m)
     raise FieldError(f"unit harmonic l={l} unsupported in {dim}d")
 
 

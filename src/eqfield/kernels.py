@@ -43,8 +43,12 @@ class RadialProfile:
         if not self.singular_at_origin:
             return np.asarray(self.fn(r), dtype=float)
         at_origin = r == 0.0
-        out = np.asarray(self.fn(np.where(at_origin, 1.0, r)), dtype=float)
-        return np.where(at_origin, 0.0, out)
+        # zero the origin in place: on a copy unless the output owns its data
+        out = np.require(self.fn(np.where(at_origin, 1.0, r)), float, "WO")
+        if out.shape != r.shape:
+            out = np.array(np.broadcast_to(out, r.shape))
+        out[at_origin] = 0.0
+        return out
 
 
 def gaussian(sigma: float) -> RadialProfile:
@@ -153,21 +157,25 @@ def free_space_kernel_grid(grid: Grid) -> Grid:
 def sample_kernel(grid: Grid, profile: RadialProfile, l_h: int) -> KernelField:
     """Sample R(|r|) Y_l(rhat) on a centered grid.
 
+    r^2 is x^2 + y^2 (+ z^2) over per-axis offset vectors that broadcast, and
+    rhat is divided out one axis at a time, so no coordinate grid is stacked.
     For l_h >= 1 the value at r=0 is the zero tensor (the direction is
     undefined there); for l_h = 0 a singular profile reads 0 there.
     """
     _check_centered(grid)
-    center = grid.center_index()
-    offsets = [(np.arange(n) - c) * s for n, c, s in zip(grid.shape, center, grid.spacing)]
-    mesh = np.meshgrid(*offsets, indexing="ij")
-    pos = np.stack(mesh)
-    r = np.sqrt(np.sum(pos ** 2, axis=0))
+    axes = [((np.arange(n) - c) * s).reshape((n,) + (1,) * (grid.dim - 1 - a))
+            for a, (n, c, s) in enumerate(zip(grid.shape, grid.center_index(), grid.spacing))]
+    r = np.sqrt(sum(x ** 2 for x in axes))
     if l_h == 0:
         values = profile(r)[None]
     else:
-        rhat = np.where(r == 0.0, 0.0, pos / np.where(r == 0.0, 1.0, r))
-        radial = np.where(r == 0.0, 0.0, profile(np.where(r == 0.0, 1.0, r)))
-        values = radial[None] * unit_harmonic(l_h, rhat)
+        away = r != 0.0
+        radial = np.where(away, profile(np.where(away, r, 1.0)), 0.0)
+        rhat = np.zeros((grid.dim,) + grid.shape)
+        for x, out in zip(axes, rhat):
+            np.divide(x, r, out=out, where=away)
+        values = unit_harmonic(l_h, rhat)
+        values *= radial
     return KernelField(TensorField(grid, l_h, values), l_h)
 
 

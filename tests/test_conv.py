@@ -305,6 +305,46 @@ def test_pruned_transforms_match_numpy_property(data):
     assert inverse.shape == ref.shape and inverse.tobytes() == ref.tobytes()
 
 
+def _add_at_layout(karr, target):
+    """The circular layout by ``np.add.at`` over the index grid, the reference
+    the run-sliced ``_circular_kernel`` must match bit for bit."""
+    out = np.zeros(target)
+    np.add.at(out, np.ix_(*[(np.arange(k) - (k - 1) // 2) % w
+                            for k, w in zip(karr.shape, target)]), karr)
+    return out
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_circular_kernel_matches_add_at_property(data):
+    # zero-boundary work shapes never alias; a periodic field narrower than
+    # the kernel sums its aliased offsets, in add.at's (C) order
+    dim = data.draw(st.sampled_from([2, 3]))
+    kshape = tuple(2 * h + 1 for h in data.draw(st.lists(st.integers(0, 7),
+                                                         min_size=dim, max_size=dim)))
+    if data.draw(st.booleans()):
+        target = tuple(k + data.draw(st.integers(0, 5)) for k in kshape)
+    else:
+        target = tuple(data.draw(st.lists(st.integers(1, 9), min_size=dim, max_size=dim)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    karr = rng.standard_normal(kshape)
+    karr[rng.random(kshape) < 0.2] = -0.0
+    assert _same_bits(eq.convolve._circular_kernel(karr, target), _add_at_layout(karr, target))
+
+
+@pytest.mark.parametrize("kshape,target", [((95, 95, 95), (96, 96, 96)), ((95, 95, 95), (48, 48, 48)),
+                                           ((9, 7, 5), (4, 3, 5)), ((23, 23), (7, 5))])
+def test_circular_kernel_matches_add_at(kshape, target):
+    karr = np.random.default_rng(17).standard_normal(kshape)
+    karr[tuple(k // 2 for k in kshape)] = -0.0
+    assert _same_bits(eq.convolve._circular_kernel(karr, target), _add_at_layout(karr, target))
+
+
 def _relative_deviation(a, b):
     scale = max(float(np.max(np.abs(b))), 1e-300)
     return float(np.max(np.abs(a - b))) / scale

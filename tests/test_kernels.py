@@ -83,6 +83,55 @@ def test_sampled_kernel_parity():
     assert np.allclose(odd, -odd[:, ::-1, ::-1, ::-1])  # l=1 kernels are odd
 
 
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _stacked_sample(grid, profile, l_h):
+    """R(|r|) Y_l(rhat) from a stacked coordinate meshgrid, the reference
+    that ``sample_kernel``'s broadcast radii must reproduce bit for bit."""
+    offsets = [(np.arange(n) - c) * s
+               for n, c, s in zip(grid.shape, grid.center_index(), grid.spacing)]
+    pos = np.stack(np.meshgrid(*offsets, indexing="ij"))
+    r = np.sqrt(np.sum(pos ** 2, axis=0))
+    if l_h == 0:
+        return profile(r)[None]
+    rhat = np.where(r == 0.0, 0.0, pos / np.where(r == 0.0, 1.0, r))
+    radial = np.where(r == 0.0, 0.0, profile(np.where(r == 0.0, 1.0, r)))
+    return radial[None] * eq.unit_harmonic(l_h, rhat)
+
+
+@pytest.mark.parametrize("shape,spacing,l_h", [
+    ((9, 7), (0.7, 1.3), 0), ((9, 7), (0.7, 1.3), 1),
+    ((7, 9, 5), (0.7, 1.1, 0.45), 0), ((7, 9, 5), (0.7, 1.1, 0.45), 1),
+    ((7, 9, 5), (0.7, 1.1, 0.45), 2)])
+def test_sample_kernel_matches_stacked_meshgrid(shape, spacing, l_h):
+    kg = eq.kernel_grid(shape, spacing)
+    for profile in (eq.gaussian(1.3), eq.inverse_r(), eq.inverse_r2(), eq.log_r(),
+                    eq.gaussian_diffusion(0.7, 0.4, len(shape))):
+        got = eq.sample_kernel(kg, profile, l_h).field.components
+        assert _same_bits(got, _stacked_sample(kg, profile, l_h)), profile.name
+
+
+def test_singular_profile_zeroes_origin_on_its_own_output():
+    r = np.array([[0.0, 0.5], [2.0, 0.0]])
+    kept = r.copy()
+    fn = lambda x: -np.log(x) / (2.0 * math.pi)
+    ref = np.where(r == 0.0, 0.0, fn(np.where(r == 0.0, 1.0, r)))
+    assert _same_bits(eq.RadialProfile(fn, singular_at_origin=True)(r), ref)
+    # the origin is zeroed in place only on an output that owns its data: a
+    # view, a read-only array or a broadcast scalar is copied first
+    frozen = np.ones((2, 2))
+    frozen.setflags(write=False)
+    for fn, want in ((lambda x: x, np.array([[0.0, 0.5], [2.0, 0.0]])),
+                     (lambda x: x.T.T, np.array([[0.0, 0.5], [2.0, 0.0]])),
+                     (lambda x: frozen, np.array([[0.0, 1.0], [1.0, 0.0]])),
+                     (lambda x: 3.0, np.array([[0.0, 3.0], [3.0, 0.0]]))):
+        assert _same_bits(eq.RadialProfile(fn, singular_at_origin=True)(r), want)
+    assert _same_bits(r, kept) and np.all(frozen == 1.0)
+
+
 def test_delta_stencil_identity_weight():
     g = eq.Grid.centered((5, 5), spacing=0.5)
     k = eq.delta_stencil(g)

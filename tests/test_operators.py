@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,6 +416,25 @@ def test_operator_bytes_count_the_spectrum_before_it_exists():
         assert op.nbytes == op.kernel.field.components.nbytes
     op = eq.grad_op(eq.Grid.centered((128,) * 3))
     assert op.nbytes == op.kernel.field.components.nbytes
+
+
+@pytest.mark.parametrize("build", [
+    lambda: eq.inverse_laplacian_op(eq.Grid.centered((24,) * 3)),
+    lambda: eq.inverse_laplacian_op(eq.Grid.centered((64, 64))),
+    lambda: eq.gauss_law_op(eq.Grid.centered((16,) * 3)),
+    lambda: eq.diffusion_op(eq.Grid.centered((24,) * 3, boundary=eq.PERIODIC), 1.0, 0.5),
+], ids=["inverse_laplacian_3d", "inverse_laplacian_2d", "gauss_law", "diffusion_periodic"])
+def test_green_operator_build_peak_is_bounded(build):
+    # building an operator and its spectrum holds, at its peak, what the
+    # operator keeps plus at most three kernels' worth of temporaries
+    tracemalloc.start()
+    try:
+        op = build()
+        op.spectrum
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= op.nbytes + 3 * op.kernel.field.components.nbytes
 
 
 def test_forced_fourier_call_on_a_stencil_keeps_no_spectrum():
