@@ -109,11 +109,9 @@ def conv_direct(u: TensorField, kernel: KernelField, rule: ProductRule,
 def _circular_kernel(karr_n: np.ndarray, target_shape) -> np.ndarray:
     """Lay one kernel component out circularly (center at index 0).
 
-    Index i lands on (i - center) mod w, so each axis splits where that wraps
-    to 0 into runs with contiguous targets; each combination of runs is one
-    sliced add, in kernel-index order.  Offsets that alias onto the same
-    target voxel are summed, in ``np.add.at``'s order: the image sum that a
-    periodic domain narrower than the kernel calls for.
+    Index i lands on (i - center) mod w; one sliced add per combination of
+    per-axis runs with contiguous targets, in kernel-index order, sums aliased
+    offsets in ``np.add.at``'s order: the image sum of a narrow periodic domain.
     """
     runs = []
     for k, w in zip(karr_n.shape, target_shape):
@@ -227,8 +225,8 @@ def conv_fourier(u: TensorField, kernel: KernelField, rule: ProductRule,
     mnp = np.argwhere(coeff != 0)
     u_hat = {m: _rfftn_padded(u.components[m], work) for m in set(mnp[:, 0])}
     v_hat = {}
-    for m, n, p in mnp:
-        term = u_hat[m] * coeff[m, n, p]
+    for i, (m, n, p) in enumerate(mnp):
+        term = np.multiply(u_hat[m], coeff[m, n, p], out=None if m in mnp[i + 1:, 0] else u_hat[m])
         term *= spectrum[n]
         if p in v_hat:
             v_hat[p] += term

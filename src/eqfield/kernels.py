@@ -43,12 +43,8 @@ class RadialProfile:
         if not self.singular_at_origin:
             return np.asarray(self.fn(r), dtype=float)
         at_origin = r == 0.0
-        # zero the origin in place: on a copy unless the output owns its data
-        out = np.require(self.fn(np.where(at_origin, 1.0, r)), float, "WO")
-        if out.shape != r.shape:
-            out = np.array(np.broadcast_to(out, r.shape))
-        out[at_origin] = 0.0
-        return out
+        out = np.asarray(self.fn(np.where(at_origin, 1.0, r)), dtype=float)
+        return np.where(at_origin, 0.0, out)
 
 
 def gaussian(sigma: float) -> RadialProfile:
@@ -155,10 +151,8 @@ def free_space_kernel_grid(grid: Grid) -> Grid:
 
 
 def sample_kernel(grid: Grid, profile: RadialProfile, l_h: int) -> KernelField:
-    """Sample R(|r|) Y_l(rhat) on a centered grid.
+    """Sample R(|r|) Y_l(rhat) on a centered grid, from per-axis offsets that broadcast.
 
-    r^2 is x^2 + y^2 (+ z^2) over per-axis offset vectors that broadcast, and
-    rhat is divided out one axis at a time, so no coordinate grid is stacked.
     For l_h >= 1 the value at r=0 is the zero tensor (the direction is
     undefined there); for l_h = 0 a singular profile reads 0 there.
     """

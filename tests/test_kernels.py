@@ -114,22 +114,24 @@ def test_sample_kernel_matches_stacked_meshgrid(shape, spacing, l_h):
         assert _same_bits(got, _stacked_sample(kg, profile, l_h)), profile.name
 
 
-def test_singular_profile_zeroes_origin_on_its_own_output():
+def test_singular_profile_zeroes_origin_without_touching_fn_output():
     r = np.array([[0.0, 0.5], [2.0, 0.0]])
     kept = r.copy()
     fn = lambda x: -np.log(x) / (2.0 * math.pi)
     ref = np.where(r == 0.0, 0.0, fn(np.where(r == 0.0, 1.0, r)))
     assert _same_bits(eq.RadialProfile(fn, singular_at_origin=True)(r), ref)
-    # the origin is zeroed in place only on an output that owns its data: a
-    # view, a read-only array or a broadcast scalar is copied first
+    # an fn may return its input, a view, a read-only array, a scalar or an
+    # array that the caller keeps; none of them is written to
+    table = np.full((2, 2), 2.0)
     frozen = np.ones((2, 2))
     frozen.setflags(write=False)
     for fn, want in ((lambda x: x, np.array([[0.0, 0.5], [2.0, 0.0]])),
                      (lambda x: x.T.T, np.array([[0.0, 0.5], [2.0, 0.0]])),
                      (lambda x: frozen, np.array([[0.0, 1.0], [1.0, 0.0]])),
-                     (lambda x: 3.0, np.array([[0.0, 3.0], [3.0, 0.0]]))):
+                     (lambda x: 3.0, np.array([[0.0, 3.0], [3.0, 0.0]])),
+                     (lambda x: table, np.array([[0.0, 2.0], [2.0, 0.0]]))):
         assert _same_bits(eq.RadialProfile(fn, singular_at_origin=True)(r), want)
-    assert _same_bits(r, kept) and np.all(frozen == 1.0)
+    assert _same_bits(r, kept) and np.all(frozen == 1.0) and np.all(table == 2.0)
 
 
 def test_delta_stencil_identity_weight():
