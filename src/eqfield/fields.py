@@ -77,15 +77,15 @@ def unit_harmonic(l: int, rhat: np.ndarray) -> np.ndarray:
     """Angular tensor Y_l of unit directions.
 
     rhat has the direction axis leading, shape (dim, ...); the result has
-    the component axis leading, shape (C, ...).  Y_0 = 1, Y_1 = rhat,
-    Y_2 = 3 rhat rhat^T - I in the l=2 component basis.
+    the component axis leading, shape (C, ...).  Y_0 = 1, Y_1 = rhat itself
+    (no copy), Y_2 = 3 rhat rhat^T - I in the l=2 component basis.
     """
     rhat = np.asarray(rhat, dtype=float)
     dim = rhat.shape[0]
     if l == 0:
         return np.ones((1,) + rhat.shape[1:])
     if l == 1:
-        return rhat.copy()
+        return rhat
     if l == 2 and dim == 3:
         m = 3.0 * np.einsum("i...,j...->ij...", rhat, rhat)
         for i in range(3):

@@ -220,24 +220,28 @@ def _check_dataset(op: NeuralOp, dataset) -> None:
             raise RuleError("dataset orders do not match the operator rule")
 
 
-def _design(op: NeuralOp, dataset) -> tuple:
-    """Stack basis responses into a design matrix: column i is conv(u, basis_i)
-    over all samples, so predictions are X @ amplitudes."""
+def _reduce_rows(blocks, width: int) -> tuple:
+    """Fold row blocks [X_k | y_k] of ``width`` columns one at a time into the
+    R factor of their stack (sequential TSQR), so the stack never exists.  R
+    starts as a zero square and stays square when a block has fewer rows
+    than columns.  Returns (Rx, c, rho2, norm) with |X p - y|^2 =
+    |Rx p - c|^2 + rho2 and norm = |y|^2 = |c|^2 + rho2."""
+    R = np.zeros((width, width))
+    for block in blocks:
+        R = np.linalg.qr(np.vstack([R, block]), mode="r")
+    return R[:-1, :-1], R[:-1, -1], float(R[-1, -1] ** 2), float(R[:, -1] @ R[:, -1])
+
+
+def _reduce_dataset(op: NeuralOp, dataset) -> tuple:
+    """``_reduce_rows`` of one block [conv(u, basis_0) ... | v] per sample."""
     _check_dataset(op, dataset)
     basis = basis_kernels(op)
-    blocks = []
-    targets = []
-    for u, v in dataset:
-        cols = [conv(u, b, op.rule, boundary=ZERO).components.ravel()
-                for b in basis]
-        blocks.append(np.stack(cols, axis=1))
-        targets.append(v.components.ravel())
-    X = np.concatenate(blocks, axis=0)
-    b = np.concatenate(targets)
-    norm = float(b @ b)
-    if norm == 0.0:
+    blocks = (np.column_stack([conv(u, b, op.rule, boundary=ZERO).components.ravel()
+                               for b in basis] + [v.components.ravel()]) for u, v in dataset)
+    reduced = _reduce_rows(blocks, len(basis) + 1)
+    if reduced[-1] == 0.0:
         raise ValueError("dataset target is identically zero; relative loss undefined")
-    return X, b, norm
+    return reduced
 
 
 def loss(op: NeuralOp, dataset) -> float:
@@ -257,12 +261,11 @@ def loss(op: NeuralOp, dataset) -> float:
 def grad_params(op: NeuralOp, dataset) -> np.ndarray:
     """Analytic gradient of loss over the amplitude vector.
 
-    By linearity dv/dp_i = conv(u, basis_i), so the gradient is
-    2 <residual, basis response> / normalizer, accumulated over samples.
+    By linearity dv/dp_i = conv(u, basis_i), so the gradient 2 X^T (X p - y)
+    / normalizer over the stacked responses X is 2 Rx^T (Rx p - c) / normalizer.
     """
-    X, b, norm = _design(op, dataset)
-    r = X @ op.param.amplitudes - b
-    return 2.0 * (X.T @ r) / norm
+    Rx, c, _, norm = _reduce_dataset(op, dataset)
+    return 2.0 * (Rx.T @ (Rx @ op.param.amplitudes - c)) / norm
 
 
 @dataclass
@@ -275,28 +278,29 @@ class FitResult:
 
 
 def fit_least_squares(op: NeuralOp, dataset, ridge: float = 1e-10) -> FitResult:
-    """Solve the normal equations over all amplitudes.
+    """Solve the normal equations A p = Rx^T c, A = Rx^T Rx = X^T X, over all
+    amplitudes, with the samples folded one at a time into Rx and c.
 
     ridge scales a Tikhonov term by trace(A)/n so the default 1e-10 is
     dimensionless; a condition estimate above 1e12 flags the result.
     """
     if not 0.0 <= ridge < math.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
-    X, b, norm = _design(op, dataset)
-    A = X.T @ X
+    Rx, c, rho2, norm = _reduce_dataset(op, dataset)
+    A = Rx.T @ Rx
     n = A.shape[0]
     lam = ridge * (np.trace(A) / n if np.trace(A) > 0 else 1.0)
     A_reg = A + lam * np.eye(n)
     flagged = False
     try:
-        p = np.linalg.solve(A_reg, X.T @ b)
+        p = np.linalg.solve(A_reg, Rx.T @ c)
     except np.linalg.LinAlgError:
-        p, *_ = np.linalg.lstsq(A_reg, X.T @ b, rcond=None)
+        p, *_ = np.linalg.lstsq(A_reg, Rx.T @ c, rcond=None)
         flagged = True
     condition = float(np.linalg.cond(A_reg))
     if not np.isfinite(condition) or condition > 1e12:
         flagged = True
-    residual = float(np.sum((X @ p - b) ** 2) / norm)
+    residual = (float(np.sum((Rx @ p - c) ** 2)) + rho2) / norm
     return FitResult(p, residual, condition, flagged)
 
 
@@ -310,8 +314,8 @@ def fit_gradient_descent(op: NeuralOp, dataset, steps: int = 500,
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    X, b, norm = _design(op, dataset)
-    A = X.T @ X
+    Rx, c, rho2, norm = _reduce_dataset(op, dataset)
+    A = Rx.T @ Rx
     if step_size is None:
         top = float(np.linalg.eigvalsh(A)[-1])
         if top <= 0:
@@ -320,18 +324,14 @@ def fit_gradient_descent(op: NeuralOp, dataset, steps: int = 500,
     elif step_size <= 0:
         raise ValueError("step_size must be positive")
     p = op.param.amplitudes.copy()
-
-    def current_loss():
-        return float(np.sum((X @ p - b) ** 2) / norm)
-
-    trace = [current_loss()]
+    r = Rx @ p - c
+    trace = [(float(r @ r) + rho2) / norm]
     flagged = False
     for _ in range(steps):
-        g = 2.0 * (X.T @ (X @ p - b)) / norm
-        p -= step_size * g
-        val = current_loss()
-        trace.append(val)
-        if not math.isfinite(val) or val > 1e6 * max(trace[0], 1e-300):
+        p -= step_size * (2.0 * (Rx.T @ r) / norm)
+        r = Rx @ p - c
+        trace.append((float(r @ r) + rho2) / norm)
+        if not math.isfinite(trace[-1]) or trace[-1] > 1e6 * max(trace[0], 1e-300):
             flagged = True
             break
     return FitResult(p, trace[-1], float(np.linalg.cond(A)), flagged, trace)

@@ -1,9 +1,10 @@
 """Diffusion-advection simulation and parameter estimation.
 
 The model is du/dt = D lap(u) - w . grad(u) + source, stepped with explicit
-Euler.  Estimation inverts the same linear structure: stacking the per-frame
-finite differences (u_{k+1} - u_k)/dt against the features {lap(u_k),
--grad(u_k)} recovers (D, w) by least squares.  The same stencils are used
+Euler.  Estimation inverts the same linear structure: the per-frame finite
+differences (u_{k+1} - u_k)/dt against the features {lap(u_k), -grad(u_k)}
+recover (D, w) by least squares, folded one frame at a time into a small
+triangular factor (``learn._reduce_rows``).  The same stencils are used
 for simulation and estimation, so noiseless recovery is exact up to
 rounding (an inverse crime; fine for consistency checks, not a field test
 of the discretization).
@@ -21,6 +22,7 @@ from .fields import FieldError, TensorField, rotate_field, rotate_vector
 from .formats import (FormatError, fmt_value, manifest_values, parse_list, read_eqf,
                       read_keyvalues, write_eqf, write_keyvalues)
 from .grid import Grid
+from .learn import _reduce_rows
 from .operators import diffusion as _diffusion
 from .operators import grad as _grad
 from .operators import laplacian as _laplacian
@@ -134,14 +136,16 @@ def estimate_parameters(trajectory: list, dt: float,
     """Least-squares recovery of (D, w) from consecutive frames.
 
     Solves (u_{k+1}-u_k)/dt - source = D lap(u_k) - w . grad(u_k) over all
-    transitions at once.  Raises EstimationError when the features do not
-    span (constant or zero trajectories).
+    transitions, folded in one frame at a time; frames and source must be
+    scalar fields on one grid.  Raises EstimationError when the features do
+    not span (constant or zero trajectories).
 
     smooth_sigma > 0 prefilters frames and source with a unit-mass Gaussian
-    of that width.  The filter commutes with the model's operators (exactly
-    so under the periodic boundary), so noiseless recovery stays exact
-    while the noise-correlation bias in the Laplacian feature is
-    suppressed; a width near 2 voxels works well at the 1% noise level.
+    of that width, each frame once.  The filter commutes with the model's
+    operators (exactly so under the periodic boundary), so noiseless
+    recovery stays exact while the noise-correlation bias in the Laplacian
+    feature is suppressed; a width near 2 voxels works well at the 1% noise
+    level.
     """
     if len(trajectory) < 2:
         raise ValueError("need at least two frames")
@@ -149,35 +153,30 @@ def estimate_parameters(trajectory: list, dt: float,
         raise ValueError("dt must be positive")
     if not 0.0 <= smooth_sigma < math.inf:
         raise ValueError(f"smooth_sigma must be finite and >= 0, got {smooth_sigma}")
-    if smooth_sigma > 0:
-        t_eq = smooth_sigma ** 2 / 4.0
-        trajectory = [_diffusion(u, 1.0, t_eq) for u in trajectory]
-        if source is not None:
-            source = _diffusion(source, 1.0, t_eq)
-    grid = trajectory[0].grid
-    dim = grid.dim
-    cols = []
-    rhs = []
-    for k in range(len(trajectory) - 1):
-        u = trajectory[k]
-        if u.grid != grid or u.l != 0:
-            raise ValueError("trajectory frames must be scalar fields on one grid")
-        y = (trajectory[k + 1].components - u.components) / dt
-        if source is not None:
-            y = y - source.components
-        lap = _laplacian(u).components.ravel()
-        g = _grad(u).components
-        cols.append(np.stack([lap] + [-g[a].ravel() for a in range(dim)], axis=1))
-        rhs.append(y.ravel())
-    X = np.concatenate(cols, axis=0)
-    y = np.concatenate(rhs)
-    theta, _, rank, svals = np.linalg.lstsq(X, y, rcond=None)
+    grid, dim = trajectory[0].grid, trajectory[0].grid.dim
+    checked = list(trajectory) + ([] if source is None else [source])
+    if any(u.grid != grid or u.l != 0 for u in checked):
+        raise ValueError("trajectory frames must be scalar fields on one grid")
+    smooth = ((lambda u: _diffusion(u, 1.0, smooth_sigma ** 2 / 4.0)) if smooth_sigma > 0
+              else (lambda u: u))
+    src = 0.0 if source is None else smooth(source).components
+
+    def blocks():
+        u = smooth(trajectory[0])
+        for nxt in map(smooth, trajectory[1:]):
+            y = (nxt.components - u.components) / dt - src
+            yield np.column_stack([_laplacian(u).components.ravel(),
+                                   *-_grad(u).components.reshape(dim, -1), y.ravel()])
+            u = nxt
+
+    Rx, c, rho2, norm = _reduce_rows(blocks(), dim + 2)
+    rows = (len(trajectory) - 1) * math.prod(grid.shape)
+    theta, _, rank, svals = np.linalg.lstsq(Rx, c, rcond=np.finfo(float).eps * max(rows, dim + 1))
     if rank < dim + 1:
         raise EstimationError(
             f"feature rank {rank} < {dim + 1}; trajectory does not identify (D, w)")
     condition = float(svals[0] / svals[-1])
-    norm = float(y @ y)
-    residual = float(np.sum((X @ theta - y) ** 2) / norm) if norm > 0 else 0.0
+    residual = (float(np.sum((Rx @ theta - c) ** 2)) + rho2) / norm if norm > 0 else 0.0
     return EstimateResult(float(theta[0]), theta[1:].copy(), residual, condition)
 
 

@@ -409,6 +409,18 @@ def test_estimate_unidentifiable_exits_4(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_estimate_frame_on_another_grid_exits_3(tmp_path, capsys):
+    g = eq.Grid.centered((9, 9), boundary=eq.PERIODIC)
+    u = eq.TensorField.from_scalar(g, _blob(g))
+    model = eq.DiffusionAdvectionModel(g, 0.1, (0.0, 0.0), 0.1)
+    eq.save_trajectory(tmp_path / "run", [u, u, u], model)
+    coarse = eq.Grid.centered((9, 9), spacing=2.0, boundary=eq.PERIODIC)
+    eq.write_eqf(tmp_path / "run" / "frame_00002.eqf",
+                 eq.TensorField.from_scalar(coarse, _blob(g)))
+    assert main(["estimate", str(tmp_path / "run")]) == 3
+    assert "one grid" in capsys.readouterr().err
+
+
 def test_check_random_passes(capsys):
     assert main(["check", "--random", "9,9,9", "--l", "1"]) == 0
     out = capsys.readouterr().out

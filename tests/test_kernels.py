@@ -1,6 +1,7 @@
 """Radial profiles, harmonic sampling, and the named stencils."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,19 @@ def test_unit_harmonics():
     y2 = eq.matrix_from_l2(eq.unit_harmonic(2, rhat))
     assert np.allclose(y2, np.diag([-1.0, -1.0, 2.0]), atol=1e-14)
     assert np.sum(y2 * y2) == pytest.approx(6.0)
+
+
+def test_vector_kernel_sampling_peak_is_bounded():
+    # an l_h = 1 kernel is sampled into its unit directions in place: the
+    # kernel plus scalar-sized temporaries, not a second copy of the kernel
+    kgrid = eq.kernel_grid((31, 31, 31), (1.0, 1.0, 1.0))
+    tracemalloc.start()
+    try:
+        nbytes = eq.sample_kernel(kgrid, eq.inverse_r2(), 1).field.components.nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * nbytes
 
 
 def test_sample_kernel_separates_radial_and_angular():

@@ -1,6 +1,7 @@
 """Trainable radial functions: bases, fitting routes, layers, model files."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eqfield as eq
+from eqfield.learn import _reduce_dataset, _reduce_rows
 
 
 def _small_param():
@@ -170,6 +172,73 @@ def test_gradient_descent_divergence_guard():
     assert res.flagged  # diverged and aborted early
     assert len(res.trace) < 52
     assert res.trace[-1] > 1e6 * res.trace[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_reduction_matches_stacked_lstsq(seed):
+    # any split of the rows, with a first block narrower than the width
+    # and single rows, folds to the stacked problem's solution and residual
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((40, 6))
+    y = rng.standard_normal(40)
+    cuts = sorted({2, 3, *rng.choice(np.arange(4, 40), size=4, replace=False)})
+    Rx, c, rho2, norm = _reduce_rows(np.split(np.column_stack([X, y]), cuts), 7)
+    assert Rx.shape == (6, 6)
+    ref, res, rank, svals = np.linalg.lstsq(X, y, rcond=None)
+    p, *_ = np.linalg.lstsq(Rx, c, rcond=None)
+    assert np.allclose(p, ref, rtol=1e-12, atol=1e-12)
+    assert rho2 == pytest.approx(res[0], rel=1e-12)
+    assert norm == pytest.approx(float(y @ y), rel=1e-12)
+    assert np.allclose(np.linalg.svd(Rx, compute_uv=False), svals, rtol=1e-12)
+
+
+def test_fit_with_fewer_voxels_than_terms_matches_stacked_reference():
+    # a 3x3 grid gives 9 rows for the 11-term default basis plus the target
+    rng = np.random.default_rng(12)
+    g = eq.Grid.centered((3, 3))
+    op = eq.make_neural_op(g)
+    u = eq.TensorField.random(g, 0, rng)
+    target = op.with_params(rng.standard_normal(op.param.n_params)).apply(u)
+    X = np.column_stack([eq.conv(u, b, op.rule, boundary=eq.ZERO).components.ravel()
+                         for b in eq.basis_kernels(op)])
+    y = target.components.ravel()
+    Rx, c, rho2, norm = _reduce_dataset(op, [(u, target)])
+    assert Rx.shape == (11, 11)
+    scale = np.linalg.norm(X)
+    assert np.allclose(Rx.T @ Rx, X.T @ X, rtol=0.0, atol=1e-13 * scale ** 2)
+    assert np.allclose(Rx.T @ c, X.T @ y, rtol=0.0, atol=1e-13 * scale * np.linalg.norm(y))
+    assert norm == pytest.approx(float(y @ y), rel=1e-12)
+    fit = eq.fit_least_squares(op, [(u, target)])
+    assert not fit.flagged
+    assert fit.residual < 1e-6
+    direct = float(np.sum((X @ fit.amplitudes - y) ** 2) / (y @ y))
+    assert fit.residual == pytest.approx(direct, rel=1e-6)
+    ref, *_ = np.linalg.lstsq(X, y, rcond=None)
+    assert np.allclose(X @ fit.amplitudes, X @ ref, rtol=0.0, atol=1e-3 * np.linalg.norm(y))
+
+
+@pytest.mark.parametrize("samples", [2, 8])
+@pytest.mark.parametrize("l_h", [0, 1])
+def test_fit_peak_does_not_grow_with_samples(l_h, samples):
+    # with the basis cache warm: four copies of one sample's N*C x cols
+    # block (the block, the stack handed to the QR step and its copy) plus
+    # one convolution's transforms, about 2^dim N per input, kernel and
+    # output component, twice over
+    rng = np.random.default_rng(13)
+    g = eq.Grid.centered((12, 12, 12))
+    op = eq.make_neural_op(g, kind="scalar", l_u=0, l_h=l_h)
+    data = [(eq.TensorField.random(g, 0, rng), eq.TensorField.random(g, l_h, rng))
+            for _ in range(samples)]
+    eq.fit_least_squares(op, data)
+    tracemalloc.start()
+    try:
+        eq.fit_least_squares(op, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_voxels, c = 12 ** 3, 2 * l_h + 1
+    cols = op.param.n_params + 1
+    assert peak <= 8 * n_voxels * (4 * c * cols + 2 * 2 ** 3 * (1 + 2 * c))
 
 
 def test_fit_rejects_degenerate_inputs():

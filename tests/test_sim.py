@@ -1,6 +1,7 @@
 """Time stepping and parameter recovery for the diffusion-advection model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,79 @@ def test_estimation_guards():
         eq.estimate_parameters([u], 0.1)
     with pytest.raises(eq.EstimationError):
         eq.estimate_parameters([u, u, u], 0.1)  # constant: features vanish
+
+
+def test_constant_trajectory_is_unidentifiable():
+    # the features of a constant field vanish exactly, so the reduced
+    # factor has rank 0, with or without a source and smoothing
+    g = _periodic((6, 6))
+    u = eq.TensorField.from_scalar(g, np.full(g.shape, 2.5))
+    with pytest.raises(eq.EstimationError):
+        eq.estimate_parameters([u, u, u], 0.1)
+    with pytest.raises(eq.EstimationError):
+        eq.estimate_parameters([u, u, u], 0.1, source=eq.point_source(g), smooth_sigma=1.0)
+
+
+def test_estimation_matches_stacked_lstsq_reference():
+    # the reference row-stacks every frame's features into one matrix
+    traj, model = _reference_run(seed=3, noise=0.01, frames=8)
+    est = eq.estimate_parameters(traj, model.dt, source=model.source)
+    X = np.concatenate([
+        np.column_stack([eq.laplacian(u).components.ravel()]
+                        + [-c.ravel() for c in eq.grad(u).components])
+        for u in traj[:-1]])
+    y = np.concatenate([((b.components - a.components) / model.dt
+                         - model.source.components).ravel()
+                        for a, b in zip(traj, traj[1:])])
+    theta, res, rank, svals = np.linalg.lstsq(X, y, rcond=None)
+    assert rank == 3
+    assert est.D == pytest.approx(theta[0], rel=1e-10)
+    assert np.allclose(est.w, theta[1:], rtol=1e-10, atol=0.0)
+    assert est.condition == pytest.approx(svals[0] / svals[-1], rel=1e-10)
+    assert est.residual == pytest.approx(res[0] / float(y @ y), rel=1e-8)
+
+
+@pytest.mark.parametrize("bad", ["last_frame_spacing", "last_frame_vector",
+                                 "source_grid", "source_vector"])
+def test_estimation_checks_every_frame_and_the_source(bad):
+    rng = np.random.default_rng(4)
+    g = _periodic((9, 9))
+    traj = [eq.TensorField.random(g, 0, rng) for _ in range(3)]
+    source = eq.TensorField.random(g, 0, rng)
+    if bad == "last_frame_spacing":
+        traj[-1] = eq.TensorField(_periodic((9, 9), spacing=2.0), 0, traj[-1].components)
+    elif bad == "last_frame_vector":
+        traj[-1] = eq.TensorField.random(g, 1, rng)
+    elif bad == "source_grid":
+        source = eq.TensorField.random(_periodic((9, 8)), 0, rng)
+    else:
+        source = eq.TensorField.random(g, 1, rng)
+    with pytest.raises(ValueError, match="scalar fields on one grid"):
+        eq.estimate_parameters(traj, 0.1, source=source)
+
+
+def _traced_peak(fn):
+    fn()   # warm the operator caches
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("frames", [4, 16])
+def test_estimation_peak_does_not_grow_with_frames(frames):
+    # one frame's block of N x (dim + 2) features at a time: the block, the
+    # stack handed to the QR step and its copy, and the per-frame fields
+    rng = np.random.default_rng(5)
+    g = _periodic((16, 16, 16))
+    traj = [eq.TensorField.random(g, 0, rng) for _ in range(frames)]
+    source = eq.TensorField.random(g, 0, rng)
+    peak = _traced_peak(lambda: eq.estimate_parameters(traj, 0.1, source=source,
+                                                       smooth_sigma=2.0))
+    n_voxels, cols = 16 ** 3, 3 + 2
+    assert peak <= 8 * n_voxels * 6 * cols
 
 
 def test_trajectory_save_load_round_trip(tmp_path):
