@@ -75,10 +75,14 @@ def _norm_stats(u: TensorField) -> tuple:
     return float(norms[idx]), list(int(i) for i in idx)
 
 
+def _read_field(path, boundary: str | None) -> TensorField:
+    """The field in an EQF file, moved onto ``boundary`` if one is given."""
+    u, _ = read_eqf(path)
+    return TensorField(u.grid.with_boundary(boundary), u.l, u.components) if boundary else u
+
+
 def cmd_apply(args) -> int:
-    u, _ = read_eqf(args.input)
-    if args.boundary:
-        u = TensorField(u.grid.with_boundary(args.boundary), u.l, u.components)
+    u = _read_field(args.input, args.boundary)
     t0 = time.perf_counter()
     if args.operator in REGISTRY:
         params = {}
@@ -174,9 +178,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    u0, _ = read_eqf(args.u0)
-    grid = u0.grid.with_boundary(args.boundary) if args.boundary else u0.grid
-    u0 = TensorField(grid, u0.l, u0.components)
+    u0 = _read_field(args.u0, args.boundary)
+    grid = u0.grid
     source = None
     if args.source != "none":
         source, _ = read_eqf(args.source)
@@ -240,7 +243,7 @@ def cmd_estimate(args) -> int:
 def cmd_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.input:
-        u, _ = read_eqf(args.input)
+        u = _read_field(args.input, args.boundary)
         source = args.input
     elif args.random:
         shape = parse_list(args.random, int)

@@ -15,11 +15,11 @@ The Fourier path runs on ``numpy.fft``.  It transforms the zero-boundary
 case at the Hockney size, N + min(kernel radius, N - 1) per axis rounded up
 to the next 11-smooth length, and the periodic case at the field's own
 size.  ``kernel_spectrum`` is the kernel's half of that product; an
-operator computes it once and keeps it.  The input and output transforms
-are pruned: one axis pass at a time, in place, the forward pass skips the
-lines that are all zero padding and the inverse pass skips the lines that
-fall outside the kept crop, so no line is transformed only to be thrown
-away.
+operator computes it when it is built and keeps it.  The input and output
+transforms are pruned: one axis pass at a time, in place, the forward pass
+skips the lines that are all zero padding and the inverse pass skips the
+lines that fall outside the kept crop, so no line is transformed only to
+be thrown away.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
     ``default_path`` sends the finite-difference stencils through the direct
     path and wider kernels through the Fourier path.  ``path`` forces a path
     for this call only, so the two can be checked against each other;
-    ``boundary`` defaults to the field's.  ``spectrum``, if given, is a
-    no-argument callable that returns the kernel's ``kernel_spectrum`` for
-    this field shape and boundary; it is called only on the Fourier path, so
-    a caller can keep the spectrum without paying for it on the direct one.
+    ``boundary`` defaults to the field's.  ``spectrum``, if given, is the
+    kernel's ``kernel_spectrum`` for this field shape and boundary, which the
+    Fourier path uses instead of transforming the kernel again.
     """
     dim = u.grid.dim
     if kernel.grid.dim != dim:
@@ -76,8 +75,7 @@ def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
     if path == DIRECT:
         return conv_direct(u, kernel, rule, boundary)
     if path == FOURIER:
-        return conv_fourier(u, kernel, rule, boundary,
-                            None if spectrum is None else spectrum())
+        return conv_fourier(u, kernel, rule, boundary, spectrum)
     raise ValueError(f"path must be direct|fourier, got {path!r}")
 
 

@@ -163,11 +163,14 @@ class NeuralOp:
     def with_params(self, amplitudes) -> "NeuralOp":
         return NeuralOp(self.param.with_amplitudes(amplitudes), self.rule, self.grid)
 
+    def operator(self) -> EquivariantOp:
+        """The ``EquivariantOp`` of the current kernel, built with its spectrum."""
+        return EquivariantOp("neural", self.grid, self.kernel(), self.rule.kind,
+                             boundary=ZERO, input_l=self.rule.l_u)
+
     def apply(self, u: TensorField, path: str | None = None) -> TensorField:
         """Convolve u with the current kernel; ``path`` forces a path for this call."""
-        op = EquivariantOp("neural", self.grid, self.kernel(), self.rule.kind,
-                           boundary=ZERO, input_l=self.rule.l_u)
-        return op.apply(u, path=path)
+        return self.operator().apply(u, path=path)
 
     def kernel(self) -> KernelField:
         basis = basis_kernels(self)
@@ -247,10 +250,11 @@ def _reduce_dataset(op: NeuralOp, dataset) -> tuple:
 def loss(op: NeuralOp, dataset) -> float:
     """Relative mean squared error: sum |v - v_target|^2 / sum |v_target|^2."""
     _check_dataset(op, dataset)
+    built = op.operator()
     num = 0.0
     den = 0.0
     for u, v in dataset:
-        pred = op.apply(u)
+        pred = built.apply(u)
         num += float(np.sum((pred.components - v.components) ** 2))
         den += float(np.sum(v.components ** 2))
     if den == 0.0:

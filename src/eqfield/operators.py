@@ -14,14 +14,13 @@ Sign and unit conventions (Gaussian units, eps0 = 1):
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolve import FOURIER, conv, default_path, kernel_spectrum, work_shape
+from .convolve import FOURIER, conv, default_path, kernel_spectrum
 from .fields import FieldError, RuleError, TensorField, product_rule
 from .grid import ZERO, Grid
 from .kernels import (KernelError, KernelField, delta_stencil, free_space_kernel_grid,
@@ -31,39 +30,31 @@ from .kernels import (KernelError, KernelField, delta_stencil, free_space_kernel
 
 @dataclass(frozen=True)
 class EquivariantOp:
-    """A kernel bundled with its product rule, built for one grid."""
+    """A kernel bundled with its product rule, built for one grid together
+    with everything it applies with: an operator whose default path is
+    Fourier computes its read-only kernel spectrum when it is built, and a
+    stencil operator holds none.  Nothing in it changes on apply."""
 
     name: str
     grid: Grid
     kernel: KernelField
     kind: str
-    boundary: str | None = None   # None: follow the input grid
+    boundary: str | None = None   # None: the grid's boundary
     input_l: int | None = None    # None: any order the rule accepts
+    spectrum: np.ndarray | None = field(init=False, repr=False, compare=False)
 
-    @property
-    def _boundary(self) -> str:
-        return self.boundary or self.grid.boundary
-
-    @functools.cached_property
-    def spectrum(self) -> np.ndarray:
-        """The kernel spectrum on this grid, computed on first use and kept."""
-        return kernel_spectrum(self.kernel, self.grid.shape, self._boundary)
-
-    @property
-    def _keeps_spectrum(self) -> bool:
-        """Only an operator whose default path is Fourier keeps its spectrum;
-        a forced Fourier call on a stencil computes one and drops it."""
-        return default_path(self.kernel) == FOURIER
+    def __post_init__(self):
+        if self.boundary is None:
+            object.__setattr__(self, "boundary", self.grid.boundary)
+        fourier = default_path(self.kernel) == FOURIER
+        object.__setattr__(self, "spectrum", kernel_spectrum(
+            self.kernel, self.grid.shape, self.boundary) if fourier else None)
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the kernel, plus those of the spectrum it keeps, whether
-        computed yet or not."""
-        karr = self.kernel.field.components
-        if not self._keeps_spectrum:
-            return karr.nbytes
-        work = work_shape(self.grid.shape, self.kernel.grid.shape, self._boundary)
-        return karr.nbytes + 16 * len(karr) * math.prod(work[:-1]) * (work[-1] // 2 + 1)
+        """Bytes of the kernel plus those of the spectrum the operator holds."""
+        held = 0 if self.spectrum is None else self.spectrum.nbytes
+        return self.kernel.field.components.nbytes + held
 
     def apply(self, u: TensorField, path: str | None = None) -> TensorField:
         """Convolve u with the kernel; ``path`` forces a path for this call."""
@@ -73,8 +64,8 @@ class EquivariantOp:
             raise RuleError(f"operator {self.name!r} expects l={self.input_l} input, "
                             f"got l={u.l}")
         rule = product_rule(self.kind, u.l, self.kernel.l_h, u.grid.dim)
-        return conv(u, self.kernel, rule, path=path, boundary=self._boundary,
-                    spectrum=(lambda: self.spectrum) if self._keeps_spectrum else None)
+        return conv(u, self.kernel, rule, path=path, boundary=self.boundary,
+                    spectrum=self.spectrum)
 
 
 def identity_op(grid: Grid) -> EquivariantOp:
@@ -179,9 +170,9 @@ def make_operator(name: str, grid: Grid, **params) -> EquivariantOp:
     """Build a registered operator for a grid; diffusion takes D and t.
 
     Instances are cached per (name, grid, params): operators are frozen, and
-    Green's-function kernels and their spectra are expensive enough to be
-    worth reusing.  The cache holds at most ``CACHE_BYTES`` of kernels and
-    spectra, counting a spectrum before it is computed.
+    Green's-function kernels and the spectra built with them are expensive
+    enough to be worth reusing.  The cache holds at most ``CACHE_BYTES`` of
+    operators, each counted by its ``nbytes`` once it is built.
     """
     if name not in REGISTRY:
         raise KeyError(f"unknown operator {name!r}; registry: {sorted(REGISTRY)}")

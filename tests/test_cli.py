@@ -443,6 +443,19 @@ def test_check_on_saved_field(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_boundary_flag_moves_the_file_field(tmp_path, capsys):
+    g = eq.Grid.centered((8, 8))
+    values = np.random.default_rng(12).standard_normal(g.shape)
+    reports = []
+    for name, boundary, flag in (("zero", eq.ZERO, ["--boundary", eq.PERIODIC]),
+                                 ("periodic", eq.PERIODIC, [])):
+        src = tmp_path / f"u_{name}.eqf"
+        _write_scalar(src, g.with_boundary(boundary), values)
+        code = main(["check", str(src), *flag])
+        reports.append((code, capsys.readouterr().out.replace(str(src), "FIELD")))
+    assert reports[0] == reports[1]
+
+
 def test_check_without_input_exits_2(capsys):
     assert main(["check"]) == 2
     capsys.readouterr()

@@ -96,6 +96,20 @@ def test_neural_op_is_linear_in_amplitudes():
     assert np.allclose(mixed, 0.3 * out1 - 2.0 * out2, atol=1e-12)
 
 
+def test_loss_builds_the_learned_kernel_once(monkeypatch):
+    rng = np.random.default_rng(11)
+    g = eq.Grid.centered((9, 9, 9))
+    op = eq.make_neural_op(g, kind="scalar", l_u=0, l_h=0, param=_small_param())
+    op = op.with_params(rng.standard_normal(4))
+    data = [(eq.TensorField.random(g, 0, rng), eq.TensorField.random(g, 0, rng))
+            for _ in range(4)]
+    expect = eq.loss(op, data)
+    kernel, calls = eq.NeuralOp.kernel, []
+    monkeypatch.setattr(eq.NeuralOp, "kernel", lambda self: calls.append(1) or kernel(self))
+    assert eq.loss(op, data) == expect
+    assert len(calls) == 1
+
+
 def test_least_squares_recovers_amplitudes():
     rng = np.random.default_rng(5)
     g = eq.Grid.centered((9, 9, 9))

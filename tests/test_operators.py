@@ -398,24 +398,33 @@ def test_second_apply_transforms_only_the_input(fft_calls):
         assert np.array_equal(first.components, second.components)
 
 
-def test_direct_call_never_computes_the_spectrum(fft_calls):
-    g = eq.Grid.centered((5, 5, 5))
-    op = eq.inverse_laplacian_op(g)
-    op.apply(eq.TensorField.random(g, 0, np.random.default_rng(7)), path=eq.DIRECT)
-    assert fft_calls.forward == [] and "spectrum" not in vars(op)
+def _registry_ops():
+    for dim, shape in ((3, (9, 8, 7)), (2, (10, 7))):
+        for boundary in eq.BOUNDARIES:
+            g = eq.Grid.centered(shape, boundary=boundary)
+            for name, build in eq.REGISTRY.items():
+                if name == "gauss_law" and dim == 2:
+                    continue
+                params = {"D": 1.0, "t": 0.5} if name == "diffusion" else {}
+                yield pytest.param(g, name, build, params, id=f"{name}-{dim}d-{boundary}")
 
 
-def test_operator_bytes_count_the_spectrum_before_it_exists():
-    for boundary in eq.BOUNDARIES:
-        g = eq.Grid.centered((9, 8, 7), boundary=boundary)
-        for op in (eq.diffusion_op(g, 1.0, 0.5), eq.gauss_law_op(g)):
-            predicted = op.nbytes
-            assert predicted == op.kernel.field.components.nbytes + op.spectrum.nbytes
-        # a stencil goes direct by default and keeps no spectrum
-        op = eq.grad_op(g)
-        assert op.nbytes == op.kernel.field.components.nbytes
-    op = eq.grad_op(eq.Grid.centered((128,) * 3))
-    assert op.nbytes == op.kernel.field.components.nbytes
+@pytest.mark.parametrize("g, name, build, params", _registry_ops())
+def test_operator_holds_what_it_applies_with(g, name, build, params):
+    op = build(g, **params)
+    held_before = dict(vars(op))   # before anything reads the operator
+    direct = eq.convolve.default_path(op.kernel) == eq.DIRECT
+    assert (op.spectrum is None) == direct
+    held = 0 if direct else op.spectrum.nbytes
+    assert op.nbytes == op.kernel.field.components.nbytes + held
+    spectrum = None if direct else op.spectrum.copy()
+    l_u = 1 if name in ("div", "curl") else 0
+    u = eq.TensorField.random(g, l_u, np.random.default_rng(9))
+    for path in (None, eq.DIRECT, eq.FOURIER):
+        op.apply(u, path=path)
+        assert vars(op).keys() == held_before.keys()
+        assert all(vars(op)[k] is v for k, v in held_before.items())
+        assert direct or np.array_equal(op.spectrum, spectrum)
 
 
 @pytest.mark.parametrize("build", [
@@ -425,12 +434,11 @@ def test_operator_bytes_count_the_spectrum_before_it_exists():
     lambda: eq.diffusion_op(eq.Grid.centered((24,) * 3, boundary=eq.PERIODIC), 1.0, 0.5),
 ], ids=["inverse_laplacian_3d", "inverse_laplacian_2d", "gauss_law", "diffusion_periodic"])
 def test_green_operator_build_peak_is_bounded(build):
-    # building an operator and its spectrum holds, at its peak, what the
+    # building an operator with its spectrum holds, at its peak, what the
     # operator keeps plus at most three kernels' worth of temporaries
     tracemalloc.start()
     try:
         op = build()
-        op.spectrum
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -442,7 +450,7 @@ def test_forced_fourier_call_on_a_stencil_keeps_no_spectrum():
     u = eq.TensorField.random(g, 0, np.random.default_rng(8))
     op = eq.grad_op(g)
     out = op.apply(u, path=eq.FOURIER)
-    assert "spectrum" not in vars(op)
+    assert op.spectrum is None
     rule = eq.product_rule("scalar", 0, 1, 3)
     assert np.array_equal(out.components,
                           eq.conv(u, op.kernel, rule, path=eq.FOURIER).components)
