@@ -30,8 +30,7 @@ from .operators import (REGISTRY, EquivariantOp, curl, curl_op, diffusion,
                         grad, grad_op, identity_op, inverse_laplacian,
                         inverse_laplacian_op, laplacian, laplacian_op,
                         make_operator)
-from .rotations import (LatticeRotation, all_rotations, axis_rotation,
-                        identity_rotation, rotation_2d)
+from .rotations import LatticeRotation, all_rotations, axis_rotation, rotation_2d
 from .sim import (DiffusionAdvectionModel, EstimateResult, EstimationError,
                   SimulationError, StabilityError, estimate_parameters,
                   load_trajectory, max_stable_dt, point_source,

@@ -47,18 +47,8 @@ def _relative(diff: TensorField, ref: TensorField) -> float:
 
 
 def compatible_rotations(grid: Grid) -> list:
-    """Lattice rotations that map the grid's index box onto itself."""
-    out = []
-    for rot in all_rotations(grid.dim):
-        ok = True
-        for i in range(grid.dim):
-            j = int(np.argmax(np.abs(rot.matrix[i])))
-            if grid.shape[i] != grid.shape[j]:
-                ok = False
-                break
-        if ok:
-            out.append(rot)
-    return out
+    """The lattice rotations that map the grid's index box onto itself (``axis_map``)."""
+    return [rot for rot in all_rotations(grid.dim) if rot.axis_map(grid.shape) is not None]
 
 
 def _check_kernel(grid: Grid, l_h: int) -> KernelField:

@@ -264,7 +264,7 @@ def cmd_check(args) -> int:
     report = RunReport(
         "check",
         inputs={"field": source, "l": u.l, "shape": list(u.grid.shape)},
-        parameters={"corrupt": int(args.corrupt)},
+        parameters={"corrupt": int(args.corrupt), "boundary": u.grid.boundary},
         metrics=metrics,
         outputs=[])
     _emit(report, args.report)

@@ -84,7 +84,8 @@ def conv_direct(u: TensorField, kernel: KernelField, rule: ProductRule,
     """Direct-space convolution, O(N * kernel support).
 
     The input is padded once by the kernel radius (zeros, or its periodic
-    wrap); each tap then reads a shifted window of the padded input.
+    wrap); each non-zero entry of a tap's mix adds one scaled shifted window
+    of the padded input, taps in row-major order, then (m, p).
     """
     karr = kernel.field.components
     coeff = rule_coefficients(rule, u.grid.dim)
@@ -92,14 +93,13 @@ def conv_direct(u: TensorField, kernel: KernelField, rule: ProductRule,
     mode = "wrap" if boundary == PERIODIC else "constant"
     upad = np.pad(u.components, [(0, 0)] + [(k // 2, (k - 1) // 2) for k in kshape],
                   mode=mode)
+    mix = np.einsum("mnp,n...->...mp", coeff, karr)
     out = np.zeros((coeff.shape[2],) + ushape)
-    for idx in np.argwhere(np.any(karr != 0.0, axis=0)):
-        mix = np.einsum("mnp,n->mp", coeff, karr[(slice(None),) + tuple(idx)])
+    for *idx, m, p in np.argwhere(mix).tolist():
         # the tap at idx reads u[r - (idx - center)], which is upad[r + k - 1 - idx]
-        window = upad[(slice(None),) + tuple(slice(k - 1 - i, k - 1 - i + n)
-                                             for k, i, n in zip(kshape, idx, ushape))]
-        for m, p in np.argwhere(mix):
-            out[p] += mix[m, p] * window[m]
+        window = upad[(m,) + tuple(slice(k - 1 - i, k - 1 - i + n)
+                                   for k, i, n in zip(kshape, idx, ushape))]
+        out[p] += mix[(*idx, m, p)] * window
     out *= u.grid.voxel_volume
     return TensorField(u.grid, rule.l_v, out)
 

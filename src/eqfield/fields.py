@@ -251,35 +251,23 @@ def field_norm(u: TensorField) -> TensorField:
     return TensorField(u.grid, 0, np.sqrt(np.sum(u.components ** 2, axis=0))[None])
 
 
-def _rotated_index_map(grid: Grid, rot) -> tuple:
-    """Advanced-index tuple picking the source voxel g^-1(i) for each output i."""
-    ginv = rot.matrix.T
-    center = grid.center_index()
-    idx = np.indices(grid.shape, dtype=float)
-    rel = idx - center.reshape((-1,) + (1,) * grid.dim)
-    src = np.einsum("ab,b...->a...", ginv.astype(float), rel) + \
-        center.reshape((-1,) + (1,) * grid.dim)
-    src_int = np.rint(src).astype(int)
-    if np.max(np.abs(src - src_int)) > 1e-9:
-        raise FieldError("rotation incompatible with grid shape (non-square/cube domain)")
-    for a in range(grid.dim):
-        if src_int[a].min() < 0 or src_int[a].max() >= grid.shape[a]:
-            raise FieldError("rotation incompatible with grid shape (non-square/cube domain)")
-    return tuple(src_int)
-
-
 def rotate_field(u: TensorField, rot) -> TensorField:
     """Rotate a field about the domain center: out(i) = D_l(g) u(g^-1 i).
 
-    Positions are permuted exactly (lattice rotations only); tensor values
-    transform in their order-l representation.
+    A lattice rotation moves voxels by transposing the grid axes and
+    reversing some of them (``LatticeRotation.axis_map``), so positions move
+    exactly; tensor values transform in their order-l representation.
     """
     if rot.dim != u.grid.dim:
         raise FieldError("rotation dimension does not match the grid")
-    src = _rotated_index_map(u.grid, rot)
-    permuted = u.components[(slice(None),) + src]
-    rep = rot.representation(u.l)
-    rotated = np.einsum("ab,b...->a...", rep, permuted)
+    moved = rot.axis_map(u.grid.shape)
+    if moved is None:
+        raise FieldError("rotation incompatible with grid shape (non-square/cube domain)")
+    axes, flipped = moved
+    permuted = np.flip(np.transpose(u.components, (0, *(axes + 1))),
+                       tuple(np.flatnonzero(flipped) + 1))
+    # C order: np.sum over a transposed layout would add the voxels in another order
+    rotated = np.einsum("ab,b...->a...", rot.representation(u.l), permuted, order="C")
     return TensorField(u.grid, u.l, rotated)
 
 

@@ -8,6 +8,8 @@ machine precision without interpolation.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .fields import l2_basis
@@ -43,6 +45,15 @@ class LatticeRotation:
     def __repr__(self):
         return f"LatticeRotation({self.matrix.tolist()})"
 
+    def axis_map(self, shape) -> tuple[np.ndarray, np.ndarray] | None:
+        """(axes, flipped): output axis b reads input axis axes[b], the nonzero
+        column of row b, reversed where that entry is -1.  None unless every
+        shape[axes[b]] == shape[b], i.e. the rotation maps the index box onto itself."""
+        axes = np.argmax(np.abs(self.matrix), axis=1)
+        if any(shape[a] != n for a, n in zip(axes, shape)):
+            return None
+        return axes, self.matrix[range(self.dim), axes] < 0
+
     def representation(self, l: int) -> np.ndarray:
         """Matrix acting on the component tuple of an order-l tensor."""
         if l == 0:
@@ -56,10 +67,6 @@ class LatticeRotation:
             # components of g B_k g^T in the basis (each basis norm^2 is 2)
             return np.einsum("kij,lij->lk", rotated, basis) / 2.0
         raise ValueError(f"no order-{l} representation in {self.dim}d")
-
-
-def identity_rotation(dim: int) -> LatticeRotation:
-    return LatticeRotation(np.eye(dim, dtype=int))
 
 
 def rotation_2d(quarter_turns: int) -> LatticeRotation:
@@ -81,19 +88,15 @@ def axis_rotation(axis: int, quarter_turns: int) -> LatticeRotation:
 
 
 def all_rotations(dim: int) -> list[LatticeRotation]:
-    """Every lattice rotation: 4 in 2d, the 24 octahedral rotations in 3d."""
-    if dim == 2:
-        return [rotation_2d(k) for k in range(4)]
-    if dim == 3:
-        out = []
-        from itertools import permutations, product
-        for perm in permutations(range(3)):
-            for signs in product((1, -1), repeat=3):
-                m = np.zeros((3, 3), dtype=int)
-                for row, (col, sign) in enumerate(zip(perm, signs)):
-                    m[row, col] = sign
-                if round(float(np.linalg.det(m))) == 1:
-                    out.append(LatticeRotation(m))
-        assert len(out) == 24
-        return out
-    raise ValueError(f"unsupported dimension {dim}")
+    """Every lattice rotation, the signed permutations of determinant +1: 4 in
+    2d, the 24 octahedral rotations in 3d, ordered by permutation, then signs."""
+    if dim not in (2, 3):
+        raise ValueError(f"unsupported dimension {dim}")
+    out = []
+    for perm in itertools.permutations(range(dim)):
+        for signs in itertools.product((1, -1), repeat=dim):
+            m = np.zeros((dim, dim), dtype=int)
+            m[range(dim), perm] = signs
+            if round(float(np.linalg.det(m))) == 1:
+                out.append(LatticeRotation(m))
+    return out

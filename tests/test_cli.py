@@ -454,6 +454,7 @@ def test_check_boundary_flag_moves_the_file_field(tmp_path, capsys):
         code = main(["check", str(src), *flag])
         reports.append((code, capsys.readouterr().out.replace(str(src), "FIELD")))
     assert reports[0] == reports[1]
+    assert "param.boundary=periodic" in reports[0][1].splitlines()
 
 
 def test_check_without_input_exits_2(capsys):

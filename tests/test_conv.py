@@ -59,6 +59,24 @@ def _random_kernel(dim, l_h, rng, width=3):
     return eq.KernelField(field=field, l_h=l_h)
 
 
+def _direct_tap_by_tap(u, kernel, rule, boundary):
+    """The direct path as nested loops: over taps with a non-zero component,
+    then over the non-zero (m, p) entries of that tap's mix."""
+    karr = kernel.field.components
+    coeff = eq.rule_coefficients(rule, u.grid.dim)
+    kshape, ushape = kernel.grid.shape, u.grid.shape
+    upad = np.pad(u.components, [(0, 0)] + [(k // 2, (k - 1) // 2) for k in kshape],
+                  mode="wrap" if boundary == eq.PERIODIC else "constant")
+    out = np.zeros((coeff.shape[2],) + ushape)
+    for idx in np.argwhere(np.any(karr != 0.0, axis=0)):
+        mix = np.einsum("mnp,n->mp", coeff, karr[(slice(None),) + tuple(idx)])
+        window = upad[(slice(None),) + tuple(slice(k - 1 - i, k - 1 - i + n)
+                                             for k, i, n in zip(kshape, idx, ushape))]
+        for m, p in np.argwhere(mix):
+            out[p] += mix[m, p] * window[m]
+    return out * u.grid.voxel_volume
+
+
 ORACLE_RULES = [
     ("scalar", 0, 0, 2),
     ("scalar", 0, 1, 2),
@@ -103,6 +121,22 @@ def test_conv_matches_brute_force(kind, l_u, l_h, dim, width):
             out = eq.conv(u, kernel, rule, path=path)
             assert out.l == rule.l_v
             assert np.allclose(out.components, ref, atol=1e-12), (boundary, path)
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("width", (3, 5))
+def test_conv_direct_matches_tap_by_tap_loop(dim, width):
+    rng = np.random.default_rng(10 * dim + width)
+    for rule in eq.supported_rules(dim):
+        kg = eq.kernel_grid((width,) * dim, 1.0)
+        comps = eq.TensorField.random(kg, rule.l_h, rng).components
+        comps[(slice(None),) + (1,) * dim] = 0.0   # one zero tap
+        kern = eq.KernelField(eq.TensorField(kg, rule.l_h, comps), rule.l_h)
+        for boundary in (eq.ZERO, eq.PERIODIC):
+            g = eq.Grid.centered((7, 6, 5)[:dim], 1.0, boundary=boundary)
+            u = eq.TensorField.random(g, rule.l_u, rng)
+            got = eq.conv_direct(u, kern, rule, boundary).components
+            assert got.tobytes() == _direct_tap_by_tap(u, kern, rule, boundary).tobytes()
 
 
 def test_delta_identity_exact():

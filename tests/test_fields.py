@@ -1,5 +1,6 @@
 """Grid geometry, tensor storage, l=2 algebra, rotations, and file formats."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import eqfield as eq
+from eqfield.checks import compatible_rotations
 from eqfield.formats import _header_line, fmt_value, parse_list
 
 
@@ -180,6 +182,72 @@ def test_rotation_2d():
     rot = eq.rotation_2d(1)
     assert np.allclose(rot.matrix, [[0.0, -1.0], [1.0, 0.0]])
     assert np.allclose(eq.rotation_2d(4).matrix, np.eye(2))
+
+
+def test_all_rotations_order():
+    # 3d: permutations, then signs, in itertools order (tests slice this list)
+    want = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            m = np.zeros((3, 3), dtype=int)
+            for row, (col, sign) in enumerate(zip(perm, signs)):
+                m[row, col] = sign
+            if round(float(np.linalg.det(m))) == 1:
+                want.append(m.tolist())
+    assert [rot.matrix.tolist() for rot in eq.all_rotations(3)] == want
+    assert set(eq.all_rotations(2)) == {eq.rotation_2d(k) for k in range(4)}
+
+
+def _float_index_map(grid, rot):
+    """Source voxel g^-1 i of every output voxel i, by float arithmetic about
+    the domain center; None when a source is off the lattice or the grid."""
+    center = grid.center_index().reshape((-1,) + (1,) * grid.dim)
+    src = np.einsum("ab,b...->a...", rot.matrix.T.astype(float),
+                    np.indices(grid.shape, dtype=float) - center) + center
+    src_int = np.rint(src).astype(int)
+    if np.max(np.abs(src - src_int)) > 1e-9:
+        return None
+    if any(s.min() < 0 or s.max() >= n for s, n in zip(src_int, grid.shape)):
+        return None
+    return tuple(src_int)
+
+
+ROTATION_SHAPES = [(5, 5), (6, 6), (6, 9), (7, 4), (4, 4, 4), (5, 5, 5), (5, 5, 8),
+                   (4, 7, 4), (6, 5, 5), (3, 4, 5), (5, 8, 5)]
+
+
+@pytest.mark.parametrize("shape", ROTATION_SHAPES)
+def test_rotate_field_matches_float_index_map(shape):
+    rng = np.random.default_rng(sum(shape))
+    g = eq.Grid.centered(shape, 0.7)
+    for l in ((0, 1, 2) if g.dim == 3 else (0, 1)):
+        u = eq.TensorField.random(g, l, rng)
+        for rot in eq.all_rotations(g.dim):
+            src = _float_index_map(g, rot)
+            if src is None:
+                with pytest.raises(eq.FieldError, match=r"^rotation incompatible with grid "
+                                   r"shape \(non-square/cube domain\)$"):
+                    eq.rotate_field(u, rot)
+                continue
+            want = np.einsum("ab,b...->a...", rot.representation(l),
+                             u.components[(slice(None),) + src])
+            got = eq.rotate_field(u, rot).components
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", ROTATION_SHAPES)
+def test_compatible_rotations_match_axis_length_test(shape):
+    # a rotation fits the box when each axis keeps the length of the axis it reads
+    g = eq.Grid.centered(shape)
+    want = []
+    for rot in eq.all_rotations(g.dim):
+        if all(shape[i] == shape[int(np.argmax(np.abs(rot.matrix[i])))]
+               for i in range(g.dim)):
+            want.append(rot)
+    assert compatible_rotations(g) == want
+    assert want == [rot for rot in eq.all_rotations(g.dim)
+                    if _float_index_map(g, rot) is not None]
 
 
 # ---------------------------------------------------------------------------
