@@ -1,8 +1,10 @@
 """Command-line interface: apply/fit/simulate/estimate/check over EQF files.
 
-Exit codes: 0 success, 1 property-check failure, 2 input/format error,
-3 shape/rule mismatch, 4 numerical guard (instability, blow-up,
-unidentifiable parameters).  All numbers print at 17 significant digits.
+Each subcommand maps its parsed arguments to a ``RunReport``; ``main`` prints
+and writes that report and exits with its code.  Exit codes: 0 success,
+1 property-check failure, 2 input/format error, 3 shape/rule mismatch,
+4 numerical guard (instability, blow-up, unidentifiable parameters).  All
+numbers print at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .checks import all_passed, run_checks
 from .convolve import DIRECT, FOURIER
-from .fields import TensorField
+from .fields import TensorField, field_norm
 from .formats import (FormatError, fmt_value, format_keyvalues, manifest_lines,
                       parse_list, read_eqf, write_eqf, write_keyvalues)
 from .grid import BOUNDARIES, Grid
@@ -43,6 +45,7 @@ class RunReport:
     parameters: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
+    exit_code: int = EXIT_OK
 
     def keyvalues(self) -> dict:
         kv = {"command": self.command}
@@ -70,9 +73,9 @@ def _emit(report: RunReport, report_path: str | None) -> None:
 
 
 def _norm_stats(u: TensorField) -> tuple:
-    norms = np.sqrt(np.sum(u.components ** 2, axis=0))
+    norms = field_norm(u).components[0]
     idx = np.unravel_index(int(np.argmax(norms)), norms.shape)
-    return float(norms[idx]), list(int(i) for i in idx)
+    return float(norms[idx]), [int(i) for i in idx]
 
 
 def _read_field(path, boundary: str | None) -> TensorField:
@@ -81,7 +84,7 @@ def _read_field(path, boundary: str | None) -> TensorField:
     return TensorField(u.grid.with_boundary(boundary), u.l, u.components) if boundary else u
 
 
-def cmd_apply(args) -> int:
+def cmd_apply(args) -> RunReport:
     u = _read_field(args.input, args.boundary)
     t0 = time.perf_counter()
     if args.operator in REGISTRY:
@@ -103,7 +106,7 @@ def cmd_apply(args) -> int:
     write_eqf(args.output, v)
     in_max, _ = _norm_stats(u)
     out_max, out_idx = _norm_stats(v)
-    report = RunReport(
+    return RunReport(
         "apply",
         inputs={"field": args.input, "l": u.l, "shape": list(u.grid.shape)},
         parameters={"operator": op_label, "path": args.path or "auto",
@@ -111,8 +114,6 @@ def cmd_apply(args) -> int:
         metrics={"input_max_norm": in_max, "output_max_norm": out_max,
                  "output_max_norm_voxel": out_idx, "wall_seconds": elapsed},
         outputs=[args.output])
-    _emit(report, args.report)
-    return EXIT_OK
 
 
 def _read_pair_manifest(path) -> list:
@@ -143,7 +144,7 @@ def _write_radial_csv(path, param, grid, reference: str | None) -> None:
         fh.writelines(fmt_value(line) + "\n" for line in [columns, *zip(*rows)])
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> RunReport:
     dataset = _read_pair_manifest(args.manifest)
     grid = dataset[0][0].grid
     l_u = dataset[0][0].l
@@ -165,7 +166,7 @@ def cmd_fit(args) -> int:
     if args.csv:
         _write_radial_csv(args.csv, fitted.param, grid, args.reference)
         outputs.append(args.csv)
-    report = RunReport(
+    return RunReport(
         "fit",
         inputs={"manifest": args.manifest, "pairs": len(dataset),
                 "shape": list(grid.shape), "l_u": l_u},
@@ -173,17 +174,12 @@ def cmd_fit(args) -> int:
                     "gaussians": args.gaussians, "ridge": args.ridge},
         metrics=metrics,
         outputs=outputs)
-    _emit(report, args.report)
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> RunReport:
     u0 = _read_field(args.u0, args.boundary)
     grid = u0.grid
-    source = None
-    if args.source != "none":
-        source, _ = read_eqf(args.source)
-        source = TensorField(grid, source.l, source.components)
+    source = None if args.source == "none" else _read_field(args.source, grid.boundary)
     w = [args.wx, args.wy]
     if grid.dim == 3:
         if args.wz is None:
@@ -201,7 +197,7 @@ def cmd_simulate(args) -> int:
     mass1 = float(np.sum(traj[-1].components)) * vol
     injected = float(np.sum(model.source.components)) * vol * model.dt * args.steps
     drift = abs(mass1 - mass0 - injected) / max(abs(mass0), abs(mass1), 1e-300)
-    report = RunReport(
+    return RunReport(
         "simulate",
         inputs={"u0": args.u0, "source": args.source, "shape": list(grid.shape)},
         parameters={"D": args.D, "w": w, "dt": args.dt, "steps": args.steps,
@@ -210,37 +206,30 @@ def cmd_simulate(args) -> int:
                  "injected_mass": injected, "mass_drift_relative": drift,
                  "wall_seconds": elapsed},
         outputs=[args.outdir])
-    _emit(report, args.report)
-    return EXIT_OK
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> RunReport:
     frames, model = load_trajectory(args.trajdir)
     t0 = time.perf_counter()
     result = estimate_parameters(frames, model.dt, model.source,
                                  smooth_sigma=args.smooth)
     elapsed = time.perf_counter() - t0
     metrics = {"D_hat": result.D, "w_hat": list(result.w),
-               "residual_relative_mse": result.residual,
-               "condition": result.condition, "wall_seconds": elapsed}
-    metrics["D_true"] = model.D
-    metrics["w_true"] = list(model.w)
+               "residual_relative_mse": result.residual, "condition": result.condition,
+               "wall_seconds": elapsed, "D_true": model.D, "w_true": list(model.w)}
     if model.D != 0:
         metrics["D_relative_error"] = abs(result.D - model.D) / abs(model.D)
     wnorm = float(np.linalg.norm(model.w))
     if wnorm > 0:
         metrics["w_relative_error"] = float(np.linalg.norm(result.w - model.w)) / wnorm
-    report = RunReport(
+    return RunReport(
         "estimate",
         inputs={"trajectory": args.trajdir, "frames": len(frames), "dt": model.dt},
         parameters={"smooth": args.smooth},
-        metrics=metrics,
-        outputs=[])
-    _emit(report, args.report)
-    return EXIT_OK
+        metrics=metrics)
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> RunReport:
     rng = np.random.default_rng(args.seed)
     if args.input:
         u = _read_field(args.input, args.boundary)
@@ -255,20 +244,16 @@ def cmd_check(args) -> int:
     results = run_checks(u, rng, corrupt=args.corrupt)
     for r in results:
         print(r.line())
-    metrics = {}
-    for r in results:
-        key = r.name.replace(" ", "_").replace("(", "").replace(")", "")
-        metrics[key] = r.deviation
+    metrics = {r.name.replace(" ", "_").replace("(", "").replace(")", ""): r.deviation
+               for r in results}
     metrics["checks_passed"] = sum(r.passed for r in results)
     metrics["checks_total"] = len(results)
-    report = RunReport(
+    return RunReport(
         "check",
         inputs={"field": source, "l": u.l, "shape": list(u.grid.shape)},
         parameters={"corrupt": int(args.corrupt), "boundary": u.grid.boundary},
         metrics=metrics,
-        outputs=[])
-    _emit(report, args.report)
-    return EXIT_OK if all_passed(results) else EXIT_CHECK_FAILED
+        exit_code=EXIT_OK if all_passed(results) else EXIT_CHECK_FAILED)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,19 +262,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rotation-equivariant tensor-field operators on regular grids.")
     p.add_argument("--seed", type=int, default=0, help="seed for generated fields")
     sub = p.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report", help="write the key=value report here")
+    bounded = argparse.ArgumentParser(add_help=False, parents=[report])
+    bounded.add_argument("--boundary", choices=BOUNDARIES,
+                         help="move the input field onto this boundary")
 
-    a = sub.add_parser("apply", help="apply a named operator or fitted model")
+    a = sub.add_parser("apply", parents=[bounded], help="apply a named operator or fitted model")
     a.add_argument("operator", help="registry name or model manifest path")
     a.add_argument("input", help="input EQF field")
     a.add_argument("output", help="output EQF field")
     a.add_argument("--path", choices=(DIRECT, FOURIER))
-    a.add_argument("--boundary", choices=tuple(BOUNDARIES))
     a.add_argument("--D", type=float, help="diffusivity (diffusion operator)")
     a.add_argument("--t", type=float, help="time (diffusion operator)")
-    a.add_argument("--report", help="write the key=value report here")
     a.set_defaults(func=cmd_apply)
 
-    f = sub.add_parser("fit", help="fit a neural operator to field pairs")
+    f = sub.add_parser("fit", parents=[report], help="fit a neural operator to field pairs")
     f.add_argument("manifest", help="text file: one 'input.eqf target.eqf' per line")
     f.add_argument("--model", required=True, help="output model manifest")
     f.add_argument("--kind", default="scalar",
@@ -301,10 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--csv", help="write fitted R(r) samples here")
     f.add_argument("--reference", choices=("inverse_r", "inverse_r2", "log_r"),
                    help="analytic reference column for the CSV")
-    f.add_argument("--report")
     f.set_defaults(func=cmd_fit)
 
-    s = sub.add_parser("simulate", help="explicit-Euler diffusion-advection run")
+    s = sub.add_parser("simulate", parents=[bounded], help="explicit-Euler diffusion-advection run")
     s.add_argument("source", help="source EQF field, or 'none'")
     s.add_argument("u0", help="initial state EQF field")
     s.add_argument("outdir", help="trajectory output directory")
@@ -314,25 +301,21 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--wz", type=float, default=None)
     s.add_argument("--dt", type=float, required=True)
     s.add_argument("--steps", type=int, required=True)
-    s.add_argument("--boundary", choices=tuple(BOUNDARIES))
-    s.add_argument("--report")
     s.set_defaults(func=cmd_simulate)
 
-    e = sub.add_parser("estimate", help="recover D and w from a trajectory")
+    e = sub.add_parser("estimate", parents=[report], help="recover D and w from a trajectory")
     e.add_argument("trajdir", help="directory written by simulate")
     e.add_argument("--smooth", type=float, default=0.0,
                    help="Gaussian prefilter width for noisy frames (length units)")
-    e.add_argument("--report")
     e.set_defaults(func=cmd_estimate)
 
-    c = sub.add_parser("check", help="equivariance/linearity/calculus property suite")
+    c = sub.add_parser("check", parents=[bounded],
+                       help="equivariance/linearity/calculus property suite")
     c.add_argument("input", nargs="?", help="EQF field to check")
     c.add_argument("--random", help="generate a field: comma-separated shape, e.g. 9,9,9")
     c.add_argument("--l", type=int, default=0, help="order of the generated field")
-    c.add_argument("--boundary", choices=tuple(BOUNDARIES))
     c.add_argument("--corrupt", action="store_true",
                    help="negative control: breaks kernel symmetry on purpose")
-    c.add_argument("--report")
     c.set_defaults(func=cmd_check)
     return p
 
@@ -340,10 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (FileNotFoundError, SimulationError, ValueError) as exc:
+        report = args.func(args)
+        _emit(report, args.report)   # so an unwritable --report path exits 2
+        return report.exit_code
+    except (OSError, SimulationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (FileNotFoundError, FormatError)):
+        if isinstance(exc, (OSError, FormatError)):
             return EXIT_FORMAT
         if isinstance(exc, (StabilityError, SimulationError, EstimationError)):
             return EXIT_NUMERIC

@@ -31,7 +31,7 @@ from numpy import fft as sfft
 
 from .fields import (FieldError, ProductRule, RuleError, TensorField,
                      rule_coefficients)
-from .grid import PERIODIC, ZERO
+from .grid import PERIODIC, ZERO, check_boundary
 from .kernels import KernelField
 
 DIRECT = "direct"
@@ -53,9 +53,10 @@ def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
     ``default_path`` sends the finite-difference stencils through the direct
     path and wider kernels through the Fourier path.  ``path`` forces a path
     for this call only, so the two can be checked against each other;
-    ``boundary`` defaults to the field's.  ``spectrum``, if given, is the
-    kernel's ``kernel_spectrum`` for this field shape and boundary, which the
-    Fourier path uses instead of transforming the kernel again.
+    ``boundary`` defaults to the field's, and one not in ``grid.BOUNDARIES``
+    raises GridError.  ``spectrum``, if given, is the kernel's
+    ``kernel_spectrum`` for this field shape and boundary, which the Fourier
+    path uses instead of transforming the kernel again.
     """
     dim = u.grid.dim
     if kernel.grid.dim != dim:
@@ -70,8 +71,7 @@ def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
         raise RuleError(f"rule expects kernel order {rule.l_h}, kernel has l={kernel.l_h}")
     if path is None:
         path = default_path(kernel)
-    if boundary is None:
-        boundary = u.grid.boundary
+    boundary = check_boundary(u.grid.boundary if boundary is None else boundary)
     if path == DIRECT:
         return conv_direct(u, kernel, rule, boundary)
     if path == FOURIER:

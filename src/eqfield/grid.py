@@ -15,6 +15,13 @@ class GridError(ValueError):
     pass
 
 
+def check_boundary(boundary: str) -> str:
+    """``boundary`` itself if it is one of ``BOUNDARIES``; GridError otherwise."""
+    if boundary not in BOUNDARIES:
+        raise GridError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
+    return boundary
+
+
 @dataclass(frozen=True)
 class Grid:
     """Geometry of a regular orthogonal voxel lattice.
@@ -46,8 +53,7 @@ class Grid:
             raise GridError(f"spacing must be positive and finite, got {spacing}")
         if not all(np.isfinite(origin)):
             raise GridError(f"origin must be finite, got {origin}")
-        if self.boundary not in BOUNDARIES:
-            raise GridError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
+        check_boundary(self.boundary)
 
     @property
     def dim(self) -> int:

@@ -31,13 +31,18 @@ RELU = "relu"
 IDENTITY = "identity"
 
 
+def _exponent(k) -> int:
+    """A power-law exponent as an int; a fractional or non-positive one is refused."""
+    if not (float(k).is_integer() and k > 0):
+        raise ValueError(f"power-law exponent must be a positive integer, got {k}")
+    return int(k)
+
+
 def power_profile(exponent: int, r_min: float) -> RadialProfile:
     """r^(-exponent) outside r_min, zero inside (regularized power law)."""
-    if exponent <= 0:
-        raise ValueError("power-law exponent must be a positive integer")
+    k = _exponent(exponent)
     if not r_min > 0:
         raise ValueError("power-law inner cutoff must be positive")
-    k = int(exponent)
 
     def fn(r):
         safe = np.where(r >= r_min, r, 1.0)
@@ -67,9 +72,9 @@ class ParamRadial:
 
     def __post_init__(self):
         self.gaussians = tuple((float(a), float(s)) for a, s in self.gaussians)
-        self.powers = tuple((float(a), int(k), float(r)) for a, k, r in self.powers)
+        self.powers = tuple((float(a), _exponent(k), float(r)) for a, k, r in self.powers)
         self.stencils = tuple((float(a), int(o)) for a, o in self.stencils)
-        self.smooth_profiles()   # rejects non-positive widths, exponents and cutoffs
+        self.smooth_profiles()   # rejects non-positive widths and cutoffs
         for _, o in self.stencils:
             if o not in (0, 1):
                 raise ValueError("stencil order must be 0 or 1")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .convolve import FOURIER, conv, default_path, kernel_spectrum
 from .fields import FieldError, RuleError, TensorField, product_rule
-from .grid import ZERO, Grid
+from .grid import ZERO, Grid, check_boundary
 from .kernels import (KernelError, KernelField, delta_stencil, free_space_kernel_grid,
                       gaussian_diffusion, gradient_stencil, inverse_r, inverse_r2,
                       laplacian_stencil, log_r, sample_kernel)
@@ -44,8 +44,8 @@ class EquivariantOp:
     spectrum: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.boundary is None:
-            object.__setattr__(self, "boundary", self.grid.boundary)
+        object.__setattr__(self, "boundary", check_boundary(
+            self.grid.boundary if self.boundary is None else self.boundary))
         fourier = default_path(self.kernel) == FOURIER
         object.__setattr__(self, "spectrum", kernel_spectrum(
             self.kernel, self.grid.shape, self.boundary) if fourier else None)

@@ -149,8 +149,8 @@ def estimate_parameters(trajectory: list, dt: float,
     """
     if len(trajectory) < 2:
         raise ValueError("need at least two frames")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if not 0.0 <= smooth_sigma < math.inf:
         raise ValueError(f"smooth_sigma must be finite and >= 0, got {smooth_sigma}")
     grid, dim = trajectory[0].grid, trajectory[0].grid.dim
@@ -220,12 +220,16 @@ def load_trajectory(dirpath) -> tuple:
         source_name = kv["source"]
         D, dt = float(kv["D"]), float(kv["dt"])
         w = parse_list(kv["w"], float)
+        boundary = kv["boundary"]
     if n < 1:
         raise FormatError(f"{dirpath}: a trajectory needs at least one frame, got n_frames={n}")
     frames = []
     for k in range(n):
         u, _ = read_eqf(os.path.join(dirpath, f"frame_{k:05d}.eqf"))
         frames.append(u)
+    if boundary != frames[0].grid.boundary:
+        raise FormatError(f"{dirpath}: manifest boundary {boundary!r} does not match "
+                          f"the frames' {frames[0].grid.boundary!r}")
     source, _ = read_eqf(os.path.join(dirpath, source_name))
     with manifest_values(dirpath):   # bad D, w or dt, including an unstable dt
         model = DiffusionAdvectionModel(frames[0].grid, D, w, dt, source)

@@ -193,6 +193,9 @@ def test_bad_list_item_error_names_its_key_and_position(tmp_path, capsys):
     (b"dt", b"dt=nan"),
     (b"dt", b"dt=50"),                              # beyond the stability guard
     (b"w", b"w=0,0,0"),                             # a 3-vector on a 2d grid
+    (b"boundary", b"boundary=zero"),                # the frames are periodic
+    (b"boundary", b"boundary=bogus"),
+    (b"boundary", b""),
 ])
 def test_bad_trajectory_manifest_exits_2(tmp_path, capsys, key, line):
     g = eq.Grid.centered((8, 8), boundary=eq.PERIODIC)
@@ -228,6 +231,17 @@ def test_apply_rule_mismatch_exits_3(tmp_path, capsys):
     _write_scalar(src, g, _blob(g))  # scalar field
     assert main(["apply", "curl", str(src), str(tmp_path / "o.eqf")]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_report_exits_2(tmp_path, capsys):
+    g = eq.Grid.centered((8, 8))
+    src = tmp_path / "in.eqf"
+    _write_scalar(src, g, _blob(g))
+    for report in (tmp_path / "no" / "r.txt", tmp_path):   # missing directory, a directory
+        assert main(["apply", "grad", str(src), str(tmp_path / "o.eqf"),
+                     "--report", str(report)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and str(report) in line
 
 
 def test_missing_input_exits_2(tmp_path, capsys):
@@ -355,6 +369,41 @@ def test_simulate_writes_trajectory(tmp_path, capsys):
     assert (outdir / "trajectory.txt").exists()
     assert (outdir / "frame_00010.eqf").exists()
     capsys.readouterr()
+
+
+def test_simulate_report_file(tmp_path, capsys):
+    g = eq.Grid.centered((8, 8), boundary=eq.PERIODIC)
+    u0, src, rep = tmp_path / "u0.eqf", tmp_path / "src.eqf", tmp_path / "sim.txt"
+    _write_scalar(u0, g, _blob(g))
+    eq.write_eqf(src, eq.point_source(g))
+    assert main(["simulate", str(src), str(u0), str(tmp_path / "run"),
+                 "--D", "0.1", "--wx", "0.2", "--wy", "-0.1", "--dt", "0.5", "--steps", "3",
+                 "--report", str(rep)]) == 0
+    kv = eq.read_keyvalues(rep)
+    printed = capsys.readouterr().out.splitlines()
+    assert kv["command"] == "simulate" and kv["input.source"] == str(src)
+    assert kv["param.boundary"] == "periodic" and kv["output.0"] == str(tmp_path / "run")
+    assert [f"{k}={v}" for k, v in kv.items()] == printed[-len(kv):]
+
+
+def test_simulate_source_on_another_grid_exits_3(tmp_path, capsys):
+    # the source moves onto u0's boundary, never onto another spacing
+    g = eq.Grid.centered((8, 8), boundary=eq.PERIODIC)
+    u0, src = tmp_path / "u0.eqf", tmp_path / "src.eqf"
+    _write_scalar(u0, g, _blob(g))
+    argv = ["simulate", str(src), str(u0), str(tmp_path / "run"),
+            "--D", "0.1", "--wx", "0.2", "--wy", "-0.1", "--dt", "0.5", "--steps", "3"]
+    eq.write_eqf(src, eq.point_source(g.with_boundary(eq.ZERO)))
+    assert main(argv) == 0
+    assert "param.boundary=periodic" in capsys.readouterr().out.splitlines()
+    eq.write_eqf(src, eq.point_source(eq.Grid.centered((8, 8), spacing=2.0,
+                                                        boundary=eq.PERIODIC)))
+    argv[3] = str(tmp_path / "run2")
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and line.startswith("error:") and "source" in line
+    assert not (tmp_path / "run2").exists()
 
 
 def test_simulate_unstable_dt_exits_4(tmp_path, capsys):

@@ -259,6 +259,19 @@ def test_conv_rejects_mismatches():
         eq.conv(u, kernel, eq.product_rule("scalar", 0, 1, 3), path="spectral")
 
 
+@pytest.mark.parametrize("path", [None, eq.DIRECT, eq.FOURIER])
+def test_unknown_boundary_is_refused_before_any_work(fft_calls, path):
+    # a misspelt boundary must not fall through to the zero boundary
+    g = eq.Grid.centered((8, 8, 8))
+    u = eq.TensorField.random(g, 0, np.random.default_rng(9))
+    kernel = eq.sample_kernel(eq.kernel_grid((15, 15, 15), 1.0), eq.gaussian(2.0), 0)
+    with pytest.raises(eq.GridError, match="perodic"):
+        eq.conv(u, kernel, eq.product_rule("scalar", 0, 0, 3), path=path, boundary="perodic")
+    with pytest.raises(eq.GridError, match="bogus"):
+        eq.EquivariantOp("x", g, kernel, "scalar", boundary="bogus")
+    assert fft_calls.forward == [] and fft_calls.inverse == []
+
+
 def test_pointwise_product_matches_reference():
     rng = np.random.default_rng(9)
     for dim in (2, 3):

@@ -27,6 +27,16 @@ def test_power_profile_cutoff():
     assert vals[3] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.7, 0, -1, math.nan, math.inf])
+def test_power_exponent_must_be_a_positive_integer(k):
+    with pytest.raises(ValueError, match="positive integer"):
+        eq.power_profile(k, 1.0)
+    with pytest.raises(ValueError, match="positive integer"):
+        eq.ParamRadial(powers=((1.0, k, 1.0),))
+    # an integral float is still an integer exponent
+    assert eq.ParamRadial(powers=((1.0, 2.0, 1.0),)).powers == ((1.0, 2, 1.0),)
+
+
 def test_default_param_radial_layout():
     g = eq.Grid.centered((9, 9, 9))
     p = eq.default_param_radial(g, l_h=0, n_gaussians=4)

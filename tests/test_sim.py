@@ -194,6 +194,14 @@ def test_estimation_guards():
         eq.estimate_parameters([u, u, u], 0.1)  # constant: features vanish
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+def test_estimation_rejects_a_non_positive_or_non_finite_dt(dt):
+    g = _periodic((8, 8))
+    u = eq.TensorField.random(g, 0, np.random.default_rng(4))
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        eq.estimate_parameters([u, u * 0.5], dt)
+
+
 def test_constant_trajectory_is_unidentifiable():
     # the features of a constant field vanish exactly, so the reduced
     # factor has rank 0, with or without a source and smoothing
