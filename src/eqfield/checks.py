@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import DIRECT, FOURIER, conv
+from .convolve import DIRECT, FOURIER, conv, kernel_spectrum
 from .fields import TensorField, rotate_field, supported_rules
 from .grid import PERIODIC, ZERO, Grid
 from .kernels import KernelField, gaussian, kernel_grid, sample_kernel
@@ -83,17 +83,21 @@ def check_rules(u: TensorField, rng: np.random.Generator, corrupt: bool = False)
             continue
         kern = _check_kernel(u.grid, rule.l_h)
         eq_kernel = _corrupted(kern) if corrupt else kern
-        ref = conv(u, eq_kernel, rule)
+        spectrum = kernel_spectrum(eq_kernel, u.grid.shape, u.grid.boundary)
+        ref = conv(u, eq_kernel, rule, spectrum=spectrum)
         worst = 0.0
         for rot in rots:
             left = rotate_field(ref, rot)
-            right = conv(rotate_field(u, rot), eq_kernel, rule)
+            right = conv(rotate_field(u, rot), eq_kernel, rule, spectrum=spectrum)
             worst = max(worst, _relative(left - right, ref))
         equivariance.append(CheckResult(
             f"equivariance {rule} [{len(rots)} rotations]", worst, EQUIVARIANCE_TOL))
 
-        combined = conv(u * alpha + v * beta, kern, rule)
-        separate = conv(u, kern, rule) * alpha + conv(v, kern, rule) * beta
+        if corrupt:
+            spectrum = kernel_spectrum(kern, u.grid.shape, u.grid.boundary)
+        combined = conv(u * alpha + v * beta, kern, rule, spectrum=spectrum)
+        separate = (conv(u, kern, rule, spectrum=spectrum) * alpha
+                    + conv(v, kern, rule, spectrum=spectrum) * beta)
         linearity.append(CheckResult(f"linearity {rule}",
                                      _relative(combined - separate, combined),
                                      LINEARITY_TOL))

@@ -85,6 +85,9 @@ def _read_field(path, boundary: str | None) -> TensorField:
 
 
 def cmd_apply(args) -> RunReport:
+    if args.boundary and args.operator not in REGISTRY:
+        raise FormatError("--boundary applies to named operators only; "
+                          "a model applies on the grid it was fitted on")
     u = _read_field(args.input, args.boundary)
     t0 = time.perf_counter()
     if args.operator in REGISTRY:

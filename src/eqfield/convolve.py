@@ -155,7 +155,11 @@ def kernel_spectrum(kernel: KernelField, ushape, boundary: str) -> np.ndarray:
     """rfftn of each kernel component laid out on the work shape, read-only.
 
     For the zero boundary the kernel is first cropped to offsets within
-    N - 1 of its center; the periodic layout sums aliased offsets.
+    N - 1 of its center; the periodic layout sums aliased offsets.  A kernel
+    with exact inversion parity, h(-r) = (-1)^l_h h(r) as laid out, has a
+    real spectrum for even l_h and an imaginary one for odd l_h: it keeps
+    that one float64 part per component (``conv_fourier`` restores the
+    factor i).  Any other kernel keeps the complex spectrum.
     """
     work = work_shape(ushape, kernel.grid.shape, boundary)
     karr = kernel.field.components
@@ -165,9 +169,14 @@ def kernel_spectrum(kernel: KernelField, ushape, boundary: str) -> np.ndarray:
         karr = karr[(slice(None),) + tuple(slice((k - 1) // 2 - c, (k + 1) // 2 + c)
                                            for k, c in zip(kshape, reach))]
     axes = tuple(range(len(work)))
-    spectrum = np.empty((len(karr),) + work[:-1] + (work[-1] // 2 + 1,), complex)
+    flip = (slice(None, None, -1),) * len(work)
+    odd = kernel.l_h % 2
+    symmetric = all(np.array_equal(k, -k[flip] if odd else k[flip]) for k in karr)
+    scratch = np.empty(work[:-1] + (work[-1] // 2 + 1,), complex)
+    spectrum = np.empty((len(karr),) + scratch.shape, float if symmetric else complex)
     for k, out in zip(karr, spectrum):
-        sfft.rfftn(_circular_kernel(k, work), axes=axes, out=out)
+        sfft.rfftn(_circular_kernel(k, work), axes=axes, out=scratch)
+        out[...] = (scratch.imag if odd else scratch.real) if symmetric else scratch
     spectrum.flags.writeable = False
     return spectrum
 
@@ -213,19 +222,24 @@ def conv_fourier(u: TensorField, kernel: KernelField, rule: ProductRule,
     Transforms at ``work_shape``: the field's own size for the periodic
     boundary, the Hockney size for the zero boundary.  ``spectrum`` is
     ``kernel_spectrum(kernel, u.grid.shape, boundary)`` when the caller keeps
-    one; otherwise it is computed here and not kept.
+    one; otherwise it is computed here and not kept.  The factor i that an
+    odd-order kernel's real spectrum leaves out joins the rule coefficient,
+    and a term is scaled only when that product is not 1.
     """
     coeff = rule_coefficients(rule, u.grid.dim)
     ushape = u.grid.shape
     if spectrum is None:
         spectrum = kernel_spectrum(kernel, ushape, boundary)
     work = work_shape(ushape, kernel.grid.shape, boundary)
+    phase = 1j if kernel.l_h % 2 and np.isrealobj(spectrum) else 1
     mnp = np.argwhere(coeff != 0)
     u_hat = {m: _rfftn_padded(u.components[m], work) for m in set(mnp[:, 0])}
     v_hat = {}
     for i, (m, n, p) in enumerate(mnp):
-        term = np.multiply(u_hat[m], coeff[m, n, p], out=None if m in mnp[i + 1:, 0] else u_hat[m])
-        term *= spectrum[n]
+        term = np.multiply(u_hat[m], spectrum[n], out=None if m in mnp[i + 1:, 0] else u_hat[m])
+        c = coeff[m, n, p] * phase
+        if c != 1:
+            term *= c
         if p in v_hat:
             v_hat[p] += term
         else:

@@ -32,7 +32,9 @@ from .kernels import (KernelError, KernelField, delta_stencil, free_space_kernel
 class EquivariantOp:
     """A kernel bundled with its product rule, built for one grid together
     with everything it applies with: an operator whose default path is
-    Fourier computes its read-only kernel spectrum when it is built, and a
+    Fourier computes its read-only kernel spectrum when it is built (one
+    float64 array per component for a kernel with exact inversion parity,
+    as every sampled radial kernel has; see ``kernel_spectrum``), and a
     stencil operator holds none.  Nothing in it changes on apply."""
 
     name: str

@@ -81,6 +81,26 @@ def test_apply_path_does_not_outlive_the_command(tmp_path):
     assert np.array_equal(eq.laplacian(u).components, direct.components)
 
 
+def test_apply_model_refuses_boundary_before_reading(tmp_path, capsys, monkeypatch):
+    # a model keeps the grid it was fitted on, so a moved field could never match it
+    model = tmp_path / "m.eqm"
+    g = eq.Grid.centered((9, 9, 9))
+    eq.save_model(model, eq.make_neural_op(g))
+    src = tmp_path / "in.eqf"
+    _write_scalar(src, g, _blob(g))
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a file was read")
+
+    monkeypatch.setattr(eq.cli, "read_eqf", unread)
+    monkeypatch.setattr(eq.cli, "load_model", unread)
+    for boundary in eq.BOUNDARIES:
+        argv = ["apply", str(model), str(src), str(tmp_path / "o.eqf"), "--boundary", boundary]
+        assert main(argv) == 2
+        assert "--boundary" in capsys.readouterr().err
+    assert not (tmp_path / "o.eqf").exists()
+
+
 def test_apply_model_on_another_grid_exits_3(tmp_path, capsys):
     model = tmp_path / "m.eqm"
     eq.save_model(model, eq.make_neural_op(eq.Grid.centered((9, 9, 9))))

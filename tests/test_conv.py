@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 import eqfield as eq
-from eqfield.checks import EQUIVARIANCE_TOL, LINEARITY_TOL, compatible_rotations
+from eqfield.checks import EQUIVARIANCE_TOL, LINEARITY_TOL, PATH_TOL, compatible_rotations
 
 
 def _pointwise(uval, hval, rule):
@@ -206,21 +206,23 @@ def test_boundary_changes_edge_response():
 
 
 def test_path_equivalence_random_pairs():
+    # every rule, with a sampled kernel, whose spectrum is kept real, and with
+    # its symmetry-broken twin and random kernels, whose spectra stay complex
     rng = np.random.default_rng(7)
-    g = eq.Grid.centered((7, 7, 7))
-    cases = [("scalar", 0, 0), ("scalar", 0, 1), ("dot", 1, 1),
-             ("cross", 1, 1), ("matvec", 2, 1)]
-    worst = 0.0
-    for kind, l_u, l_h in cases:
-        rule = eq.product_rule(kind, l_u, l_h, 3)
-        for boundary in eq.BOUNDARIES:
-            u = eq.TensorField.random(g.with_boundary(boundary), l_u, rng)
-            kernel = _random_kernel(3, l_h, rng)
-            d = eq.conv(u, kernel, rule, path=eq.DIRECT)
-            f = eq.conv(u, kernel, rule, path=eq.FOURIER)
-            dev = np.max(np.abs(d.components - f.components)) / d.max_abs()
-            worst = max(worst, dev)
-    assert worst < 1e-10
+    cases = [(dim, rule, boundary) for dim in (2, 3) for rule in eq.supported_rules(dim)
+             for boundary in eq.BOUNDARIES]
+    for dim, rule, boundary in cases:
+        g = eq.Grid.centered((9, 8, 7)[:dim], boundary=boundary)
+        symmetric = eq.sample_kernel(eq.kernel_grid((7,) * dim, 1.0), eq.gaussian(2.0), rule.l_h)
+        u = eq.TensorField.random(g, rule.l_u, rng)
+        for kernel, dtype in ((symmetric, np.float64),
+                              (eq.checks._corrupted(symmetric), np.complex128),
+                              (_random_kernel(dim, rule.l_h, rng, 7), np.complex128),
+                              (_random_kernel(dim, rule.l_h, rng, 3), np.complex128)):
+            assert eq.convolve.kernel_spectrum(kernel, g.shape, boundary).dtype == dtype
+            d = eq.conv(u, kernel, rule, path=eq.DIRECT).components
+            f = eq.conv(u, kernel, rule, path=eq.FOURIER).components
+            assert np.max(np.abs(d - f)) / np.max(np.abs(d)) < PATH_TOL, (rule, boundary, dtype)
 
 
 def test_supported_rules_table():
@@ -390,6 +392,55 @@ def test_circular_kernel_matches_add_at(kshape, target):
     karr = np.random.default_rng(17).standard_normal(kshape)
     karr[tuple(k // 2 for k in kshape)] = -0.0
     assert _same_bits(eq.convolve._circular_kernel(karr, target), _add_at_layout(karr, target))
+
+
+def _complex_spectrum(kernel, ushape, boundary):
+    """The full ``rfftn`` of each kernel component as ``kernel_spectrum`` lays
+    it out: cropped to offsets within N - 1 of its center for the zero
+    boundary, whole for the periodic one, then circular at the work shape."""
+    work = eq.convolve.work_shape(ushape, kernel.grid.shape, boundary)
+    karr = kernel.field.components
+    if boundary == eq.ZERO:
+        cuts = [max((k - 1) // 2 - (n - 1), 0) for n, k in zip(ushape, kernel.grid.shape)]
+        karr = karr[(slice(None),) + tuple(slice(c, k - c)
+                                           for c, k in zip(cuts, kernel.grid.shape))]
+    return np.stack([np.fft.rfftn(_add_at_layout(k, work)) for k in karr])
+
+
+def _fourier_registry_ops():
+    for shape in ((9, 8, 7), (7, 7, 7), (10, 7), (9, 5)):
+        for boundary in eq.BOUNDARIES:
+            g = eq.Grid.centered(shape, boundary=boundary)
+            for name, build in eq.REGISTRY.items():
+                if name == "gauss_law" and g.dim == 2:
+                    continue
+                op = build(g, **({"D": 1.0, "t": 0.5} if name == "diffusion" else {}))
+                if eq.convolve.default_path(op.kernel) == eq.FOURIER:
+                    yield pytest.param(op, id=f"{name}-{shape}-{boundary}")
+
+
+@pytest.mark.parametrize("op", _fourier_registry_ops())
+def test_symmetric_kernel_keeps_one_real_part(op):
+    # h(-r) = (-1)^l h(r): the spectrum is real for even l, imaginary for odd
+    # l, and the operator keeps that part alone, bit for bit
+    full = _complex_spectrum(op.kernel, op.grid.shape, op.boundary)
+    kept, dropped = (full.imag, full.real) if op.kernel.l_h % 2 else (full.real, full.imag)
+    assert op.spectrum.dtype == np.float64
+    assert _same_bits(op.spectrum, kept)
+    assert np.max(np.abs(dropped)) <= 1e-14 * np.max(np.abs(kept))
+
+
+@pytest.mark.parametrize("boundary", eq.BOUNDARIES)
+def test_asymmetric_kernel_keeps_its_complex_spectrum(boundary):
+    rng = np.random.default_rng(21)
+    g = eq.Grid.centered((9, 8, 7), boundary=boundary)
+    for l_h in (0, 1, 2):
+        symmetric = eq.sample_kernel(eq.kernel_grid((9, 7, 7), 1.0), eq.gaussian(2.0), l_h)
+        for kernel in (eq.checks._corrupted(symmetric), _random_kernel(3, l_h, rng, 7)):
+            spectrum = eq.convolve.kernel_spectrum(kernel, g.shape, boundary)
+            assert spectrum.dtype == np.complex128
+            assert _same_bits(spectrum.view(float),
+                              _complex_spectrum(kernel, g.shape, boundary).view(float))
 
 
 def _relative_deviation(a, b):

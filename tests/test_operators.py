@@ -427,6 +427,23 @@ def test_operator_holds_what_it_applies_with(g, name, build, params):
         assert direct or np.array_equal(op.spectrum, spectrum)
 
 
+@pytest.mark.parametrize("name, shape, boundary", [
+    ("inverse_laplacian", (9, 8, 7), eq.ZERO), ("inverse_laplacian", (48, 48, 48), eq.ZERO),
+    ("inverse_laplacian", (10, 7), eq.ZERO), ("inverse_laplacian", (256, 256), eq.ZERO),
+    ("gauss_law", (9, 8, 7), eq.ZERO), ("gauss_law", (32, 32, 32), eq.ZERO),
+    ("diffusion", (9, 8, 7), eq.ZERO), ("diffusion", (9, 8, 7), eq.PERIODIC),
+    ("diffusion", (10, 7), eq.PERIODIC),
+])
+def test_green_operator_bytes_follow_from_the_grid_shape(name, shape, boundary):
+    # a (2N-1)-wide float64 kernel plus one real half spectrum per component
+    g = eq.Grid.centered(shape, boundary=boundary)
+    op = eq.make_operator(name, g, **({"D": 1.0, "t": 0.5} if name == "diffusion" else {}))
+    ncomp = 3 if name == "gauss_law" else 1
+    w = eq.convolve.work_shape(shape, tuple(2 * n - 1 for n in shape), op.boundary)
+    held = math.prod(2 * n - 1 for n in shape) + math.prod(w[:-1]) * (w[-1] // 2 + 1)
+    assert op.nbytes == 8 * ncomp * held
+
+
 @pytest.mark.parametrize("build", [
     lambda: eq.inverse_laplacian_op(eq.Grid.centered((24,) * 3)),
     lambda: eq.inverse_laplacian_op(eq.Grid.centered((64, 64))),
