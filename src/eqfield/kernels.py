@@ -31,20 +31,24 @@ class RadialProfile:
 
     A profile singular at the origin reads 0 there.  That excludes the
     self-interaction term, which is how the singular Green's function
-    profiles stay finite on a grid.
+    profiles stay finite on a grid.  A profile reads exactly 0 beyond its
+    ``support`` radius, so a kernel needs no voxel farther out than that.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
     singular_at_origin: bool = False
+    support: float = math.inf
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        if not self.singular_at_origin:
-            return np.asarray(self.fn(r), dtype=float)
-        at_origin = r == 0.0
-        out = np.asarray(self.fn(np.where(at_origin, 1.0, r)), dtype=float)
-        return np.where(at_origin, 0.0, out)
+        if self.singular_at_origin:
+            at_origin = r == 0.0
+            out = np.asarray(self.fn(np.where(at_origin, 1.0, r)), dtype=float)
+            out = np.where(at_origin, 0.0, out)
+        else:
+            out = np.asarray(self.fn(r), dtype=float)
+        return out if self.support == math.inf else np.where(r <= self.support, out, 0.0)
 
 
 def gaussian(sigma: float) -> RadialProfile:
@@ -72,8 +76,17 @@ def log_r() -> RadialProfile:
                          singular_at_origin=True)
 
 
+HEAT_SUPPORT_SIGMAS = 10   # heat-kernel support radius, in widths sqrt(2 D t)
+
+
 def gaussian_diffusion(D: float, t: float, dim: int) -> RadialProfile:
-    """Heat kernel (4 pi D t)^(-dim/2) exp(-r^2/(4 D t)); integrates to 1."""
+    """Heat kernel (4 pi D t)^(-dim/2) exp(-r^2/(4 D t)); integrates to 1.
+
+    It reads exactly 0 beyond ``HEAT_SUPPORT_SIGMAS`` widths sigma =
+    sqrt(2 D t).  At 10 sigma the profile is below exp(-50) of its peak,
+    and the mass left outside is below 2e-21 of the total in 2d and 3d:
+    far under float64's unit roundoff.
+    """
     if not (0 < D < math.inf and 0 < t < math.inf):
         raise KernelError("gaussian_diffusion needs finite D > 0 and t > 0")
     try:
@@ -81,7 +94,8 @@ def gaussian_diffusion(D: float, t: float, dim: int) -> RadialProfile:
     except (ZeroDivisionError, OverflowError) as exc:
         raise KernelError(f"heat kernel for D={D:g}, t={t:g} is out of float range") from exc
     return RadialProfile(lambda r: norm * np.exp(-r ** 2 / (4.0 * D * t)),
-                         name=f"gaussian_diffusion({D:g},{t:g})")
+                         name=f"gaussian_diffusion({D:g},{t:g})",
+                         support=HEAT_SUPPORT_SIGMAS * math.sqrt(2.0 * D * t))
 
 
 _PROFILE_LIBRARY = {
@@ -145,9 +159,14 @@ def kernel_grid(shape, spacing) -> Grid:
     return Grid.centered(shape, spacing)
 
 
-def free_space_kernel_grid(grid: Grid) -> Grid:
-    """Centered kernel grid spanning every displacement between voxels of ``grid``."""
-    return kernel_grid(tuple(2 * n - 1 for n in grid.shape), grid.spacing)
+def free_space_kernel_grid(grid: Grid, reach: float = math.inf) -> Grid:
+    """Centered kernel grid spanning every displacement between voxels of
+    ``grid`` that is at most ``reach`` long on each axis: half-width
+    min(N - 1, ceil(reach / h)) voxels per axis."""
+    # clipped before ceil, which an infinite reach would overflow
+    half = [n - 1 if reach / h >= n - 1 else math.ceil(reach / h)
+            for n, h in zip(grid.shape, grid.spacing)]
+    return kernel_grid(tuple(2 * c + 1 for c in half), grid.spacing)
 
 
 def sample_kernel(grid: Grid, profile: RadialProfile, l_h: int) -> KernelField:

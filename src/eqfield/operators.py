@@ -112,13 +112,18 @@ def gauss_law_op(grid: Grid) -> EquivariantOp:
 def diffusion_op(grid: Grid, D: float, t: float) -> EquivariantOp:
     """Smoothing by the heat kernel for diffusivity D over time t.
 
-    The sampled kernel is renormalized to unit discrete mass (sum times
-    voxel volume), so total mass is conserved exactly under the periodic
+    The kernel is sampled on its support, the ball of radius 10 sqrt(2 D t)
+    (``gaussian_diffusion``), inside the smallest centered box that holds
+    it, clipped per axis to the free-space extent 2N - 1.  For
+    D t <= 0.02 h^2, h the smallest spacing, that box is at most 5 voxels
+    wide, so the kernel goes direct, with taps only inside the ball.  The
+    sampled kernel is renormalized to unit discrete mass (sum times voxel
+    volume), so total mass is conserved exactly under the periodic
     boundary; the renormalization is the voxel-quadrature factor and tends
     to 1 as the kernel width grows past the spacing.
     """
     profile = gaussian_diffusion(D, t, grid.dim)
-    kernel = sample_kernel(free_space_kernel_grid(grid), profile, 0)
+    kernel = sample_kernel(free_space_kernel_grid(grid, profile.support), profile, 0)
     mass = float(np.sum(kernel.field.components)) * grid.voxel_volume
     if not 0.0 < mass < math.inf:
         raise KernelError(f"diffusion kernel for D={D:g}, t={t:g} has discrete mass "

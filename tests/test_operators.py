@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import eqfield as eq
+from eqfield.checks import PATH_TOL
 
 
 def _interior(values, margin=2):
@@ -304,11 +305,81 @@ def test_diffusion_validates_parameters():
         eq.diffusion(u, 1.0, math.nan)
     # in 3d, t=1e300 underflows the heat kernel's mass and D*t=1e-600 its width
     u3 = eq.TensorField.zeros(eq.Grid.centered((5, 5, 5)), 0)
-    for D, t in ((1.0, math.inf), (math.inf, 1.0), (1.0, 1e300), (1e-300, 1e-300)):
+    # and D*t past float range makes an infinite support radius, which the
+    # kernel grid clips to the free-space box
+    for D, t in ((1.0, math.inf), (math.inf, 1.0), (1.0, 1e300), (1e-300, 1e-300),
+                 (1e200, 1e200), (1e300, 10.0)):
         with pytest.raises(eq.KernelError):
             eq.diffusion(u3, D, t)
     out = eq.diffusion(u, 1.0, 1.0)
     assert np.allclose(out.components, 0.0)
+
+
+def _heat_half_widths(g, D, t):
+    # the heat kernel's box: its support ball of radius 10 sqrt(2 D t),
+    # clipped on each axis to the free-space extent
+    R = 10.0 * math.sqrt(2.0 * D * t)
+    return [min(n - 1, math.ceil(R / h)) for n, h in zip(g.shape, g.spacing)]
+
+
+def _heat_cases():
+    for shape, spacing, D, t, taps in [
+        ((9, 8, 7), 1.0, 1.0, 0.5, None),             # R = 10 >= (N - 1) h
+        ((12, 10, 9), (0.5, 1.0, 2.0), 1.0, 0.5, None),  # clipped on two axes only
+        ((48, 48, 48), 1.0, 1.0, 0.5, None),          # the greens benchmark's
+        ((32, 32, 32), 1.0, 0.5, 0.8, None),          # the cli's
+        ((16, 16, 16), 1.0, 1.0, 0.005, 7),
+        ((16, 16, 16), 1.0, 1.0, 0.02, 33),
+        ((10, 7), 1.0, 1.0, 0.5, None),
+        ((48, 48), 1.0, 1.0, 0.5, None),
+        ((32, 32), 1.0, 0.5, 0.8, None),
+        ((16, 16), 1.0, 1.0, 0.005, 5),
+        ((16, 16), 1.0, 1.0, 0.02, 13),
+    ]:
+        for boundary in eq.BOUNDARIES:
+            yield pytest.param(eq.Grid.centered(shape, spacing, boundary), D, t, taps,
+                               id=f"{'x'.join(map(str, shape))}-t{t:g}-{boundary}")
+
+
+@pytest.mark.parametrize("g, D, t, taps", _heat_cases())
+def test_heat_kernel_is_sampled_on_its_support_ball(g, D, t, taps):
+    op = eq.diffusion_op(g, D, t)
+    profile = eq.gaussian_diffusion(D, t, g.dim)
+    R = 10.0 * math.sqrt(2.0 * D * t)
+    assert profile.support == R
+    half = _heat_half_widths(g, D, t)
+    assert op.kernel.grid.shape == tuple(2 * c + 1 for c in half)
+    # the operator's kernel is its support sample renormalized to unit mass
+    raw = eq.sample_kernel(op.kernel.grid, profile, 0).field.components
+    mass = float(np.sum(raw)) * g.voxel_volume
+    assert np.array_equal(op.kernel.field.components, raw * (1.0 / mass))
+    # exact zeros outside the ball; inside, the bits of the untruncated
+    # sample on the whole (2N-1)-wide box at the same offsets
+    full_kernel = eq.sample_kernel(eq.kernels.free_space_kernel_grid(g),
+                                   dataclasses.replace(profile, support=math.inf), 0)
+    raw_full = full_kernel.field.components
+    crop = (slice(None),) + tuple(slice(n - 1 - c, n + c) for n, c in zip(g.shape, half))
+    offsets = np.meshgrid(*[(np.arange(2 * c + 1) - c) * h for c, h in zip(half, g.spacing)],
+                          indexing="ij")
+    inside = (np.sqrt(sum(x ** 2 for x in offsets)) <= R)[None]
+    assert np.all(raw[~inside] == 0.0)
+    assert np.array_equal(raw[inside], raw_full[crop][inside])
+    # outputs as those of the full-box operator
+    full_mass = float(np.sum(raw_full)) * g.voxel_volume
+    full = eq.EquivariantOp("diffusion", g, full_kernel.scaled(1.0 / full_mass), "scalar")
+    u = eq.TensorField.random(g, 0, np.random.default_rng(17))
+    out, ref = op.apply(u).components, full.apply(u).components
+    scale = np.max(np.abs(ref))
+    if taps is None:
+        assert op.spectrum is not None
+        assert np.max(np.abs(out - ref)) <= 1e-14 * scale
+    else:
+        # short times go direct, with taps only inside the ball
+        assert op.spectrum is None
+        assert np.count_nonzero(op.kernel.field.components) == taps
+        forced = op.apply(u, path=eq.FOURIER).components
+        assert np.max(np.abs(out - forced)) <= PATH_TOL * scale
+        assert np.max(np.abs(out - ref)) <= PATH_TOL * scale
 
 
 # ---------------------------------------------------------------------------
@@ -433,33 +504,52 @@ def test_operator_holds_what_it_applies_with(g, name, build, params):
     ("gauss_law", (9, 8, 7), eq.ZERO), ("gauss_law", (32, 32, 32), eq.ZERO),
     ("diffusion", (9, 8, 7), eq.ZERO), ("diffusion", (9, 8, 7), eq.PERIODIC),
     ("diffusion", (10, 7), eq.PERIODIC),
+    ("diffusion", (48, 48, 48), eq.ZERO), ("diffusion", (48, 48, 48), eq.PERIODIC),
 ])
 def test_green_operator_bytes_follow_from_the_grid_shape(name, shape, boundary):
-    # a (2N-1)-wide float64 kernel plus one real half spectrum per component
+    # a float64 kernel, (2N-1) wide or for heat 2 min(N-1, ceil(R/h)) + 1,
+    # plus one real half spectrum per component
     g = eq.Grid.centered(shape, boundary=boundary)
     op = eq.make_operator(name, g, **({"D": 1.0, "t": 0.5} if name == "diffusion" else {}))
     ncomp = 3 if name == "gauss_law" else 1
-    w = eq.convolve.work_shape(shape, tuple(2 * n - 1 for n in shape), op.boundary)
-    held = math.prod(2 * n - 1 for n in shape) + math.prod(w[:-1]) * (w[-1] // 2 + 1)
+    half = _heat_half_widths(g, 1.0, 0.5) if name == "diffusion" else [n - 1 for n in shape]
+    k = tuple(2 * c + 1 for c in half)
+    w = eq.convolve.work_shape(shape, k, op.boundary)
+    held = math.prod(k) + math.prod(w[:-1]) * (w[-1] // 2 + 1)
     assert op.nbytes == 8 * ncomp * held
 
 
-@pytest.mark.parametrize("build", [
-    lambda: eq.inverse_laplacian_op(eq.Grid.centered((24,) * 3)),
-    lambda: eq.inverse_laplacian_op(eq.Grid.centered((64, 64))),
-    lambda: eq.gauss_law_op(eq.Grid.centered((16,) * 3)),
-    lambda: eq.diffusion_op(eq.Grid.centered((24,) * 3, boundary=eq.PERIODIC), 1.0, 0.5),
+def _three_kernels(op):
+    return op.nbytes + 3 * op.kernel.field.components.nbytes
+
+
+def _heat_24_periodic(op):
+    # the 21^3 heat kernel (R = 10 at D t = 0.5) is narrower than the 24^3
+    # work array, so the build temporaries are work-sized: at most four
+    # work arrays beside the kernel and the 24 x 24 x 13 real spectrum
+    kept = 8 * (21 ** 3 + 24 * 24 * 13)
+    assert op.nbytes == kept
+    return kept + 4 * 8 * 24 ** 3
+
+
+@pytest.mark.parametrize("build, bound", [
+    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((24,) * 3)), _three_kernels),
+    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((64, 64))), _three_kernels),
+    (lambda: eq.gauss_law_op(eq.Grid.centered((16,) * 3)), _three_kernels),
+    (lambda: eq.diffusion_op(eq.Grid.centered((24,) * 3, boundary=eq.PERIODIC), 1.0, 0.5),
+     _heat_24_periodic),
 ], ids=["inverse_laplacian_3d", "inverse_laplacian_2d", "gauss_law", "diffusion_periodic"])
-def test_green_operator_build_peak_is_bounded(build):
+def test_green_operator_build_peak_is_bounded(build, bound):
     # building an operator with its spectrum holds, at its peak, what the
-    # operator keeps plus at most three kernels' worth of temporaries
+    # operator keeps plus a bounded amount of temporaries: three kernels'
+    # worth for a Green's function kernel spanning the free-space box
     tracemalloc.start()
     try:
         op = build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= op.nbytes + 3 * op.kernel.field.components.nbytes
+    assert peak <= bound(op)
 
 
 def test_forced_fourier_call_on_a_stencil_keeps_no_spectrum():
