@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import DIRECT, FOURIER, conv, kernel_spectrum
+from .convolve import DIRECT, FOURIER, conv
 from .fields import TensorField, rotate_field, supported_rules
 from .grid import PERIODIC, ZERO, Grid
 from .kernels import KernelField, gaussian, kernel_grid, sample_kernel
-from .operators import curl, div, grad, laplacian
+from .operators import EquivariantOp, curl, div, grad, laplacian
 from .rotations import all_rotations
 
 EQUIVARIANCE_TOL = 1e-10
@@ -82,22 +82,19 @@ def check_rules(u: TensorField, rng: np.random.Generator, corrupt: bool = False)
         if rule.l_u != u.l:
             continue
         kern = _check_kernel(u.grid, rule.l_h)
-        eq_kernel = _corrupted(kern) if corrupt else kern
-        spectrum = kernel_spectrum(eq_kernel, u.grid.shape, u.grid.boundary)
-        ref = conv(u, eq_kernel, rule, spectrum=spectrum)
+        op = EquivariantOp("check", u.grid, kern, rule.kind)
+        eq_op = EquivariantOp("check", u.grid, _corrupted(kern), rule.kind) if corrupt else op
+        ref = eq_op.apply(u)
         worst = 0.0
         for rot in rots:
             left = rotate_field(ref, rot)
-            right = conv(rotate_field(u, rot), eq_kernel, rule, spectrum=spectrum)
+            right = eq_op.apply(rotate_field(u, rot))
             worst = max(worst, _relative(left - right, ref))
         equivariance.append(CheckResult(
             f"equivariance {rule} [{len(rots)} rotations]", worst, EQUIVARIANCE_TOL))
 
-        if corrupt:
-            spectrum = kernel_spectrum(kern, u.grid.shape, u.grid.boundary)
-        combined = conv(u * alpha + v * beta, kern, rule, spectrum=spectrum)
-        separate = (conv(u, kern, rule, spectrum=spectrum) * alpha
-                    + conv(v, kern, rule, spectrum=spectrum) * beta)
+        combined = op.apply(u * alpha + v * beta)
+        separate = op.apply(u) * alpha + op.apply(v) * beta
         linearity.append(CheckResult(f"linearity {rule}",
                                      _relative(combined - separate, combined),
                                      LINEARITY_TOL))

@@ -53,8 +53,8 @@ class RadialProfile:
 
 def gaussian(sigma: float) -> RadialProfile:
     """exp(-r^2 / sigma^2), value 1 at the origin."""
-    if not sigma > 0:
-        raise KernelError("gaussian width must be positive")
+    if not 0 < sigma < math.inf:
+        raise KernelError(f"gaussian width must be positive and finite, got {sigma}")
     return RadialProfile(lambda r: np.exp(-(r / sigma) ** 2), name=f"gaussian({sigma:g})")
 
 

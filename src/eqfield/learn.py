@@ -11,6 +11,7 @@ construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,8 +42,8 @@ def _exponent(k) -> int:
 def power_profile(exponent: int, r_min: float) -> RadialProfile:
     """r^(-exponent) outside r_min, zero inside (regularized power law)."""
     k = _exponent(exponent)
-    if not r_min > 0:
-        raise ValueError("power-law inner cutoff must be positive")
+    if not 0 < r_min < math.inf:
+        raise ValueError(f"power-law inner cutoff must be positive and finite, got {r_min}")
 
     def fn(r):
         safe = np.where(r >= r_min, r, 1.0)
@@ -55,9 +56,9 @@ class EmptyBasisError(ValueError):
     """A learnable operator needs at least one basis term."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamRadial:
-    """Radial function linear in its amplitudes.
+    """Radial function linear in its amplitudes; amplitudes must be finite.
 
     gaussians: (amplitude, width) pairs, R += A exp(-r^2/sigma^2)
     powers:    (amplitude, exponent, r_min), R += B r^-k for r >= r_min
@@ -71,10 +72,14 @@ class ParamRadial:
     stencils: tuple = ()
 
     def __post_init__(self):
-        self.gaussians = tuple((float(a), float(s)) for a, s in self.gaussians)
-        self.powers = tuple((float(a), _exponent(k), float(r)) for a, k, r in self.powers)
-        self.stencils = tuple((float(a), int(o)) for a, o in self.stencils)
-        self.smooth_profiles()   # rejects non-positive widths and cutoffs
+        set_terms = functools.partial(object.__setattr__, self)
+        set_terms("gaussians", tuple((float(a), float(s)) for a, s in self.gaussians))
+        set_terms("powers", tuple((float(a), _exponent(k), float(r)) for a, k, r in self.powers))
+        set_terms("stencils", tuple((float(a), int(o)) for a, o in self.stencils))
+        bad = [a for a in self.amplitudes if not math.isfinite(a)]
+        if bad:
+            raise ValueError(f"amplitudes must be finite, got {bad[0]}")
+        self.smooth_profiles()   # rejects non-positive or non-finite widths and cutoffs
         for _, o in self.stencils:
             if o not in (0, 1):
                 raise ValueError("stencil order must be 0 or 1")
@@ -168,14 +173,16 @@ class NeuralOp:
     def with_params(self, amplitudes) -> "NeuralOp":
         return NeuralOp(self.param.with_amplitudes(amplitudes), self.rule, self.grid)
 
+    @functools.cached_property
     def operator(self) -> EquivariantOp:
-        """The ``EquivariantOp`` of the current kernel, built with its spectrum."""
+        """The ``EquivariantOp`` of the kernel, built with its spectrum on first use
+        and held; the op and its ``ParamRadial`` are frozen, so it cannot go stale."""
         return EquivariantOp("neural", self.grid, self.kernel(), self.rule.kind,
                              boundary=ZERO, input_l=self.rule.l_u)
 
     def apply(self, u: TensorField, path: str | None = None) -> TensorField:
-        """Convolve u with the current kernel; ``path`` forces a path for this call."""
-        return self.operator().apply(u, path=path)
+        """Convolve u with the kernel; ``path`` forces a path for this call."""
+        return self.operator.apply(u, path=path)
 
     def kernel(self) -> KernelField:
         basis = basis_kernels(self)
@@ -255,11 +262,10 @@ def _reduce_dataset(op: NeuralOp, dataset) -> tuple:
 def loss(op: NeuralOp, dataset) -> float:
     """Relative mean squared error: sum |v - v_target|^2 / sum |v_target|^2."""
     _check_dataset(op, dataset)
-    built = op.operator()
     num = 0.0
     den = 0.0
     for u, v in dataset:
-        pred = built.apply(u)
+        pred = op.apply(u)
         num += float(np.sum((pred.components - v.components) ** 2))
         den += float(np.sum(v.components ** 2))
     if den == 0.0:

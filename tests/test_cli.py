@@ -157,6 +157,10 @@ EMPTY_BASIS = b"\n".join(key + b"=" for key in (
     (b"power_rmins", b"power_rmins=-1,1"),
     (b"gaussian_widths", b"gaussian_widths=nan,1,1,1,1,1,1,1"),
     (b"power_rmins", b"power_rmins=nan,1"),
+    (b"gaussian_amps", b"gaussian_amps=nan,0,0,0,0,0,0,0"),
+    (b"power_amps", b"power_amps=inf,0"),
+    (b"gaussian_widths", b"gaussian_widths=inf,1,1,1,1,1,1,1"),
+    (b"power_rmins", b"power_rmins=inf,1"),
     (b"stencil_orders", b"stencil_orders=5"),
     (b"kind", b"kind=outer"),
     pytest.param(b"stencil_amps", EMPTY_BASIS, id="empty-basis"),

@@ -106,18 +106,41 @@ def test_neural_op_is_linear_in_amplitudes():
     assert np.allclose(mixed, 0.3 * out1 - 2.0 * out2, atol=1e-12)
 
 
-def test_loss_builds_the_learned_kernel_once(monkeypatch):
+def test_learned_operator_builds_its_kernel_once(monkeypatch):
+    # the held operator is built on first use; a zero-amplitude fit builds none
     rng = np.random.default_rng(11)
     g = eq.Grid.centered((9, 9, 9))
-    op = eq.make_neural_op(g, kind="scalar", l_u=0, l_h=0, param=_small_param())
-    op = op.with_params(rng.standard_normal(4))
+    zero = eq.make_neural_op(g, kind="scalar", l_u=0, l_h=0, param=_small_param())
+    amps = rng.standard_normal(4)
     data = [(eq.TensorField.random(g, 0, rng), eq.TensorField.random(g, 0, rng))
             for _ in range(4)]
-    expect = eq.loss(op, data)
+    u = data[0][0]
+    expect_fit = eq.fit_least_squares(zero, data).amplitudes
+    expect_apply = zero.with_params(amps).apply(u).components
+    expect_loss = eq.loss(zero.with_params(amps), data)
+    expect_direct = zero.with_params(amps).apply(u, path=eq.DIRECT).components
     kernel, calls = eq.NeuralOp.kernel, []
     monkeypatch.setattr(eq.NeuralOp, "kernel", lambda self: calls.append(1) or kernel(self))
-    assert eq.loss(op, data) == expect
+    fresh = eq.make_neural_op(g, kind="scalar", l_u=0, l_h=0, param=_small_param())
+    assert np.array_equal(eq.fit_least_squares(fresh, data).amplitudes, expect_fit)
+    assert calls == []
+    op = fresh.with_params(amps)
+    assert np.array_equal(op.apply(u).components, expect_apply)
+    assert eq.loss(op, data) == expect_loss
+    assert np.array_equal(op.apply(u, path=eq.DIRECT).components, expect_direct)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("terms", [
+    {"gaussians": ((math.nan, 1.0),)},
+    {"powers": ((math.inf, 1, 1.0),)},
+    {"stencils": ((-math.inf, 0),)},
+    {"gaussians": ((1.0, math.inf),)},
+    {"powers": ((1.0, 2, math.inf),)},
+])
+def test_param_radial_refuses_non_finite_values(terms):
+    with pytest.raises(ValueError, match="finite"):
+        eq.ParamRadial(**terms)
 
 
 def test_least_squares_recovers_amplitudes():

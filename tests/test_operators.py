@@ -417,6 +417,9 @@ def test_operators_are_frozen():
     nop = eq.make_neural_op(g)
     with pytest.raises(dataclasses.FrozenInstanceError):
         nop.grid = eq.Grid.centered((7, 7, 7))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nop.param.gaussians = ()
+    assert eq.make_neural_op(g) == nop and hash(eq.make_neural_op(g)) == hash(nop)
 
 
 def test_cached_kernels_are_read_only():
