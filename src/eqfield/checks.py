@@ -9,7 +9,7 @@ import numpy as np
 
 from .convolve import DIRECT, FOURIER, conv
 from .fields import TensorField, rotate_field, supported_rules
-from .grid import PERIODIC, ZERO, Grid
+from .grid import PERIODIC, ZERO, Grid, GridError
 from .kernels import KernelField, gaussian, kernel_grid, sample_kernel
 from .operators import EquivariantOp, curl, div, grad, laplacian
 from .rotations import all_rotations
@@ -18,6 +18,7 @@ EQUIVARIANCE_TOL = 1e-10
 LINEARITY_TOL = 1e-10
 PATH_TOL = 1e-10
 CALCULUS_TOL = 1e-10
+CALCULUS_MARGIN = 2   # voxels left out at every face by the calculus identities
 
 
 @dataclass
@@ -108,45 +109,39 @@ def check_rules(u: TensorField, rng: np.random.Generator, corrupt: bool = False)
     return equivariance + linearity + paths
 
 
-def _interior(values: np.ndarray, margin: int) -> np.ndarray:
-    sl = (slice(None),) + tuple(slice(margin, -margin) for _ in values.shape[1:])
-    return values[sl]
+def _check_extent(grid: Grid) -> None:
+    """GridError unless every axis keeps an interior past the calculus margin."""
+    least = 2 * CALCULUS_MARGIN + 1
+    if min(grid.shape) < least:
+        raise GridError(f"check needs at least {least} voxels per axis, got shape {grid.shape}")
 
 
 def check_calculus(grid: Grid, rng: np.random.Generator) -> list:
-    """curl(grad f) = 0, div(curl v) = 0 (3d), div(grad f) = laplacian f."""
-    results = []
+    """curl(grad f) = 0, div(curl v) = 0 (3d), div(grad f) = laplacian f,
+    each over the interior, ``CALCULUS_MARGIN`` voxels in from every face."""
+    _check_extent(grid)
     f = TensorField.random(grid, 0, rng)
-    margin = 2
     g = grad(f)
-    scale = g.max_abs() / min(grid.spacing)
-
-    dg = div(g)
     lap = laplacian(f)
-    dev = np.max(np.abs(_interior((dg - lap).components, margin)))
-    ref = max(np.max(np.abs(_interior(lap.components, margin))), 1e-300)
-    results.append(CheckResult("div(grad f) = laplacian f (interior)",
-                               dev / ref, CALCULUS_TOL))
-
-    cg = curl(g)
-    dev = np.max(np.abs(_interior(cg.components, margin)))
-    results.append(CheckResult("curl(grad f) = 0 (interior)",
-                               dev / max(scale, 1e-300), CALCULUS_TOL))
-
+    interior = (slice(None),) + (slice(CALCULUS_MARGIN, -CALCULUS_MARGIN),) * grid.dim
+    identities = [("div(grad f) = laplacian f", div(g) - lap,
+                   np.max(np.abs(lap.components[interior]))),
+                  ("curl(grad f) = 0", curl(g), g.max_abs() / min(grid.spacing))]
     if grid.dim == 3:
         v = TensorField.random(grid, 1, rng)
-        dc = div(curl(v))
-        vscale = v.max_abs() / min(grid.spacing) ** 2
-        dev = np.max(np.abs(_interior(dc.components, margin)))
-        results.append(CheckResult("div(curl v) = 0 (interior)",
-                                   dev / max(vscale, 1e-300), CALCULUS_TOL))
-    return results
+        identities.append(("div(curl v) = 0", div(curl(v)), v.max_abs() / min(grid.spacing) ** 2))
+    return [CheckResult(f"{name} (interior)",
+                        np.max(np.abs(dev.components[interior])) / max(scale, 1e-300),
+                        CALCULUS_TOL)
+            for name, dev, scale in identities]
 
 
 def run_checks(u: TensorField, rng: np.random.Generator | None = None,
                corrupt: bool = False) -> list:
     """Full property suite on one field; corrupt=True is the negative
-    control that breaks the radial symmetry of the equivariance kernels."""
+    control that breaks the radial symmetry of the equivariance kernels.
+    A grid too small for ``check_calculus`` raises GridError up front."""
+    _check_extent(u.grid)
     if rng is None:
         rng = np.random.default_rng(0)
     return check_rules(u, rng, corrupt) + check_calculus(u.grid, rng)

@@ -15,11 +15,12 @@ The Fourier path runs on ``numpy.fft``.  It transforms the zero-boundary
 case at the Hockney size, N + min(kernel radius, N - 1) per axis rounded up
 to the next 11-smooth length, and the periodic case at the field's own
 size.  ``kernel_spectrum`` is the kernel's half of that product; an
-operator computes it when it is built and keeps it.  The input and output
-transforms are pruned: one axis pass at a time, in place, the forward pass
-skips the lines that are all zero padding and the inverse pass skips the
-lines that fall outside the kept crop, so no line is transformed only to
-be thrown away.
+operator computes it when it is built and keeps it.  Kernels and inputs
+go through one forward transform, ``_rfftn_padded``, and outputs through
+``_irfftn_cropped``; both are pruned, one axis pass at a time, in place:
+the forward pass pads each real-axis line inside the transform and skips
+the lines that are all zero padding, the inverse pass skips the lines
+outside the kept crop, so no line is transformed only to be thrown away.
 """
 
 from __future__ import annotations
@@ -152,7 +153,8 @@ def work_shape(ushape, kshape, boundary: str) -> tuple:
 
 
 def kernel_spectrum(kernel: KernelField, ushape, boundary: str) -> np.ndarray:
-    """rfftn of each kernel component laid out on the work shape, read-only.
+    """rfftn of each kernel component laid out on the work shape, read-only,
+    by ``_rfftn_padded``, which prunes nothing here: every line is live.
 
     For the zero boundary the kernel is first cropped to offsets within
     N - 1 of its center; the periodic layout sums aliased offsets.  A kernel
@@ -168,32 +170,30 @@ def kernel_spectrum(kernel: KernelField, ushape, boundary: str) -> np.ndarray:
         reach = [min((k - 1) // 2, n - 1) for n, k in zip(ushape, kshape)]
         karr = karr[(slice(None),) + tuple(slice((k - 1) // 2 - c, (k + 1) // 2 + c)
                                            for k, c in zip(kshape, reach))]
-    axes = tuple(range(len(work)))
     flip = (slice(None, None, -1),) * len(work)
     odd = kernel.l_h % 2
     symmetric = all(np.array_equal(k, -k[flip] if odd else k[flip]) for k in karr)
-    scratch = np.empty(work[:-1] + (work[-1] // 2 + 1,), complex)
-    spectrum = np.empty((len(karr),) + scratch.shape, float if symmetric else complex)
-    for k, out in zip(karr, spectrum):
-        sfft.rfftn(_circular_kernel(k, work), axes=axes, out=scratch)
-        out[...] = (scratch.imag if odd else scratch.real) if symmetric else scratch
+    part = (np.imag if odd else np.real) if symmetric else np.asarray
+    spectrum = np.empty((len(karr),) + work[:-1] + (work[-1] // 2 + 1,),
+                        float if symmetric else complex)
+    for k, out in zip(karr, spectrum):   # one statement: each transform is freed at once
+        out[...] = part(_rfftn_padded(_circular_kernel(k, work), work))
     spectrum.flags.writeable = False
     return spectrum
 
 
 def _rfftn_padded(x: np.ndarray, work) -> np.ndarray:
     """``rfftn`` of ``x`` zero-padded to ``work``, without transforming the
-    lines that are all padding.
+    lines that are all padding; the output is the one array it allocates.
 
-    The real-axis pass runs only on the rows of ``x``; the pass on a leading
-    axis a then runs in place on the rows whose earlier axes lie below N,
-    from the last leading axis to the first, as ``rfftn`` orders them.
+    The real-axis pass runs only on the rows of ``x``, padded inside ``rfft``;
+    the pass on a leading axis a then runs in place on the rows whose earlier
+    axes lie below N, from the last leading axis to the first, as ``rfftn``
+    orders them.
     """
     d = x.ndim
-    buf = np.zeros(x.shape[:-1] + (work[-1],))
-    buf[..., :x.shape[-1]] = x
     out = np.zeros(tuple(work[:-1]) + (work[-1] // 2 + 1,), complex)
-    sfft.rfftn(buf, axes=(d - 1,), out=out[tuple(slice(0, n) for n in x.shape[:-1])])
+    sfft.rfft(x, n=work[-1], axis=-1, out=out[tuple(slice(0, n) for n in x.shape[:-1])])
     for a in range(d - 2, -1, -1):
         rows = out[tuple(slice(0, n) for n in x.shape[:a])]
         sfft.fft(rows, axis=a, out=rows)

@@ -530,6 +530,27 @@ def test_check_boundary_flag_moves_the_file_field(tmp_path, capsys):
     assert "param.boundary=periodic" in reports[0][1].splitlines()
 
 
+@pytest.mark.parametrize("shape", ["4,4,4", "4,4"])
+def test_check_refuses_a_grid_without_an_interior(shape, capsys):
+    # the calculus identities leave out 2 voxels at every face
+    assert main(["check", "--random", shape]) == 3
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "FAIL" not in out
+    assert err.startswith("error:") and "at least 5 voxels" in err and len(err.splitlines()) == 1
+
+
+def test_run_checks_refuses_a_tiny_grid_before_any_convolution(monkeypatch):
+    calls = []
+    for path in ("conv_direct", "conv_fourier"):
+        monkeypatch.setattr(eq.convolve, path, lambda *args: calls.append(args))
+    u = eq.TensorField.random(eq.Grid.centered((3, 3, 3)), 0, np.random.default_rng(0))
+    with pytest.raises(eq.GridError, match="at least 5 voxels"):
+        eq.run_checks(u)
+    with pytest.raises(eq.GridError, match="at least 5 voxels"):
+        eq.checks.check_calculus(u.grid, np.random.default_rng(0))
+    assert calls == []
+
+
 def test_check_without_input_exits_2(capsys):
     assert main(["check"]) == 2
     capsys.readouterr()

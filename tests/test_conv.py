@@ -1,5 +1,6 @@
 """Convolution semantics: brute-force oracle, paths, boundaries, rules."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -352,6 +353,54 @@ def test_pruned_transforms_match_numpy_property(data):
     ref = np.fft.irfftn(acc, s=work, axes=range(dim))[tuple(slice(0, n) for n in shape)]
     inverse = eq.convolve._irfftn_cropped(acc.copy(), work, shape)
     assert inverse.shape == ref.shape and inverse.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape,work", [((48,) * 3, (96,) * 3), ((256, 256), (512, 512)),
+                                        ((32,) * 3, (32,) * 3)])
+def test_forward_transform_allocates_only_its_output(shape, work):
+    # the real-axis pass pads each line inside rfft, so no padded copy of the
+    # input is made; cases: the 48^3 inverse-Laplacian work shape, a 2d one
+    # and a periodic one, where the work shape is the field's own
+    x = np.random.default_rng(19).standard_normal(shape)
+    tracemalloc.start()
+    try:
+        out = eq.convolve._rfftn_padded(x, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 64 * 2**10
+
+
+class _NoRfftn:
+    """``numpy.fft`` without ``rfftn``: a forward transform that does not go
+    through ``_rfftn_padded`` fails."""
+
+    def rfftn(self, *args, **kwargs):
+        raise AssertionError("a forward transform bypassed _rfftn_padded")
+
+    def __getattr__(self, name):
+        return getattr(np.fft, name)
+
+
+def test_every_forward_transform_goes_through_rfftn_padded(monkeypatch):
+    monkeypatch.setattr(eq.convolve, "sfft", _NoRfftn())
+    rng = np.random.default_rng(23)
+    built = []
+    for shape in ((9, 8, 7), (10, 7)):
+        for boundary in eq.BOUNDARIES:
+            g = eq.Grid.centered(shape, boundary=boundary)
+            for name, build in eq.REGISTRY.items():
+                if name == "gauss_law" and g.dim == 2:
+                    continue
+                op = build(g, **({"D": 1.0, "t": 0.5} if name == "diffusion" else {}))
+                if eq.convolve.default_path(op.kernel) == eq.FOURIER:
+                    op.apply(eq.TensorField.random(g, 0, rng))
+                    built.append(name)
+            kernel = _random_kernel(g.dim, 1, rng, 7)
+            assert eq.convolve.kernel_spectrum(kernel, shape, boundary).dtype == np.complex128
+            eq.conv(eq.TensorField.random(g, 0, rng), kernel,
+                    eq.product_rule("scalar", 0, 1, g.dim), path=eq.FOURIER)
+    assert set(built) == {"inverse_laplacian", "gauss_law", "diffusion"}
 
 
 def _add_at_layout(karr, target):
