@@ -88,6 +88,8 @@ def cmd_apply(args) -> RunReport:
     if args.boundary and args.operator not in REGISTRY:
         raise FormatError("--boundary applies to named operators only; "
                           "a model applies on the grid it was fitted on")
+    if args.operator != "diffusion" and (args.D is not None or args.t is not None):
+        raise FormatError("--D and --t apply to the diffusion operator only")
     u = _read_field(args.input, args.boundary)
     t0 = time.perf_counter()
     if args.operator in REGISTRY:

@@ -137,6 +137,10 @@ class KernelField:
     def grid(self) -> Grid:
         return self.field.grid
 
+    @property
+    def nbytes(self) -> int:
+        return self.field.components.nbytes
+
     def scaled(self, factor: float) -> "KernelField":
         return KernelField(TensorField(self.grid, self.l_h,
                                        self.field.components * float(factor)),

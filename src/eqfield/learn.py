@@ -26,7 +26,7 @@ from .grid import ZERO, Grid
 from .kernels import (KernelField, RadialProfile, delta_stencil,
                       free_space_kernel_grid, gaussian, gradient_stencil,
                       sample_kernel)
-from .operators import ByteLRU, EquivariantOp
+from .operators import EquivariantOp, held
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -173,12 +173,13 @@ class NeuralOp:
     def with_params(self, amplitudes) -> "NeuralOp":
         return NeuralOp(self.param.with_amplitudes(amplitudes), self.rule, self.grid)
 
-    @functools.cached_property
+    @property
     def operator(self) -> EquivariantOp:
-        """The ``EquivariantOp`` of the kernel, built with its spectrum on first use
-        and held; the op and its ``ParamRadial`` are frozen, so it cannot go stale."""
-        return EquivariantOp("neural", self.grid, self.kernel(), self.rule.kind,
-                             boundary=ZERO, input_l=self.rule.l_u)
+        """The ``EquivariantOp`` of the kernel with its spectrum, held under this
+        frozen recipe: built on first use, shared by equal recipes, never stale."""
+        return held(self, lambda: EquivariantOp("neural", self.grid, self.kernel(),
+                                                self.rule.kind, boundary=ZERO,
+                                                input_l=self.rule.l_u))
 
     def apply(self, u: TensorField, path: str | None = None) -> TensorField:
         """Convolve u with the kernel; ``path`` forces a path for this call."""
@@ -213,16 +214,13 @@ def _build_basis(grid: Grid, l_h: int, param: ParamRadial) -> tuple:
     return tuple(basis)
 
 
-_basis_cache = ByteLRU(lambda basis: sum(k.field.components.nbytes for k in basis))
-
-
 def basis_kernels(op: NeuralOp) -> tuple:
-    """One KernelField per amplitude, in amplitude order, cached per basis.
+    """One KernelField per amplitude, in amplitude order, held per basis.
 
     The tuple and its read-only kernels are shared by every caller.
     """
-    return _basis_cache.get((op.grid, op.l_h, op.param.hyper_key()),
-                            lambda: _build_basis(op.grid, op.l_h, op.param))
+    return held(("basis", op.grid, op.l_h, op.param.hyper_key()),
+                lambda: _build_basis(op.grid, op.l_h, op.param))
 
 
 def _check_dataset(op: NeuralOp, dataset) -> None:

@@ -55,8 +55,7 @@ class EquivariantOp:
     @property
     def nbytes(self) -> int:
         """Bytes of the kernel plus those of the spectrum the operator holds."""
-        held = 0 if self.spectrum is None else self.spectrum.nbytes
-        return self.kernel.field.components.nbytes + held
+        return self.kernel.nbytes + (0 if self.spectrum is None else self.spectrum.nbytes)
 
     def apply(self, u: TensorField, path: str | None = None) -> TensorField:
         """Convolve u with the kernel; ``path`` forces a path for this call."""
@@ -144,47 +143,39 @@ REGISTRY = {
 }
 
 
-CACHE_BYTES = 256 * 2**20   # budget of each ByteLRU: operators, neural bases
+CACHE_BYTES = 256 * 2**20   # budget of the one cache: operators and learned bases
+
+_held = OrderedDict()   # key -> operator or tuple of kernels, least recently used first
 
 
-class ByteLRU:
-    """Values evicted least recently used first once their bytes pass
-    ``CACHE_BYTES``; the newest value always stays, however large."""
-
-    def __init__(self, nbytes):
-        self._nbytes = nbytes          # value -> its size in bytes
-        self._entries = OrderedDict()  # key -> (value, size)
-        self.total = 0
-
-    def get(self, key, build):
-        """The value cached under ``key``, built by ``build()`` on a miss."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return self._entries[key][0]
-        value = build()
-        size = self._nbytes(value)
-        self._entries[key] = (value, size)
-        self.total += size
-        while self.total > CACHE_BYTES and len(self._entries) > 1:
-            self.total -= self._entries.popitem(last=False)[1][1]
-        return value
+def _nbytes(value) -> int:
+    return sum(k.nbytes for k in value) if isinstance(value, tuple) else value.nbytes
 
 
-_op_cache = ByteLRU(lambda op: op.nbytes)
+def held(key, build):
+    """The value held under ``key``, built by ``build()`` on a miss: the one cache
+    of every (frozen) operator and learned basis.  Values go least recently used
+    first once their ``nbytes`` sum past ``CACHE_BYTES``; the newest always stays."""
+    if key in _held:
+        _held.move_to_end(key)
+        return _held[key]
+    value = _held[key] = build()
+    while len(_held) > 1 and sum(map(_nbytes, _held.values())) > CACHE_BYTES:
+        _held.popitem(last=False)
+    return value
 
 
 def make_operator(name: str, grid: Grid, **params) -> EquivariantOp:
     """Build a registered operator for a grid; diffusion takes D and t.
 
-    Instances are cached per (name, grid, params): operators are frozen, and
+    Instances are held per (name, grid, params): operators are frozen, and
     Green's-function kernels and the spectra built with them are expensive
-    enough to be worth reusing.  The cache holds at most ``CACHE_BYTES`` of
-    operators, each counted by its ``nbytes`` once it is built.
+    enough to be worth reusing.
     """
     if name not in REGISTRY:
         raise KeyError(f"unknown operator {name!r}; registry: {sorted(REGISTRY)}")
-    key = (name, grid, tuple(sorted(params.items())))
-    return _op_cache.get(key, lambda: REGISTRY[name](grid, **params))
+    return held((name, grid, tuple(sorted(params.items()))),
+                lambda: REGISTRY[name](grid, **params))
 
 
 def grad(u: TensorField) -> TensorField:

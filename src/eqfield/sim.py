@@ -37,7 +37,7 @@ class SimulationError(RuntimeError):
 
 
 class EstimationError(ValueError):
-    """Feature matrix is rank deficient; parameters are not identifiable."""
+    """Too few frames or rank-deficient features; parameters are not identifiable."""
 
 
 def max_stable_dt(grid: Grid, D: float, w) -> float:
@@ -137,8 +137,8 @@ def estimate_parameters(trajectory: list, dt: float,
 
     Solves (u_{k+1}-u_k)/dt - source = D lap(u_k) - w . grad(u_k) over all
     transitions, folded in one frame at a time; frames and source must be
-    scalar fields on one grid.  Raises EstimationError when the features do
-    not span (constant or zero trajectories).
+    scalar fields on one grid.  Raises EstimationError on fewer than two
+    frames and when the features do not span (constant or zero trajectories).
 
     smooth_sigma > 0 prefilters frames and source with a unit-mass Gaussian
     of that width, each frame once.  The filter commutes with the model's
@@ -148,7 +148,7 @@ def estimate_parameters(trajectory: list, dt: float,
     level.
     """
     if len(trajectory) < 2:
-        raise ValueError("need at least two frames")
+        raise EstimationError("need at least two frames")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not 0.0 <= smooth_sigma < math.inf:

@@ -101,6 +101,27 @@ def test_apply_model_refuses_boundary_before_reading(tmp_path, capsys, monkeypat
     assert not (tmp_path / "o.eqf").exists()
 
 
+def test_apply_refuses_diffusion_flags_on_other_operators_before_reading(
+        tmp_path, capsys, monkeypatch):
+    # --D and --t parameterize the heat kernel only; elsewhere they would be ignored
+    model = tmp_path / "m.eqm"
+    g = eq.Grid.centered((9, 9, 9))
+    eq.save_model(model, eq.make_neural_op(g))
+    src = tmp_path / "in.eqf"
+    _write_scalar(src, g, _blob(g))
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a file was read")
+
+    monkeypatch.setattr(eq.cli, "read_eqf", unread)
+    monkeypatch.setattr(eq.cli, "load_model", unread)
+    for operator in ("grad", "inverse_laplacian", str(model)):
+        for flags in (["--D", "1"], ["--t", "0.5"], ["--D", "2", "--t", "0.5"]):
+            assert main(["apply", operator, str(src), str(tmp_path / "o.eqf"), *flags]) == 2
+            assert "--D and --t" in capsys.readouterr().err
+    assert not (tmp_path / "o.eqf").exists()
+
+
 def test_apply_model_on_another_grid_exits_3(tmp_path, capsys):
     model = tmp_path / "m.eqm"
     eq.save_model(model, eq.make_neural_op(eq.Grid.centered((9, 9, 9))))
@@ -480,6 +501,19 @@ def test_estimate_unidentifiable_exits_4(tmp_path, capsys):
     eq.save_trajectory(tmp_path / "flat", [u, u, u], model)
     assert main(["estimate", str(tmp_path / "flat")]) == 4
     capsys.readouterr()
+
+
+def test_estimate_one_frame_exits_4(tmp_path, capsys):
+    # simulate --steps 0 writes a valid one-frame trajectory, which identifies nothing
+    g = eq.Grid.centered((8, 8), boundary=eq.PERIODIC)
+    u0 = tmp_path / "u0.eqf"
+    _write_scalar(u0, g, _blob(g))
+    outdir = tmp_path / "run"
+    assert main(["simulate", "none", str(u0), str(outdir), "--D", "0.1", "--wx", "0.2",
+                 "--wy", "-0.1", "--dt", "0.5", "--steps", "0"]) == 0
+    capsys.readouterr()
+    assert main(["estimate", str(outdir)]) == 4
+    assert "two frames" in capsys.readouterr().err
 
 
 def test_estimate_frame_on_another_grid_exits_3(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Trainable radial functions: bases, fitting routes, layers, model files."""
 
+import collections
 import math
 import tracemalloc
 
@@ -107,7 +108,9 @@ def test_neural_op_is_linear_in_amplitudes():
 
 
 def test_learned_operator_builds_its_kernel_once(monkeypatch):
-    # the held operator is built on first use; a zero-amplitude fit builds none
+    # the held operator is built on first use; a zero-amplitude fit builds none.
+    # Equal recipes share one held op, so the counted phase gets a cache of
+    # its own: the reference phase has already built this op
     rng = np.random.default_rng(11)
     g = eq.Grid.centered((9, 9, 9))
     zero = eq.make_neural_op(g, kind="scalar", l_u=0, l_h=0, param=_small_param())
@@ -119,6 +122,7 @@ def test_learned_operator_builds_its_kernel_once(monkeypatch):
     expect_apply = zero.with_params(amps).apply(u).components
     expect_loss = eq.loss(zero.with_params(amps), data)
     expect_direct = zero.with_params(amps).apply(u, path=eq.DIRECT).components
+    monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
     kernel, calls = eq.NeuralOp.kernel, []
     monkeypatch.setattr(eq.NeuralOp, "kernel", lambda self: calls.append(1) or kernel(self))
     fresh = eq.make_neural_op(g, kind="scalar", l_u=0, l_h=0, param=_small_param())
@@ -128,6 +132,24 @@ def test_learned_operator_builds_its_kernel_once(monkeypatch):
     assert np.array_equal(op.apply(u).components, expect_apply)
     assert eq.loss(op, data) == expect_loss
     assert np.array_equal(op.apply(u, path=eq.DIRECT).components, expect_direct)
+    assert len(calls) == 1
+
+
+def test_equal_models_share_one_held_operator(tmp_path, monkeypatch):
+    # two loads of one manifest are equal recipes: the second finds the op
+    # that the first built
+    g = eq.Grid.centered((9, 9, 9))
+    model = tmp_path / "m.eqm"
+    eq.save_model(model, eq.make_neural_op(g, param=_small_param()).with_params(
+        np.random.default_rng(15).standard_normal(4)))
+    u = eq.TensorField.random(g, 0, np.random.default_rng(16))
+    monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
+    kernel, calls = eq.NeuralOp.kernel, []
+    monkeypatch.setattr(eq.NeuralOp, "kernel", lambda self: calls.append(1) or kernel(self))
+    a, b = eq.load_model(model), eq.load_model(model)
+    assert a == b and a is not b
+    assert np.array_equal(a.apply(u).components, b.apply(u).components)
+    assert a.operator is b.operator
     assert len(calls) == 1
 
 

@@ -1,5 +1,6 @@
 """Named operators against closed-form oracles."""
 
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -566,6 +567,12 @@ def test_forced_fourier_call_on_a_stencil_keeps_no_spectrum():
                           eq.conv(u, op.kernel, rule, path=eq.FOURIER).components)
 
 
+def _held_bytes():
+    # every held value: an operator, or a learned basis (a tuple of kernels)
+    return sum(sum(k.nbytes for k in v) if isinstance(v, tuple) else v.nbytes
+               for v in eq.operators._held.values())
+
+
 def test_operator_cache_is_bounded_by_bytes(monkeypatch):
     g = eq.Grid.centered((10, 10, 10))
     budget = 3 * eq.diffusion_op(g, 1.0, 0.5).nbytes
@@ -573,9 +580,42 @@ def test_operator_cache_is_bounded_by_bytes(monkeypatch):
     oldest = eq.make_operator("diffusion", g, D=1.0, t=0.01)
     for t in np.linspace(0.02, 0.5, 12):
         newest = eq.make_operator("diffusion", g, D=1.0, t=float(t))
-        assert eq.operators._op_cache.total <= budget
+        assert _held_bytes() <= budget
     assert eq.make_operator("diffusion", g, D=1.0, t=float(t)) is newest
     assert eq.make_operator("diffusion", g, D=1.0, t=0.01) is not oldest
+
+
+def test_one_budget_holds_operators_and_learned_bases(monkeypatch):
+    # named operators, a learned basis and the learned operator summed from
+    # it all count against the one CACHE_BYTES, and an evicted learned
+    # operator rebuilds to the same bits
+    g = eq.Grid.centered((9, 9, 9))
+    u = eq.TensorField.random(g, 0, np.random.default_rng(13))
+    learned = eq.make_neural_op(g).with_params(np.random.default_rng(14).standard_normal(11))
+    monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
+    expect = learned.apply(u).components
+    budget = _held_bytes()   # the basis plus the learned operator
+    first = learned.operator
+    named = [("inverse_laplacian", {}), ("gauss_law", {})] + [
+        ("diffusion", {"D": 1.0, "t": float(t)}) for t in (0.1, 0.2, 0.3, 0.4, 0.5)]
+    assert sum(eq.make_operator(n, g, **p).nbytes for n, p in named) > budget
+    monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
+    monkeypatch.setattr(eq.operators, "CACHE_BYTES", budget)
+    for name, params in named:
+        eq.make_operator(name, g, **params)
+        assert _held_bytes() <= budget
+    assert np.array_equal(learned.apply(u).components, expect)
+    assert _held_bytes() <= budget
+    for name, params in named:   # evicts the basis, then the learned operator
+        eq.make_operator(name, g, **params)
+        assert _held_bytes() <= budget
+    assert learned not in eq.operators._held
+    assert np.array_equal(learned.apply(u).components, expect)
+    assert _held_bytes() <= budget
+    rebuilt = learned.operator
+    assert rebuilt is not first and np.array_equal(rebuilt.spectrum, first.spectrum)
+    assert np.array_equal(learned.apply(u, path=eq.DIRECT).components,
+                          first.apply(u, path=eq.DIRECT).components)
 
 
 def test_cache_budget_holds_the_greens_benchmark_operators():

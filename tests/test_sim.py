@@ -194,6 +194,15 @@ def test_estimation_guards():
         eq.estimate_parameters([u, u, u], 0.1)  # constant: features vanish
 
 
+def test_fewer_than_two_frames_are_unidentifiable():
+    # a one-frame trajectory (simulate --steps 0) has no transition to fit
+    g = _periodic((8, 8))
+    u = eq.TensorField.random(g, 0, np.random.default_rng(4))
+    for frames in ([u], []):
+        with pytest.raises(eq.EstimationError, match="need at least two frames"):
+            eq.estimate_parameters(frames, 0.1)
+
+
 @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
 def test_estimation_rejects_a_non_positive_or_non_finite_dt(dt):
     g = _periodic((8, 8))
