@@ -15,7 +15,8 @@ The Fourier path runs on ``numpy.fft``.  It transforms the zero-boundary
 case at the Hockney size, N + min(kernel radius, N - 1) per axis rounded up
 to the next 11-smooth length, and the periodic case at the field's own
 size.  ``kernel_spectrum`` is the kernel's half of that product; an
-operator computes it when it is built and keeps it.  Kernels and inputs
+operator computes it when it is built and keeps it, and ``conv_fourier``
+applies it without the kernel.  Kernels and inputs
 go through one forward transform, ``_rfftn_padded``, and outputs through
 ``_irfftn_cropped``; both are pruned, one axis pass at a time, in place:
 the forward pass pads each real-axis line inside the transform and skips
@@ -32,7 +33,7 @@ from numpy import fft as sfft
 
 from .fields import (FieldError, ProductRule, RuleError, TensorField,
                      rule_coefficients)
-from .grid import PERIODIC, ZERO, check_boundary
+from .grid import PERIODIC, ZERO, Grid, check_boundary
 from .kernels import KernelField
 
 DIRECT = "direct"
@@ -47,25 +48,17 @@ def default_path(kernel: KernelField) -> str:
 
 
 def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
-         path: str | None = None, boundary: str | None = None,
-         spectrum=None) -> TensorField:
-    """Tensor-field convolution; the one place a convolution path is chosen.
+         path: str | None = None, boundary: str | None = None) -> TensorField:
+    """Tensor-field convolution.
 
     ``default_path`` sends the finite-difference stencils through the direct
-    path and wider kernels through the Fourier path.  ``path`` forces a path
-    for this call only, so the two can be checked against each other;
-    ``boundary`` defaults to the field's, and one not in ``grid.BOUNDARIES``
-    raises GridError.  ``spectrum``, if given, is the kernel's
-    ``kernel_spectrum`` for this field shape and boundary, which the Fourier
-    path uses instead of transforming the kernel again.
+    path and wider kernels through the Fourier path, whose kernel spectrum
+    is computed here and not kept.  ``path`` forces a path for this call
+    only, so the two can be checked against each other; ``boundary``
+    defaults to the field's, and one not in ``grid.BOUNDARIES`` raises
+    GridError.
     """
-    dim = u.grid.dim
-    if kernel.grid.dim != dim:
-        raise FieldError("field and kernel dimensions differ")
-    for a in range(dim):
-        hu, hk = u.grid.spacing[a], kernel.grid.spacing[a]
-        if abs(hu - hk) > 1e-12 * max(hu, hk):
-            raise FieldError(f"field and kernel spacing differ on axis {a}: {hu} vs {hk}")
+    check_kernel_grid(u.grid, kernel.grid)
     if rule.l_u != u.l:
         raise RuleError(f"rule expects input order {rule.l_u}, field has l={u.l}")
     if rule.l_h != kernel.l_h:
@@ -76,8 +69,20 @@ def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
     if path == DIRECT:
         return conv_direct(u, kernel, rule, boundary)
     if path == FOURIER:
-        return conv_fourier(u, kernel, rule, boundary, spectrum)
+        return conv_fourier(u, kernel.grid.shape, rule, boundary,
+                            kernel_spectrum(kernel, u.grid.shape, boundary))
     raise ValueError(f"path must be direct|fourier, got {path!r}")
+
+
+def check_kernel_grid(grid: Grid, kernel_grid: Grid) -> None:
+    """FieldError unless kernels on ``kernel_grid`` convolve fields on
+    ``grid``: the same dimension and spacing."""
+    if kernel_grid.dim != grid.dim:
+        raise FieldError("field and kernel dimensions differ")
+    for a in range(grid.dim):
+        hu, hk = grid.spacing[a], kernel_grid.spacing[a]
+        if abs(hu - hk) > 1e-12 * max(hu, hk):
+            raise FieldError(f"field and kernel spacing differ on axis {a}: {hu} vs {hk}")
 
 
 def conv_direct(u: TensorField, kernel: KernelField, rule: ProductRule,
@@ -215,23 +220,21 @@ def _irfftn_cropped(acc: np.ndarray, work, shape) -> np.ndarray:
     return sfft.irfftn(rows, s=(work[-1],), axes=(d - 1,))[..., :shape[-1]]
 
 
-def conv_fourier(u: TensorField, kernel: KernelField, rule: ProductRule,
-                 boundary: str, spectrum: np.ndarray | None = None) -> TensorField:
+def conv_fourier(u: TensorField, kernel_shape, rule: ProductRule, boundary: str,
+                 spectrum: np.ndarray) -> TensorField:
     """FFT-path convolution via the tensor convolution theorem.
 
-    Transforms at ``work_shape``: the field's own size for the periodic
-    boundary, the Hockney size for the zero boundary.  ``spectrum`` is
-    ``kernel_spectrum(kernel, u.grid.shape, boundary)`` when the caller keeps
-    one; otherwise it is computed here and not kept.  The factor i that an
-    odd-order kernel's real spectrum leaves out joins the rule coefficient,
-    and a term is scaled only when that product is not 1.
+    ``spectrum`` is ``kernel_spectrum(kernel, u.grid.shape, boundary)`` of a
+    kernel of ``kernel_shape`` and order ``rule.l_h``; the kernel itself is
+    not needed.  Transforms at ``work_shape``: the field's own size for the
+    periodic boundary, the Hockney size for the zero boundary.  The factor i
+    that an odd-order kernel's real spectrum leaves out joins the rule
+    coefficient, and a term is scaled only when that product is not 1.
     """
     coeff = rule_coefficients(rule, u.grid.dim)
     ushape = u.grid.shape
-    if spectrum is None:
-        spectrum = kernel_spectrum(kernel, ushape, boundary)
-    work = work_shape(ushape, kernel.grid.shape, boundary)
-    phase = 1j if kernel.l_h % 2 and np.isrealobj(spectrum) else 1
+    work = work_shape(ushape, kernel_shape, boundary)
+    phase = 1j if rule.l_h % 2 and np.isrealobj(spectrum) else 1
     mnp = np.argwhere(coeff != 0)
     u_hat = {m: _rfftn_padded(u.components[m], work) for m in set(mnp[:, 0])}
     v_hat = {}

@@ -43,13 +43,13 @@ def fmt_value(v) -> str:
 
 def parse_list(text: str, kind) -> list:
     """Read a ``fmt_value`` list back: '' is [], and an item that does not
-    parse, an empty one included, raises a ValueError naming its position."""
+    parse, an empty one included, raises a FormatError naming its position."""
     out = []
     for i, x in enumerate(text.split(",") if text else [], 1):
         try:
             out.append(kind(x))
         except ValueError:
-            raise ValueError(f"item {i} is not {kind.__name__}: {x!r}") from None
+            raise FormatError(f"item {i} is not {kind.__name__}: {x!r}") from None
     return out
 
 

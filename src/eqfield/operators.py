@@ -17,10 +17,13 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .convolve import FOURIER, conv, default_path, kernel_spectrum
+from .convolve import (FOURIER, check_kernel_grid, conv, conv_fourier, default_path,
+                       kernel_spectrum)
 from .fields import FieldError, RuleError, TensorField, product_rule
 from .grid import ZERO, Grid, check_boundary
 from .kernels import (KernelError, KernelField, delta_stencil, free_space_kernel_grid,
@@ -28,45 +31,67 @@ from .kernels import (KernelError, KernelField, delta_stencil, free_space_kernel
                       laplacian_stencil, log_r, sample_kernel)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EquivariantOp:
     """A kernel bundled with its product rule, built for one grid together
-    with everything it applies with: an operator whose default path is
-    Fourier computes its read-only kernel spectrum when it is built (one
-    float64 array per component for a kernel with exact inversion parity,
-    as every sampled radial kernel has; see ``kernel_spectrum``), and a
-    stencil operator holds none.  Nothing in it changes on apply."""
+    with everything it applies with.  ``kernel`` is a KernelField, or a
+    zero-argument recipe that samples one; the recipe runs once here.  An
+    operator whose default path is Fourier computes its read-only kernel
+    spectrum when it is built (one float64 array per component for a kernel
+    with exact inversion parity, as every sampled radial kernel has; see
+    ``kernel_spectrum``) and applies with that alone: built from a recipe,
+    it keeps the recipe in place of the kernel, so ``kernel`` and a forced
+    direct apply sample it again, to the same bits.  A stencil operator, or
+    one built from a KernelField, keeps the array.  Nothing in it changes
+    on apply."""
 
     name: str
     grid: Grid
-    kernel: KernelField
     kind: str
-    boundary: str | None = None   # None: the grid's boundary
-    input_l: int | None = None    # None: any order the rule accepts
-    spectrum: np.ndarray | None = field(init=False, repr=False, compare=False)
+    boundary: str
+    input_l: int | None           # None: any order the rule accepts
+    kernel_grid: Grid
+    l_h: int
+    recipe: KernelField | Callable[[], KernelField] = field(repr=False)
+    spectrum: np.ndarray | None = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "boundary", check_boundary(
-            self.grid.boundary if self.boundary is None else self.boundary))
-        fourier = default_path(self.kernel) == FOURIER
-        object.__setattr__(self, "spectrum", kernel_spectrum(
-            self.kernel, self.grid.shape, self.boundary) if fourier else None)
+    def __init__(self, name: str, grid: Grid, kernel: KernelField | Callable[[], KernelField],
+                 kind: str, boundary: str | None = None, input_l: int | None = None):
+        boundary = check_boundary(grid.boundary if boundary is None else boundary)
+        sampled = kernel if isinstance(kernel, KernelField) else kernel()
+        check_kernel_grid(grid, sampled.grid)
+        fourier = default_path(sampled) == FOURIER
+        held = dict(name=name, grid=grid, kind=kind, boundary=boundary, input_l=input_l,
+                    kernel_grid=sampled.grid, l_h=sampled.l_h,
+                    recipe=kernel if fourier else sampled,
+                    spectrum=kernel_spectrum(sampled, grid.shape, boundary) if fourier else None)
+        for key, value in held.items():
+            object.__setattr__(self, key, value)
+
+    @property
+    def kernel(self) -> KernelField:
+        """The held kernel, or a fresh sample of the recipe."""
+        return self.recipe if isinstance(self.recipe, KernelField) else self.recipe()
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the kernel plus those of the spectrum the operator holds."""
-        return self.kernel.nbytes + (0 if self.spectrum is None else self.spectrum.nbytes)
+        """Bytes of the arrays the operator holds: its spectrum, and its
+        kernel unless a recipe stands in for it."""
+        kernel = self.recipe.nbytes if isinstance(self.recipe, KernelField) else 0
+        return kernel + (0 if self.spectrum is None else self.spectrum.nbytes)
 
     def apply(self, u: TensorField, path: str | None = None) -> TensorField:
-        """Convolve u with the kernel; ``path`` forces a path for this call."""
+        """Convolve u with the kernel; ``path`` forces a path for this call.
+        The Fourier path uses the held spectrum and never the kernel."""
         if u.grid != self.grid:
             raise FieldError(f"operator {self.name!r} was built for another grid")
         if self.input_l is not None and u.l != self.input_l:
             raise RuleError(f"operator {self.name!r} expects l={self.input_l} input, "
                             f"got l={u.l}")
-        rule = product_rule(self.kind, u.l, self.kernel.l_h, u.grid.dim)
-        return conv(u, self.kernel, rule, path=path, boundary=self.boundary,
-                    spectrum=self.spectrum)
+        rule = product_rule(self.kind, u.l, self.l_h, u.grid.dim)
+        if self.spectrum is not None and path in (None, FOURIER):
+            return conv_fourier(u, self.kernel_grid.shape, rule, self.boundary, self.spectrum)
+        return conv(u, self.kernel, rule, path=path, boundary=self.boundary)
 
 
 def identity_op(grid: Grid) -> EquivariantOp:
@@ -95,7 +120,7 @@ def laplacian_op(grid: Grid) -> EquivariantOp:
 
 def inverse_laplacian_op(grid: Grid) -> EquivariantOp:
     profile = inverse_r() if grid.dim == 3 else log_r()
-    kernel = sample_kernel(free_space_kernel_grid(grid), profile, 0)
+    kernel = partial(sample_kernel, free_space_kernel_grid(grid), profile, 0)
     return EquivariantOp("inverse_laplacian", grid, kernel, "scalar",
                          boundary=ZERO, input_l=0)
 
@@ -103,7 +128,7 @@ def inverse_laplacian_op(grid: Grid) -> EquivariantOp:
 def gauss_law_op(grid: Grid) -> EquivariantOp:
     if grid.dim != 3:
         raise RuleError("gauss_law is defined for 3d grids only")
-    kernel = sample_kernel(free_space_kernel_grid(grid), inverse_r2(), 1)
+    kernel = partial(sample_kernel, free_space_kernel_grid(grid), inverse_r2(), 1)
     return EquivariantOp("gauss_law", grid, kernel, "scalar",
                          boundary=ZERO, input_l=0)
 
@@ -122,12 +147,16 @@ def diffusion_op(grid: Grid, D: float, t: float) -> EquivariantOp:
     to 1 as the kernel width grows past the spacing.
     """
     profile = gaussian_diffusion(D, t, grid.dim)
-    kernel = sample_kernel(free_space_kernel_grid(grid, profile.support), profile, 0)
-    mass = float(np.sum(kernel.field.components)) * grid.voxel_volume
-    if not 0.0 < mass < math.inf:
-        raise KernelError(f"diffusion kernel for D={D:g}, t={t:g} has discrete mass "
-                          f"{mass:g} on this grid")
-    kernel = kernel.scaled(1.0 / mass)
+    kgrid = free_space_kernel_grid(grid, profile.support)
+
+    def kernel() -> KernelField:
+        raw = sample_kernel(kgrid, profile, 0)
+        mass = float(np.sum(raw.field.components)) * grid.voxel_volume
+        if not 0.0 < mass < math.inf:
+            raise KernelError(f"diffusion kernel for D={D:g}, t={t:g} has discrete mass "
+                              f"{mass:g} on this grid")
+        return raw.scaled(1.0 / mass)
+
     return EquivariantOp("diffusion", grid, kernel, "scalar")
 
 

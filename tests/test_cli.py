@@ -534,6 +534,16 @@ def test_check_random_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("shape, item", [("5,a,5", "item 2 is not int: 'a'"),
+                                         ("5,,5", "item 2 is not int: ''"),
+                                         ("5,5,", "item 3 is not int: ''")])
+def test_check_random_with_a_malformed_shape_exits_2(shape, item, capsys):
+    assert main(["check", "--random", shape]) == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "FAIL" not in out
+    assert err.startswith("error:") and item in err and len(err.splitlines()) == 1
+
+
 def test_check_corrupt_is_a_negative_control(capsys):
     assert main(["check", "--random", "9,9,9", "--corrupt"]) == 1
     assert "FAIL" in capsys.readouterr().out

@@ -2,6 +2,8 @@
 
 import collections
 import dataclasses
+import functools
+import inspect
 import math
 import tracemalloc
 
@@ -462,6 +464,16 @@ def test_operator_rejects_field_on_another_grid():
         grad.apply(eq.TensorField.zeros(eq.Grid.centered((9, 9, 9), spacing=0.5), 0))
 
 
+def test_operator_refuses_a_kernel_on_another_spacing():
+    # its Fourier path never meets the kernel again, so the build checks it
+    g = eq.Grid.centered((9, 9, 9))
+    kernel = eq.sample_kernel(eq.kernel_grid((17, 17, 17), 0.5), eq.gaussian(2.0), 0)
+    with pytest.raises(eq.FieldError, match="spacing differ"):
+        eq.EquivariantOp("x", g, kernel, "scalar")
+    with pytest.raises(eq.FieldError, match="dimensions differ"):
+        eq.EquivariantOp("x", eq.Grid.centered((9, 9)), kernel, "scalar")
+
+
 def test_second_apply_transforms_only_the_input(fft_calls):
     g = eq.Grid.centered((9, 8, 7))
     u = eq.TensorField.random(g, 0, np.random.default_rng(6))
@@ -486,12 +498,13 @@ def _registry_ops():
 
 @pytest.mark.parametrize("g, name, build, params", _registry_ops())
 def test_operator_holds_what_it_applies_with(g, name, build, params):
+    # a Fourier operator holds its spectrum alone, and a forced direct
+    # apply samples its kernel again without keeping it
     op = build(g, **params)
     held_before = dict(vars(op))   # before anything reads the operator
     direct = eq.convolve.default_path(op.kernel) == eq.DIRECT
     assert (op.spectrum is None) == direct
-    held = 0 if direct else op.spectrum.nbytes
-    assert op.nbytes == op.kernel.field.components.nbytes + held
+    assert op.nbytes == (op.kernel.nbytes if direct else op.spectrum.nbytes)
     spectrum = None if direct else op.spectrum.copy()
     l_u = 1 if name in ("div", "curl") else 0
     u = eq.TensorField.random(g, l_u, np.random.default_rng(9))
@@ -500,6 +513,75 @@ def test_operator_holds_what_it_applies_with(g, name, build, params):
         assert vars(op).keys() == held_before.keys()
         assert all(vars(op)[k] is v for k, v in held_before.items())
         assert direct or np.array_equal(op.spectrum, spectrum)
+
+
+def _fresh_kernel(g, name, params):
+    # the kernel as the REGISTRY function samples it, sampled here again
+    if name == "diffusion":
+        profile = eq.gaussian_diffusion(params["D"], params["t"], g.dim)
+        raw = eq.sample_kernel(eq.kernels.free_space_kernel_grid(g, profile.support),
+                               profile, 0)
+        return raw.scaled(1.0 / (float(np.sum(raw.field.components)) * g.voxel_volume))
+    profile, l_h = {"inverse_laplacian": (eq.inverse_r() if g.dim == 3 else eq.log_r(), 0),
+                    "gauss_law": (eq.inverse_r2(), 1)}[name]
+    return eq.sample_kernel(eq.kernels.free_space_kernel_grid(g), profile, l_h)
+
+
+def _reachable_arrays(op):
+    # every ndarray the operator reaches through its fields, the arguments
+    # of a partial and the closure of a function
+    seen, stack, arrays = set(), list(vars(op).values()), []
+    while stack:
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, np.ndarray):
+            arrays.append(v)
+        elif isinstance(v, functools.partial):
+            stack += [*v.args, *v.keywords.values()]
+        elif inspect.isfunction(v):
+            stack += [c.cell_contents for c in v.__closure__ or ()]
+        elif dataclasses.is_dataclass(v) and not isinstance(v, type):
+            stack += [getattr(v, f.name) for f in dataclasses.fields(v)]
+        elif isinstance(v, (tuple, list)):
+            stack += list(v)
+    return arrays
+
+
+def _fourier_registry_ops():
+    for p in _registry_ops():
+        g, name, build, params = p.values
+        if name in ("inverse_laplacian", "gauss_law", "diffusion"):
+            yield p
+
+
+@pytest.mark.parametrize("g, name, build, params", _fourier_registry_ops())
+def test_fourier_operator_rebuilds_its_kernel_to_the_same_bits(g, name, build, params):
+    op = build(g, **params)
+    assert op.spectrum is not None
+    fresh = _fresh_kernel(g, name, params)
+    assert np.array_equal(op.kernel.field.components, fresh.field.components)
+    assert op.kernel.l_h == fresh.l_h and op.kernel.grid == fresh.grid
+    u = eq.TensorField.random(g, 0, np.random.default_rng(21))
+    rule = eq.product_rule("scalar", 0, fresh.l_h, g.dim)
+    assert np.array_equal(op.apply(u, path=eq.DIRECT).components,
+                          eq.conv(u, fresh, rule, path=eq.DIRECT, boundary=op.boundary).components)
+    assert np.array_equal(op.apply(u).components,
+                          eq.conv(u, fresh, rule, boundary=op.boundary).components)
+    # no array the operator reaches has the kernel's shape
+    arrays = _reachable_arrays(op)
+    assert any(a is op.spectrum for a in arrays)
+    assert all(a.shape[-g.dim:] != fresh.grid.shape for a in arrays)
+
+
+def test_degenerate_heat_kernel_fails_when_the_operator_is_built():
+    # (4 pi D t)^(-3/2) underflows to 0, so the sampled kernel has no mass
+    g = eq.Grid.centered((9, 9, 9))
+    with pytest.raises(eq.KernelError, match="discrete mass"):
+        eq.make_operator("diffusion", g, D=1e308, t=1e308)
+    assert not any(k[0] == "diffusion" and dict(k[2]) == {"D": 1e308, "t": 1e308}
+                   for k in eq.operators._held if isinstance(k, tuple))
 
 
 @pytest.mark.parametrize("name, shape, boundary", [
@@ -511,42 +593,41 @@ def test_operator_holds_what_it_applies_with(g, name, build, params):
     ("diffusion", (48, 48, 48), eq.ZERO), ("diffusion", (48, 48, 48), eq.PERIODIC),
 ])
 def test_green_operator_bytes_follow_from_the_grid_shape(name, shape, boundary):
-    # a float64 kernel, (2N-1) wide or for heat 2 min(N-1, ceil(R/h)) + 1,
-    # plus one real half spectrum per component
+    # one real half spectrum per component, at the work shape of a kernel
+    # (2N-1) wide or for heat 2 min(N-1, ceil(R/h)) + 1; the kernel is not held
     g = eq.Grid.centered(shape, boundary=boundary)
     op = eq.make_operator(name, g, **({"D": 1.0, "t": 0.5} if name == "diffusion" else {}))
     ncomp = 3 if name == "gauss_law" else 1
     half = _heat_half_widths(g, 1.0, 0.5) if name == "diffusion" else [n - 1 for n in shape]
     k = tuple(2 * c + 1 for c in half)
     w = eq.convolve.work_shape(shape, k, op.boundary)
-    held = math.prod(k) + math.prod(w[:-1]) * (w[-1] // 2 + 1)
-    assert op.nbytes == 8 * ncomp * held
+    assert op.nbytes == 8 * ncomp * math.prod(w[:-1]) * (w[-1] // 2 + 1)
 
 
-def _three_kernels(op):
-    return op.nbytes + 3 * op.kernel.field.components.nbytes
+def _four_kernels(op):
+    return op.nbytes + 4 * op.kernel.nbytes
 
 
 def _heat_24_periodic(op):
     # the 21^3 heat kernel (R = 10 at D t = 0.5) is narrower than the 24^3
     # work array, so the build temporaries are work-sized: at most four
     # work arrays beside the kernel and the 24 x 24 x 13 real spectrum
-    kept = 8 * (21 ** 3 + 24 * 24 * 13)
-    assert op.nbytes == kept
-    return kept + 4 * 8 * 24 ** 3
+    assert op.nbytes == 8 * 24 * 24 * 13
+    return 8 * (21 ** 3 + 24 * 24 * 13) + 4 * 8 * 24 ** 3
 
 
 @pytest.mark.parametrize("build, bound", [
-    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((24,) * 3)), _three_kernels),
-    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((64, 64))), _three_kernels),
-    (lambda: eq.gauss_law_op(eq.Grid.centered((16,) * 3)), _three_kernels),
+    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((24,) * 3)), _four_kernels),
+    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((64, 64))), _four_kernels),
+    (lambda: eq.gauss_law_op(eq.Grid.centered((16,) * 3)), _four_kernels),
     (lambda: eq.diffusion_op(eq.Grid.centered((24,) * 3, boundary=eq.PERIODIC), 1.0, 0.5),
      _heat_24_periodic),
 ], ids=["inverse_laplacian_3d", "inverse_laplacian_2d", "gauss_law", "diffusion_periodic"])
 def test_green_operator_build_peak_is_bounded(build, bound):
     # building an operator with its spectrum holds, at its peak, what the
-    # operator keeps plus a bounded amount of temporaries: three kernels'
-    # worth for a Green's function kernel spanning the free-space box
+    # operator keeps plus a bounded amount of temporaries: four kernels'
+    # worth, the sampled one included, for a Green's function kernel
+    # spanning the free-space box
     tracemalloc.start()
     try:
         op = build()
@@ -588,8 +669,9 @@ def test_operator_cache_is_bounded_by_bytes(monkeypatch):
 def test_one_budget_holds_operators_and_learned_bases(monkeypatch):
     # named operators, a learned basis and the learned operator summed from
     # it all count against the one CACHE_BYTES, and an evicted learned
-    # operator rebuilds to the same bits
-    g = eq.Grid.centered((9, 9, 9))
+    # operator rebuilds to the same bits; the named operators, which hold
+    # their spectra alone, are built on a finer grid so that they fill it
+    g, fine = eq.Grid.centered((9, 9, 9)), eq.Grid.centered((15, 15, 15))
     u = eq.TensorField.random(g, 0, np.random.default_rng(13))
     learned = eq.make_neural_op(g).with_params(np.random.default_rng(14).standard_normal(11))
     monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
@@ -598,16 +680,16 @@ def test_one_budget_holds_operators_and_learned_bases(monkeypatch):
     first = learned.operator
     named = [("inverse_laplacian", {}), ("gauss_law", {})] + [
         ("diffusion", {"D": 1.0, "t": float(t)}) for t in (0.1, 0.2, 0.3, 0.4, 0.5)]
-    assert sum(eq.make_operator(n, g, **p).nbytes for n, p in named) > budget
+    assert sum(eq.make_operator(n, fine, **p).nbytes for n, p in named) > budget
     monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
     monkeypatch.setattr(eq.operators, "CACHE_BYTES", budget)
     for name, params in named:
-        eq.make_operator(name, g, **params)
+        eq.make_operator(name, fine, **params)
         assert _held_bytes() <= budget
     assert np.array_equal(learned.apply(u).components, expect)
     assert _held_bytes() <= budget
     for name, params in named:   # evicts the basis, then the learned operator
-        eq.make_operator(name, g, **params)
+        eq.make_operator(name, fine, **params)
         assert _held_bytes() <= budget
     assert learned not in eq.operators._held
     assert np.array_equal(learned.apply(u).components, expect)
@@ -619,8 +701,9 @@ def test_one_budget_holds_operators_and_learned_bases(monkeypatch):
 
 
 def test_cache_budget_holds_the_greens_benchmark_operators():
-    # bench/workloads.py applies these four in turn; all must stay cached
+    # bench/workloads.py applies these four in turn; all must stay cached,
+    # and they hold their spectra alone
     g48, g32 = eq.Grid.centered((48,) * 3), eq.Grid.centered((32,) * 3)
     ops = (eq.inverse_laplacian_op(g48), eq.diffusion_op(g48, 1.0, 0.5),
            eq.gauss_law_op(g32), eq.inverse_laplacian_op(eq.Grid.centered((256, 256))))
-    assert sum(op.nbytes for op in ops) <= eq.operators.CACHE_BYTES
+    assert sum(op.nbytes for op in ops) == 8_606_336 <= eq.operators.CACHE_BYTES
