@@ -150,6 +150,8 @@ def _write_radial_csv(path, param, grid, reference: str | None) -> None:
 
 
 def cmd_fit(args) -> RunReport:
+    if args.reference and not args.csv:
+        raise FormatError("--reference adds a column to the --csv file; give --csv too")
     dataset = _read_pair_manifest(args.manifest)
     grid = dataset[0][0].grid
     l_u = dataset[0][0].l
@@ -235,6 +237,8 @@ def cmd_estimate(args) -> RunReport:
 
 
 def cmd_check(args) -> RunReport:
+    if args.input and args.random:
+        raise FormatError("check takes an input file or --random SHAPE, not both")
     rng = np.random.default_rng(args.seed)
     if args.input:
         u = _read_field(args.input, args.boundary)

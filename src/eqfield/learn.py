@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolve import conv
 from .fields import (ProductRule, RuleError, TensorField, field_norm,
                      pointwise_product, product_rule, supported_rules)
 from .formats import (FormatError, grid_entries, grid_from_entries, manifest_values,
@@ -175,9 +174,9 @@ class NeuralOp:
 
     @property
     def operator(self) -> EquivariantOp:
-        """The ``EquivariantOp`` of the kernel with its spectrum, held under this
+        """The ``EquivariantOp`` with ``kernel`` as its recipe, held under this
         frozen recipe: built on first use, shared by equal recipes, never stale."""
-        return held(self, lambda: EquivariantOp("neural", self.grid, self.kernel(),
+        return held(self, lambda: EquivariantOp("neural", self.grid, lambda: self.kernel(),
                                                 self.rule.kind, boundary=ZERO,
                                                 input_l=self.rule.l_u))
 
@@ -186,12 +185,15 @@ class NeuralOp:
         return self.operator.apply(u, path=path)
 
     def kernel(self) -> KernelField:
-        basis = basis_kernels(self)
-        comps = np.zeros_like(basis[0].field.components)
-        for a, k in zip(self.param.amplitudes, basis):
+        """The amplitude-weighted sum of the terms, stencils added at the centre."""
+        kgrid = free_space_kernel_grid(self.grid)
+        comps = TensorField.zeros(kgrid, self.l_h).components
+        for a, recipe in zip(self.param.amplitudes, _term_recipes(self)):
             if a != 0.0:
-                comps = comps + a * k.field.components
-        return KernelField(TensorField(basis[0].grid, self.l_h, comps), self.l_h)
+                term = recipe().field.components
+                comps[tuple(slice((n - k) // 2, (n + k) // 2)
+                            for n, k in zip(comps.shape, term.shape))] += a * term
+        return KernelField(TensorField(kgrid, self.l_h, comps), self.l_h)
 
 
 def make_neural_op(grid: Grid, kind: str = "scalar", l_u: int = 0, l_h: int = 0,
@@ -202,25 +204,22 @@ def make_neural_op(grid: Grid, kind: str = "scalar", l_u: int = 0, l_h: int = 0,
     return NeuralOp(param, rule, grid)
 
 
-def _build_basis(grid: Grid, l_h: int, param: ParamRadial) -> tuple:
-    kgrid = free_space_kernel_grid(grid)
-    basis = [sample_kernel(kgrid, profile, l_h) for profile in param.smooth_profiles()]
-    for _, order in param.stencils:
-        small = delta_stencil(grid) if order == 0 else gradient_stencil(grid)
-        # center the 3-wide stencil on the (2n-1)-wide kernel grid
-        comps = np.pad(small.field.components,
-                       [(0, 0)] + [(n - 2, n - 2) for n in grid.shape])
-        basis.append(KernelField(TensorField(kgrid, l_h, comps), l_h))
-    return tuple(basis)
+def _term_recipes(op: NeuralOp) -> list:
+    """One zero-argument kernel recipe per amplitude, in amplitude order, which
+    looks its sampler up when it runs; a stencil keeps its 3-voxel width."""
+    kgrid = free_space_kernel_grid(op.grid)
+    return ([lambda p=p: sample_kernel(kgrid, p, op.l_h) for p in op.param.smooth_profiles()]
+            + [lambda o=o: (delta_stencil if o == 0 else gradient_stencil)(op.grid)
+               for _, o in op.param.stencils])
 
 
 def basis_kernels(op: NeuralOp) -> tuple:
-    """One KernelField per amplitude, in amplitude order, held per basis.
-
-    The tuple and its read-only kernels are shared by every caller.
-    """
-    return held(("basis", op.grid, op.l_h, op.param.hyper_key()),
-                lambda: _build_basis(op.grid, op.l_h, op.param))
+    """One ``EquivariantOp`` per amplitude, in amplitude order, held per basis and
+    shared: a smooth term holds its spectrum alone, a stencil its 3-wide kernel."""
+    return held(("basis", op.grid, op.rule, op.param.hyper_key()),
+                lambda: tuple(EquivariantOp("basis", op.grid, recipe, op.rule.kind,
+                                            boundary=ZERO, input_l=op.rule.l_u)
+                              for recipe in _term_recipes(op)))
 
 
 def _check_dataset(op: NeuralOp, dataset) -> None:
@@ -246,11 +245,11 @@ def _reduce_rows(blocks, width: int) -> tuple:
 
 
 def _reduce_dataset(op: NeuralOp, dataset) -> tuple:
-    """``_reduce_rows`` of one block [conv(u, basis_0) ... | v] per sample."""
+    """``_reduce_rows`` of one block [basis_0.apply(u) ... | v] per sample."""
     _check_dataset(op, dataset)
     basis = basis_kernels(op)
-    blocks = (np.column_stack([conv(u, b, op.rule, boundary=ZERO).components.ravel()
-                               for b in basis] + [v.components.ravel()]) for u, v in dataset)
+    blocks = (np.column_stack([b.apply(u).components.ravel() for b in basis]
+                              + [v.components.ravel()]) for u, v in dataset)
     reduced = _reduce_rows(blocks, len(basis) + 1)
     if reduced[-1] == 0.0:
         raise ValueError("dataset target is identically zero; relative loss undefined")
@@ -274,7 +273,7 @@ def loss(op: NeuralOp, dataset) -> float:
 def grad_params(op: NeuralOp, dataset) -> np.ndarray:
     """Analytic gradient of loss over the amplitude vector.
 
-    By linearity dv/dp_i = conv(u, basis_i), so the gradient 2 X^T (X p - y)
+    By linearity dv/dp_i = basis_i.apply(u), so the gradient 2 X^T (X p - y)
     / normalizer over the stacked responses X is 2 Rx^T (Rx p - c) / normalizer.
     """
     Rx, c, _, norm = _reduce_dataset(op, dataset)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -41,9 +40,9 @@ class EquivariantOp:
     with exact inversion parity, as every sampled radial kernel has; see
     ``kernel_spectrum``) and applies with that alone: built from a recipe,
     it keeps the recipe in place of the kernel, so ``kernel`` and a forced
-    direct apply sample it again, to the same bits.  A stencil operator, or
-    one built from a KernelField, keeps the array.  Nothing in it changes
-    on apply."""
+    direct apply sample it again, to the same bits; a recipe looks its
+    sampler up when it runs.  A stencil operator, or one built from a
+    KernelField, keeps the array.  Nothing in it changes on apply."""
 
     name: str
     grid: Grid
@@ -120,16 +119,16 @@ def laplacian_op(grid: Grid) -> EquivariantOp:
 
 def inverse_laplacian_op(grid: Grid) -> EquivariantOp:
     profile = inverse_r() if grid.dim == 3 else log_r()
-    kernel = partial(sample_kernel, free_space_kernel_grid(grid), profile, 0)
-    return EquivariantOp("inverse_laplacian", grid, kernel, "scalar",
-                         boundary=ZERO, input_l=0)
+    kgrid = free_space_kernel_grid(grid)
+    return EquivariantOp("inverse_laplacian", grid, lambda: sample_kernel(kgrid, profile, 0),
+                         "scalar", boundary=ZERO, input_l=0)
 
 
 def gauss_law_op(grid: Grid) -> EquivariantOp:
     if grid.dim != 3:
         raise RuleError("gauss_law is defined for 3d grids only")
-    kernel = partial(sample_kernel, free_space_kernel_grid(grid), inverse_r2(), 1)
-    return EquivariantOp("gauss_law", grid, kernel, "scalar",
+    kgrid, profile = free_space_kernel_grid(grid), inverse_r2()
+    return EquivariantOp("gauss_law", grid, lambda: sample_kernel(kgrid, profile, 1), "scalar",
                          boundary=ZERO, input_l=0)
 
 
@@ -174,7 +173,7 @@ REGISTRY = {
 
 CACHE_BYTES = 256 * 2**20   # budget of the one cache: operators and learned bases
 
-_held = OrderedDict()   # key -> operator or tuple of kernels, least recently used first
+_held = OrderedDict()   # key -> operator or tuple of operators, least recently used first
 
 
 def _nbytes(value) -> int:
@@ -183,8 +182,9 @@ def _nbytes(value) -> int:
 
 def held(key, build):
     """The value held under ``key``, built by ``build()`` on a miss: the one cache
-    of every (frozen) operator and learned basis.  Values go least recently used
-    first once their ``nbytes`` sum past ``CACHE_BYTES``; the newest always stays."""
+    of every frozen operator and learned basis (a tuple of operators).  Values go
+    least recently used first once their ``nbytes`` sum past ``CACHE_BYTES``; the
+    newest always stays."""
     if key in _held:
         _held.move_to_end(key)
         return _held[key]

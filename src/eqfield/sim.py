@@ -153,12 +153,15 @@ def estimate_parameters(trajectory: list, dt: float,
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not 0.0 <= smooth_sigma < math.inf:
         raise ValueError(f"smooth_sigma must be finite and >= 0, got {smooth_sigma}")
+    try:
+        t = smooth_sigma ** 2 / 4.0
+    except OverflowError:
+        raise ValueError(f"smooth_sigma {smooth_sigma:g} makes sigma^2/4 overflow") from None
     grid, dim = trajectory[0].grid, trajectory[0].grid.dim
     checked = list(trajectory) + ([] if source is None else [source])
     if any(u.grid != grid or u.l != 0 for u in checked):
         raise ValueError("trajectory frames must be scalar fields on one grid")
-    smooth = ((lambda u: _diffusion(u, 1.0, smooth_sigma ** 2 / 4.0)) if smooth_sigma > 0
-              else (lambda u: u))
+    smooth = (lambda u: _diffusion(u, 1.0, t)) if smooth_sigma > 0 else (lambda u: u)
     src = 0.0 if source is None else smooth(source).components
 
     def blocks():

@@ -343,6 +343,22 @@ def test_fit_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fit_refuses_reference_without_csv_before_reading(tmp_path, capsys, monkeypatch):
+    # the reference is a column of the CSV file, so without one it would be ignored
+    train = _make_pair_manifest(tmp_path, eq.Grid.centered((7, 7, 7)), 1, seed=1)
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a file was read")
+
+    monkeypatch.setattr(eq.cli, "read_eqf", unread)
+    monkeypatch.setattr(eq.cli, "manifest_lines", unread)
+    model = tmp_path / "m.eqm"
+    assert main(["fit", str(train), "--model", str(model), "--reference", "inverse_r"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--reference" in err and "--csv" in err
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("flag,value,code", [
     ("--ridge", "-1", 3),
     ("--ridge", "nan", 3),
@@ -494,6 +510,21 @@ def test_estimate_recovers_parameters(tmp_path, capsys):
         assert "smooth_sigma" in capsys.readouterr().err
 
 
+def test_estimate_smoothing_width_past_the_float_range_exits_3(tmp_path, capsys):
+    # the heat-kernel time sigma^2/4 overflows
+    g = eq.Grid.centered((8, 8), boundary=eq.PERIODIC)
+    u0 = tmp_path / "u0.eqf"
+    _write_scalar(u0, g, _blob(g))
+    outdir = tmp_path / "run"
+    assert main(["simulate", "none", str(u0), str(outdir), "--D", "0.1", "--wx", "0",
+                 "--wy", "0", "--dt", "0.1", "--steps", "2"]) == 0
+    capsys.readouterr()
+    for sigma in ("1e200", "1.35e154", "1.7976931348623157e308"):
+        assert main(["estimate", str(outdir), "--smooth", sigma]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: smooth_sigma") and len(err.splitlines()) == 1
+
+
 def test_estimate_unidentifiable_exits_4(tmp_path, capsys):
     g = eq.Grid.centered((8, 8), boundary=eq.PERIODIC)
     u = eq.TensorField.from_scalar(g, np.ones(g.shape))
@@ -542,6 +573,21 @@ def test_check_random_with_a_malformed_shape_exits_2(shape, item, capsys):
     out, err = capsys.readouterr()
     assert "PASS" not in out and "FAIL" not in out
     assert err.startswith("error:") and item in err and len(err.splitlines()) == 1
+
+
+def test_check_refuses_a_file_and_random_before_reading(tmp_path, capsys, monkeypatch):
+    # one of the two would be ignored
+    g = eq.Grid.centered((9, 9, 9))
+    src = tmp_path / "in.eqf"
+    _write_scalar(src, g, _blob(g))
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a file was read")
+
+    monkeypatch.setattr(eq.cli, "read_eqf", unread)
+    assert main(["check", str(src), "--random", "9,9,9"]) == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and err.startswith("error:") and "--random" in err
 
 
 def test_check_corrupt_is_a_negative_control(capsys):

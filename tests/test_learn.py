@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eqfield as eq
+from eqfield.checks import PATH_TOL
 from eqfield.learn import _reduce_dataset, _reduce_rows
 
 
@@ -79,8 +80,9 @@ def test_basis_contains_exact_green_kernel():
     op = eq.make_neural_op(g, kind="scalar", l_u=0, l_h=0, param=param)
     basis = eq.basis_kernels(op)
     assert len(basis) == 1
-    ref = eq.sample_kernel(basis[0].field.grid, eq.inverse_r(), 0)
-    scaled = basis[0].field.components * (1.0 / (4.0 * math.pi))
+    kernel = basis[0].kernel
+    ref = eq.sample_kernel(kernel.field.grid, eq.inverse_r(), 0)
+    scaled = kernel.field.components * (1.0 / (4.0 * math.pi))
     assert np.allclose(scaled, ref.field.components, atol=1e-15)
 
 
@@ -108,9 +110,11 @@ def test_neural_op_is_linear_in_amplitudes():
 
 
 def test_learned_operator_builds_its_kernel_once(monkeypatch):
-    # the held operator is built on first use; a zero-amplitude fit builds none.
-    # Equal recipes share one held op, so the counted phase gets a cache of
-    # its own: the reference phase has already built this op
+    # the held operator samples its kernel when it is built on first use and
+    # keeps only the spectrum, so each forced direct apply samples it again;
+    # a fit works from the basis and samples none.  Equal recipes share one
+    # held op, so the counted phase gets a cache of its own: the reference
+    # phase has already built this op
     rng = np.random.default_rng(11)
     g = eq.Grid.centered((9, 9, 9))
     zero = eq.make_neural_op(g, kind="scalar", l_u=0, l_h=0, param=_small_param())
@@ -131,8 +135,10 @@ def test_learned_operator_builds_its_kernel_once(monkeypatch):
     op = fresh.with_params(amps)
     assert np.array_equal(op.apply(u).components, expect_apply)
     assert eq.loss(op, data) == expect_loss
-    assert np.array_equal(op.apply(u, path=eq.DIRECT).components, expect_direct)
     assert len(calls) == 1
+    for forced in (2, 3):
+        assert np.array_equal(op.apply(u, path=eq.DIRECT).components, expect_direct)
+        assert len(calls) == forced
 
 
 def test_equal_models_share_one_held_operator(tmp_path, monkeypatch):
@@ -151,6 +157,140 @@ def test_equal_models_share_one_held_operator(tmp_path, monkeypatch):
     assert np.array_equal(a.apply(u).components, b.apply(u).components)
     assert a.operator is b.operator
     assert len(calls) == 1
+
+
+def _held_spectrum_bytes(shape, ncomp):
+    # one real half spectrum per component at the zero-boundary work shape
+    # of a (2N-1)-wide kernel
+    w = eq.convolve.work_shape(shape, tuple(2 * n - 1 for n in shape), eq.ZERO)
+    return 8 * ncomp * math.prod(w[:-1]) * (w[-1] // 2 + 1)
+
+
+def _default_basis_bytes(shape, l_h):
+    # ten smooth terms holding their spectra, and one 3-wide stencil kernel
+    ncomp = 2 * l_h + 1
+    return 10 * _held_spectrum_bytes(shape, ncomp) + 8 * ncomp * 3 ** len(shape)
+
+
+@pytest.mark.parametrize("shape", [(12, 12, 12), (16, 16, 16)])
+@pytest.mark.parametrize("l_h", [0, 1])
+def test_basis_bytes_follow_from_the_grid_shape(shape, l_h):
+    g = eq.Grid.centered(shape)
+    basis = eq.basis_kernels(eq.make_neural_op(g, l_h=l_h))
+    ncomp = 2 * l_h + 1
+    *smooth, stencil = basis
+    for b in smooth:
+        assert not isinstance(b.recipe, eq.KernelField)
+        assert b.nbytes == b.spectrum.nbytes == _held_spectrum_bytes(shape, ncomp)
+    assert stencil.spectrum is None and stencil.kernel.grid.shape == (3, 3, 3)
+    assert stencil.nbytes == stencil.kernel.nbytes == 8 * ncomp * 27
+    assert sum(b.nbytes for b in basis) == _default_basis_bytes(shape, l_h)
+
+
+def test_large_bases_fit_the_cache_budget():
+    assert _default_basis_bytes((48, 48, 48), 0) == 36_126_936
+    assert _default_basis_bytes((64, 64, 64), 0) == 85_197_016
+    assert _default_basis_bytes((64, 64, 64), 1) <= eq.operators.CACHE_BYTES
+
+
+@pytest.mark.parametrize("samples", [1, 2, 4])
+def test_fit_transforms_each_basis_spectrum_once(fft_calls, monkeypatch, samples):
+    # the ten smooth spectra are made once, when the basis is built; each
+    # sample then costs one input transform and one inverse per smooth term,
+    # and the delta stencil goes direct
+    monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
+    rng = np.random.default_rng(17)
+    g = eq.Grid.centered((12, 12, 12))
+    data = [(eq.TensorField.random(g, 0, rng), eq.TensorField.random(g, 0, rng))
+            for _ in range(samples)]
+    eq.fit_least_squares(eq.make_neural_op(g), data)
+    assert len(fft_calls.forward) == 10 + 10 * samples
+    assert len(fft_calls.inverse) == 10 * samples
+
+
+@pytest.mark.parametrize("shape, l_h", [((9, 8, 7), 0), ((9, 8, 7), 1), ((10, 7), 1)])
+def test_design_columns_match_convolution_with_the_basis_kernels(shape, l_h):
+    # a smooth column is conv with the term's kernel, to the bit; the stencil
+    # column goes direct, and agrees with the stencil padded to the
+    # free-space kernel grid, on the Fourier path, within PATH_TOL
+    rng = np.random.default_rng(18)
+    g = eq.Grid.centered(shape)
+    op = eq.make_neural_op(g, l_h=l_h)
+    u, v = eq.TensorField.random(g, 0, rng), eq.TensorField.random(g, l_h, rng)
+    *smooth, stencil = eq.basis_kernels(op)
+    cols = [b.apply(u).components for b in smooth]
+    for b, col in zip(smooth, cols):
+        assert np.array_equal(col, eq.conv(u, b.kernel, op.rule, boundary=eq.ZERO).components)
+    small = stencil.kernel
+    padded = np.pad(small.field.components, [(0, 0)] + [(n - 2, n - 2) for n in shape])
+    wide = eq.KernelField(eq.TensorField(eq.kernels.free_space_kernel_grid(g), l_h, padded),
+                          l_h)
+    col = stencil.apply(u).components
+    assert np.array_equal(col, eq.conv(u, small, op.rule, path=eq.DIRECT,
+                                       boundary=eq.ZERO).components)
+    ref = eq.conv(u, wide, op.rule, path=eq.FOURIER, boundary=eq.ZERO).components
+    assert np.max(np.abs(col - ref)) <= PATH_TOL * np.max(np.abs(ref))
+    block = np.column_stack([c.ravel() for c in cols + [col]] + [v.components.ravel()])
+    reduced = _reduce_rows([block], block.shape[1])
+    assert all(np.array_equal(a, b) for a, b in zip(_reduce_dataset(op, [(u, v)]), reduced))
+
+
+def _padded_sum(op):
+    # the learned kernel as the sum of every basis term sampled on the
+    # free-space kernel grid, the stencils zero-padded out to it
+    kgrid = eq.kernels.free_space_kernel_grid(op.grid)
+    terms = [eq.sample_kernel(kgrid, p, op.l_h).field.components
+             for p in op.param.smooth_profiles()]
+    for _, order in op.param.stencils:
+        small = (eq.delta_stencil if order == 0 else eq.gradient_stencil)(op.grid)
+        terms.append(np.pad(small.field.components,
+                            [(0, 0)] + [(n - 2, n - 2) for n in op.grid.shape]))
+    comps = np.zeros_like(terms[0])
+    for a, term in zip(op.param.amplitudes, terms):
+        if a != 0.0:
+            comps = comps + a * term
+    return comps
+
+
+@pytest.mark.parametrize("shape, kind, l_u, l_h", [
+    ((9, 8, 7), "scalar", 0, 0), ((9, 8, 7), "dot", 1, 1), ((10, 7), "scalar", 0, 1),
+    ((3, 4), "scalar", 0, 0)])
+def test_learned_kernel_is_the_padded_sum_of_its_terms(monkeypatch, shape, kind, l_u, l_h):
+    # sampled from the term recipes, without building the basis
+    monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
+    rng = np.random.default_rng(19)
+    op = eq.make_neural_op(eq.Grid.centered(shape), kind=kind, l_u=l_u, l_h=l_h)
+    amps = rng.standard_normal(op.param.n_params)
+    amps[[1, 4]] = 0.0
+    for p in (amps, np.zeros_like(amps), -amps):
+        learned = op.with_params(p)
+        kernel = learned.kernel()
+        assert kernel.grid == eq.kernels.free_space_kernel_grid(op.grid)
+        assert np.array_equal(kernel.field.components, _padded_sum(learned))
+        assert np.array_equal(learned.operator.kernel.field.components,
+                              kernel.field.components)
+    assert not any(isinstance(k, tuple) and k[0] == "basis" for k in eq.operators._held)
+
+
+def test_recipes_look_up_their_sampler_when_they_run(monkeypatch):
+    # an operator built while a sampler is wrapped does not keep the wrapper
+    g = eq.Grid.centered((9, 9, 9))
+    monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
+    calls = []
+    sample, kernel = eq.learn.sample_kernel, eq.NeuralOp.kernel
+    learned = eq.make_neural_op(g).with_params(np.arange(1.0, 12.0))
+    with monkeypatch.context() as m:
+        m.setattr(eq.learn, "sample_kernel", lambda *a: calls.append(1) or sample(*a))
+        m.setattr(eq.NeuralOp, "kernel", lambda self: calls.append(1) or kernel(self))
+        basis = eq.basis_kernels(learned)
+        op = learned.operator
+    built = len(calls)
+    assert built == 21   # ten basis terms, then the learned kernel and its ten
+    for b in basis:
+        b.kernel
+    op.kernel
+    learned.apply(eq.TensorField.random(g, 0, np.random.default_rng(20)), path=eq.DIRECT)
+    assert len(calls) == built
 
 
 @pytest.mark.parametrize("terms", [
@@ -268,8 +408,7 @@ def test_fit_with_fewer_voxels_than_terms_matches_stacked_reference():
     op = eq.make_neural_op(g)
     u = eq.TensorField.random(g, 0, rng)
     target = op.with_params(rng.standard_normal(op.param.n_params)).apply(u)
-    X = np.column_stack([eq.conv(u, b, op.rule, boundary=eq.ZERO).components.ravel()
-                         for b in eq.basis_kernels(op)])
+    X = np.column_stack([b.apply(u).components.ravel() for b in eq.basis_kernels(op)])
     y = target.components.ravel()
     Rx, c, rho2, norm = _reduce_dataset(op, [(u, target)])
     assert Rx.shape == (11, 11)

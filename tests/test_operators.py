@@ -438,8 +438,11 @@ def test_cached_kernels_are_read_only():
     assert np.array_equal(eq.gauss_law(u).components, before.components)
     basis = eq.basis_kernels(eq.make_neural_op(g))
     assert isinstance(basis, tuple)
+    for smooth in basis[:-1]:
+        with pytest.raises(ValueError):
+            smooth.spectrum[...] = 0.0
     with pytest.raises(ValueError):
-        basis[0].field.components[...] = 0.0
+        basis[-1].kernel.field.components[...] = 0.0
 
 
 def test_path_argument_forces_one_call_only():
@@ -575,6 +578,20 @@ def test_fourier_operator_rebuilds_its_kernel_to_the_same_bits(g, name, build, p
     assert all(a.shape[-g.dim:] != fresh.grid.shape for a in arrays)
 
 
+@pytest.mark.parametrize("g, name, build, params", _fourier_registry_ops())
+def test_operator_recipe_looks_up_its_sampler_when_it_runs(monkeypatch, g, name, build,
+                                                           params):
+    # an operator built while the sampler is wrapped does not keep the wrapper
+    sample, calls = eq.operators.sample_kernel, []
+    with monkeypatch.context() as m:
+        m.setattr(eq.operators, "sample_kernel", lambda *a: calls.append(1) or sample(*a))
+        op = build(g, **params)
+    assert calls == [1]
+    assert np.array_equal(op.kernel.field.components,
+                          _fresh_kernel(g, name, params).field.components)
+    assert calls == [1]
+
+
 def test_degenerate_heat_kernel_fails_when_the_operator_is_built():
     # (4 pi D t)^(-3/2) underflows to 0, so the sampled kernel has no mass
     g = eq.Grid.centered((9, 9, 9))
@@ -649,7 +666,7 @@ def test_forced_fourier_call_on_a_stencil_keeps_no_spectrum():
 
 
 def _held_bytes():
-    # every held value: an operator, or a learned basis (a tuple of kernels)
+    # every held value: an operator, or a learned basis (a tuple of operators)
     return sum(sum(k.nbytes for k in v) if isinstance(v, tuple) else v.nbytes
                for v in eq.operators._held.values())
 
@@ -667,31 +684,36 @@ def test_operator_cache_is_bounded_by_bytes(monkeypatch):
 
 
 def test_one_budget_holds_operators_and_learned_bases(monkeypatch):
-    # named operators, a learned basis and the learned operator summed from
-    # it all count against the one CACHE_BYTES, and an evicted learned
-    # operator rebuilds to the same bits; the named operators, which hold
-    # their spectra alone, are built on a finer grid so that they fill it
-    g, fine = eq.Grid.centered((9, 9, 9)), eq.Grid.centered((15, 15, 15))
+    # named operators, a learned basis and the learned operator all count
+    # against the one CACHE_BYTES, and an evicted learned operator rebuilds
+    # to the same bits; an apply builds no basis, so the basis is built
+    # here.  The named operators, which hold their spectra alone, are built
+    # on a finer grid so that together they fill it, each fitting alone
+    g, fine = eq.Grid.centered((9, 9, 9)), eq.Grid.centered((13, 13, 13))
     u = eq.TensorField.random(g, 0, np.random.default_rng(13))
     learned = eq.make_neural_op(g).with_params(np.random.default_rng(14).standard_normal(11))
     monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
+    eq.basis_kernels(learned)
     expect = learned.apply(u).components
     budget = _held_bytes()   # the basis plus the learned operator
     first = learned.operator
     named = [("inverse_laplacian", {}), ("gauss_law", {})] + [
         ("diffusion", {"D": 1.0, "t": float(t)}) for t in (0.1, 0.2, 0.3, 0.4, 0.5)]
-    assert sum(eq.make_operator(n, fine, **p).nbytes for n, p in named) > budget
+    sizes = [eq.make_operator(n, fine, **p).nbytes for n, p in named]
+    assert max(sizes) <= budget < sum(sizes)
     monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
     monkeypatch.setattr(eq.operators, "CACHE_BYTES", budget)
     for name, params in named:
         eq.make_operator(name, fine, **params)
         assert _held_bytes() <= budget
+    basis = eq.basis_kernels(learned)
     assert np.array_equal(learned.apply(u).components, expect)
     assert _held_bytes() <= budget
     for name, params in named:   # evicts the basis, then the learned operator
         eq.make_operator(name, fine, **params)
         assert _held_bytes() <= budget
     assert learned not in eq.operators._held
+    assert basis not in eq.operators._held.values()
     assert np.array_equal(learned.apply(u).components, expect)
     assert _held_bytes() <= budget
     rebuilt = learned.operator
