@@ -239,6 +239,8 @@ def cmd_estimate(args) -> RunReport:
 def cmd_check(args) -> RunReport:
     if args.input and args.random:
         raise FormatError("check takes an input file or --random SHAPE, not both")
+    if args.input and args.l is not None:
+        raise FormatError("--l sets the order of a --random field; an input file has its own")
     rng = np.random.default_rng(args.seed)
     if args.input:
         u = _read_field(args.input, args.boundary)
@@ -246,8 +248,9 @@ def cmd_check(args) -> RunReport:
     elif args.random:
         shape = parse_list(args.random, int)
         grid = Grid.centered(shape, 1.0, boundary=args.boundary or "zero")
-        u = TensorField.random(grid, args.l, rng)
-        source = f"random shape={args.random} l={args.l} seed={args.seed}"
+        l = args.l or 0
+        u = TensorField.random(grid, l, rng)
+        source = f"random shape={args.random} l={l} seed={args.seed}"
     else:
         raise FormatError("check needs an input file or --random SHAPE")
     results = run_checks(u, rng, corrupt=args.corrupt)
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="equivariance/linearity/calculus property suite")
     c.add_argument("input", nargs="?", help="EQF field to check")
     c.add_argument("--random", help="generate a field: comma-separated shape, e.g. 9,9,9")
-    c.add_argument("--l", type=int, default=0, help="order of the generated field")
+    c.add_argument("--l", type=int, help="order of the generated field (default 0)")
     c.add_argument("--corrupt", action="store_true",
                    help="negative control: breaks kernel symmetry on purpose")
     c.set_defaults(func=cmd_check)

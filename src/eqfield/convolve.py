@@ -91,7 +91,8 @@ def conv_direct(u: TensorField, kernel: KernelField, rule: ProductRule,
 
     The input is padded once by the kernel radius (zeros, or its periodic
     wrap); each non-zero entry of a tap's mix adds one scaled shifted window
-    of the padded input, taps in row-major order, then (m, p).
+    of the padded input, taps in row-major order, then (m, p).  Each tap's
+    window is sliced once, for all of its entries.
     """
     karr = kernel.field.components
     coeff = rule_coefficients(rule, u.grid.dim)
@@ -101,32 +102,36 @@ def conv_direct(u: TensorField, kernel: KernelField, rule: ProductRule,
                   mode=mode)
     mix = np.einsum("mnp,n...->...mp", coeff, karr)
     out = np.zeros((coeff.shape[2],) + ushape)
-    for *idx, m, p in np.argwhere(mix).tolist():
+    live = mix.any(axis=(-2, -1))   # the taps with a non-zero entry
+    for idx in zip(*(a.tolist() for a in np.nonzero(live))):
         # the tap at idx reads u[r - (idx - center)], which is upad[r + k - 1 - idx]
-        window = upad[(m,) + tuple(slice(k - 1 - i, k - 1 - i + n)
-                                   for k, i, n in zip(kshape, idx, ushape))]
-        out[p] += mix[(*idx, m, p)] * window
+        window = tuple(slice(k - 1 - i, k - 1 - i + n) for k, i, n in zip(kshape, idx, ushape))
+        tap = mix[idx]
+        for m, p in zip(*np.nonzero(tap)):
+            out[p] += tap[m, p] * upad[(m,) + window]
     out *= u.grid.voxel_volume
     return TensorField(u.grid, rule.l_v, out)
 
 
-def _circular_kernel(karr_n: np.ndarray, target_shape) -> np.ndarray:
-    """Lay one kernel component out circularly (center at index 0).
+def _circular_kernel(karr: np.ndarray, target_shape) -> np.ndarray:
+    """Lay a kernel out circularly (center at index 0) on its trailing axes,
+    carrying any leading (component) axes along.
 
     Index i lands on (i - center) mod w; one sliced add per combination of
     per-axis runs with contiguous targets, in kernel-index order, sums aliased
     offsets in ``np.add.at``'s order: the image sum of a narrow periodic domain.
     """
+    lead = karr.ndim - len(target_shape)
     runs = []
-    for k, w in zip(karr_n.shape, target_shape):
+    for k, w in zip(karr.shape[lead:], target_shape):
         c = (k - 1) // 2
         cuts = [0, *range(c % w or w, k, w), k]
         runs.append([(slice((a - c) % w, (a - c) % w + b - a), slice(a, b))
                      for a, b in zip(cuts, cuts[1:])])
-    out = np.zeros(target_shape)
+    out = np.zeros(karr.shape[:lead] + tuple(target_shape))
     for pairs in itertools.product(*runs):
         dst, src = zip(*pairs)
-        out[dst] += karr_n[src]
+        out[(Ellipsis, *dst)] += karr[(Ellipsis, *src)]
     return out
 
 
@@ -158,15 +163,25 @@ def work_shape(ushape, kshape, boundary: str) -> tuple:
 
 
 def kernel_spectrum(kernel: KernelField, ushape, boundary: str) -> np.ndarray:
-    """rfftn of each kernel component laid out on the work shape, read-only,
-    by ``_rfftn_padded``, which prunes nothing here: every line is live.
+    """rfftn of each kernel component laid out on the work shape, read-only:
+    ``layout_spectrum`` of ``kernel_layout``."""
+    return layout_spectrum(*kernel_layout(kernel, ushape, boundary), kernel.l_h)
+
+
+def kernel_layout(kernel: KernelField, ushape, boundary: str) -> tuple:
+    """Every kernel component laid out circularly on the work shape, one
+    (components, *work) array, and the empty spectrum that it transforms
+    into: float64 for a kernel with exact inversion parity as laid out,
+    h(-r) = (-1)^l_h h(r), complex for any other.
 
     For the zero boundary the kernel is first cropped to offsets within
-    N - 1 of its center; the periodic layout sums aliased offsets.  A kernel
-    with exact inversion parity, h(-r) = (-1)^l_h h(r) as laid out, has a
-    real spectrum for even l_h and an imaginary one for odd l_h: it keeps
-    that one float64 part per component (``conv_fourier`` restores the
-    factor i).  Any other kernel keeps the complex spectrum.
+    N - 1 of its center; the periodic layout sums aliased offsets.  Nothing
+    returned refers to the kernel, so a caller that drops it holds only
+    these two arrays while the layout is transformed.  The spectrum, which
+    outlives the build, is allocated while the kernel is still held: under
+    glibc's malloc, allocated after the kernel was dropped, it left every
+    later 48^3 apply of the greens benchmark faulting about 1,900 pages of
+    work arrays in again, against none.
     """
     work = work_shape(ushape, kernel.grid.shape, boundary)
     karr = kernel.field.components
@@ -178,11 +193,21 @@ def kernel_spectrum(kernel: KernelField, ushape, boundary: str) -> np.ndarray:
     flip = (slice(None, None, -1),) * len(work)
     odd = kernel.l_h % 2
     symmetric = all(np.array_equal(k, -k[flip] if odd else k[flip]) for k in karr)
-    part = (np.imag if odd else np.real) if symmetric else np.asarray
-    spectrum = np.empty((len(karr),) + work[:-1] + (work[-1] // 2 + 1,),
-                        float if symmetric else complex)
-    for k, out in zip(karr, spectrum):   # one statement: each transform is freed at once
-        out[...] = part(_rfftn_padded(_circular_kernel(k, work), work))
+    layout = _circular_kernel(karr, work)
+    return layout, np.empty((len(karr),) + work[:-1] + (work[-1] // 2 + 1,),
+                            float if symmetric else complex)
+
+
+def layout_spectrum(layout: np.ndarray, spectrum: np.ndarray, l_h: int) -> np.ndarray:
+    """Fill ``spectrum`` with ``_rfftn_padded`` of each component of a
+    ``kernel_layout`` of order ``l_h``, which prunes nothing here: every line
+    is live, and return it read-only.  A float64 spectrum keeps one part per
+    component, the real one for even l_h and the imaginary one for odd l_h
+    (``conv_fourier`` restores the factor i); a complex one keeps both.
+    """
+    part = (np.imag if l_h % 2 else np.real) if np.isrealobj(spectrum) else np.asarray
+    for k, out in zip(layout, spectrum):   # one statement: each transform is freed at once
+        out[...] = part(_rfftn_padded(k, layout.shape[1:]))
     spectrum.flags.writeable = False
     return spectrum
 

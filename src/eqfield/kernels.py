@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import FieldError, TensorField, unit_harmonic
+from .fields import FieldError, TensorField, components_for, unit_harmonic
 from .formats import read_eqf, write_eqf
 from .grid import Grid
 
@@ -173,26 +173,38 @@ def free_space_kernel_grid(grid: Grid, reach: float = math.inf) -> Grid:
     return kernel_grid(tuple(2 * c + 1 for c in half), grid.spacing)
 
 
+SAMPLE_SLAB_VOXELS = 2**12   # voxel cap of the block of rows that sample_kernel evaluates at once
+
+
 def sample_kernel(grid: Grid, profile: RadialProfile, l_h: int) -> KernelField:
     """Sample R(|r|) Y_l(rhat) on a centered grid, from per-axis offsets that broadcast.
 
+    The profile is evaluated one slab at a time, a block of rows along axis
+    0 of at most ``SAMPLE_SLAB_VOXELS`` voxels (one row if a row is larger),
+    into the one output array, so the temporaries are slab-sized; for l_h =
+    1 the unit directions are written into the output and scaled there.
     For l_h >= 1 the value at r=0 is the zero tensor (the direction is
     undefined there); for l_h = 0 a singular profile reads 0 there.
     """
     _check_centered(grid)
     axes = [((np.arange(n) - c) * s).reshape((n,) + (1,) * (grid.dim - 1 - a))
             for a, (n, c, s) in enumerate(zip(grid.shape, grid.center_index(), grid.spacing))]
-    r = np.sqrt(sum(x ** 2 for x in axes))
-    if l_h == 0:
-        values = profile(r)[None]
-    else:
+    squares = [x ** 2 for x in axes]
+    values = np.zeros((components_for(l_h, grid.dim),) + grid.shape)
+    rows = max(1, SAMPLE_SLAB_VOXELS // math.prod(grid.shape[1:]))
+    for start in range(0, grid.shape[0], rows):
+        slab = slice(start, start + rows)
+        r = np.sqrt(sum([squares[0][slab], *squares[1:]]))
+        if l_h == 0:
+            values[0, slab] = profile(r)
+            continue
         away = r != 0.0
         radial = np.where(away, profile(np.where(away, r, 1.0)), 0.0)
-        rhat = np.zeros((grid.dim,) + grid.shape)
-        for x, out in zip(axes, rhat):
+        block = values[:, slab]
+        rhat = block if l_h == 1 else np.zeros((grid.dim,) + r.shape)
+        for x, out in zip([axes[0][slab], *axes[1:]], rhat):
             np.divide(x, r, out=out, where=away)
-        values = unit_harmonic(l_h, rhat)
-        values *= radial
+        np.multiply(unit_harmonic(l_h, rhat), radial, out=block)
     return KernelField(TensorField(grid, l_h, values), l_h)
 
 

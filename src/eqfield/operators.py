@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .convolve import (FOURIER, check_kernel_grid, conv, conv_fourier, default_path,
-                       kernel_spectrum)
+                       kernel_layout, layout_spectrum)
 from .fields import FieldError, RuleError, TensorField, product_rule
 from .grid import ZERO, Grid, check_boundary
 from .kernels import (KernelError, KernelField, delta_stencil, free_space_kernel_grid,
@@ -39,10 +39,11 @@ class EquivariantOp:
     spectrum when it is built (one float64 array per component for a kernel
     with exact inversion parity, as every sampled radial kernel has; see
     ``kernel_spectrum``) and applies with that alone: built from a recipe,
-    it keeps the recipe in place of the kernel, so ``kernel`` and a forced
-    direct apply sample it again, to the same bits; a recipe looks its
-    sampler up when it runs.  A stencil operator, or one built from a
-    KernelField, keeps the array.  Nothing in it changes on apply."""
+    it keeps the recipe in place of the kernel and drops the sample once it
+    is laid out, before the transform, so ``kernel`` and a forced direct
+    apply sample it again, to the same bits; a recipe looks its sampler up
+    when it runs.  A stencil operator, or one built from a KernelField,
+    keeps the array.  Nothing in it changes on apply."""
 
     name: str
     grid: Grid
@@ -62,8 +63,11 @@ class EquivariantOp:
         fourier = default_path(sampled) == FOURIER
         held = dict(name=name, grid=grid, kind=kind, boundary=boundary, input_l=input_l,
                     kernel_grid=sampled.grid, l_h=sampled.l_h,
-                    recipe=kernel if fourier else sampled,
-                    spectrum=kernel_spectrum(sampled, grid.shape, boundary) if fourier else None)
+                    recipe=kernel if fourier else sampled, spectrum=None)
+        if fourier:
+            layout, spectrum = kernel_layout(sampled, grid.shape, boundary)
+            del sampled   # a recipe's sample is gone before its layout is transformed
+            held["spectrum"] = layout_spectrum(layout, spectrum, held["l_h"])
         for key, value in held.items():
             object.__setattr__(self, key, value)
 

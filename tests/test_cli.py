@@ -590,6 +590,24 @@ def test_check_refuses_a_file_and_random_before_reading(tmp_path, capsys, monkey
     assert "PASS" not in out and err.startswith("error:") and "--random" in err
 
 
+@pytest.mark.parametrize("order", ["0", "1", "2"])
+def test_check_refuses_an_order_with_a_file_before_reading(tmp_path, capsys, monkeypatch,
+                                                           order):
+    # --l sets the order of a generated field; a file's field has its own
+    g = eq.Grid.centered((9, 9, 9))
+    src = tmp_path / "in.eqf"
+    _write_scalar(src, g, _blob(g))
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a file was read")
+
+    monkeypatch.setattr(eq.cli, "read_eqf", unread)
+    assert main(["check", str(src), "--l", order]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "--l" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_check_corrupt_is_a_negative_control(capsys):
     assert main(["check", "--random", "9,9,9", "--corrupt"]) == 1
     assert "FAIL" in capsys.readouterr().out

@@ -371,6 +371,25 @@ def test_forward_transform_allocates_only_its_output(shape, work):
     assert peak <= out.nbytes + 64 * 2**10
 
 
+def test_direct_path_lists_taps_not_mix_entries():
+    # a 9^3 l = 1 kernel under the cross rule has 729 taps of 6 entries each;
+    # the direct path holds the output, the padded input and the mix table,
+    # plus einsum's buffers and one index list per axis, not one per entry
+    g = eq.Grid.centered((7, 7, 7))
+    rule = eq.product_rule("cross", 1, 1, 3)
+    kernel = eq.sample_kernel(eq.kernel_grid((9, 9, 9), 1.0), eq.gaussian(2.0), 1)
+    u = eq.TensorField.random(g, 1, np.random.default_rng(29))
+    tracemalloc.start()
+    try:
+        out = eq.convolve.conv_direct(u, kernel, rule, eq.ZERO)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    padded = 8 * 3 * 15 ** 3
+    mix = 8 * 9 ** 3 * 3 * 3
+    assert peak <= out.components.nbytes + padded + mix + 128 * 2**10
+
+
 class _NoRfftn:
     """``numpy.fft`` without ``rfftn``: a forward transform that does not go
     through ``_rfftn_padded`` fails."""

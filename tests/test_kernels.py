@@ -128,6 +128,79 @@ def test_sample_kernel_matches_stacked_meshgrid(shape, spacing, l_h):
         assert _same_bits(got, _stacked_sample(kg, profile, l_h)), profile.name
 
 
+def _whole_array_sample(grid, profile, l_h):
+    """R(|r|) Y_l(rhat) evaluated on the whole kernel at once, from per-axis
+    offsets that broadcast: the reference that the slab-by-slab
+    ``sample_kernel`` must reproduce bit for bit."""
+    axes = [((np.arange(n) - c) * s).reshape((n,) + (1,) * (grid.dim - 1 - a))
+            for a, (n, c, s) in enumerate(zip(grid.shape, grid.center_index(), grid.spacing))]
+    r = np.sqrt(sum(x ** 2 for x in axes))
+    if l_h == 0:
+        return profile(r)[None]
+    away = r != 0.0
+    radial = np.where(away, profile(np.where(away, r, 1.0)), 0.0)
+    rhat = np.zeros((grid.dim,) + grid.shape)
+    for x, out in zip(axes, rhat):
+        np.divide(x, r, out=out, where=away)
+    values = eq.unit_harmonic(l_h, rhat)
+    values *= radial
+    return values
+
+
+def _slab_rows(shape):
+    return max(1, eq.kernels.SAMPLE_SLAB_VOXELS // math.prod(shape[1:]))
+
+
+# (131, 45) and (23, 41, 37) end in a partial slab, (9, 7) and (7, 9, 5) fit in
+# one, and a row of (5, 67, 71) is wider than the slab cap, so each slab is one row
+SLAB_SHAPES = [((131, 45), (0.7, 1.3)), ((9, 7), (0.7, 1.3)),
+               ((23, 41, 37), (0.7, 1.1, 0.45)), ((7, 9, 5), (0.7, 1.1, 0.45)),
+               ((5, 67, 71), (1.0, 0.5, 0.25))]
+
+
+def test_slab_shapes_cover_partial_single_and_one_row_slabs():
+    rows = {shape: _slab_rows(shape) for shape, _ in SLAB_SHAPES}
+    assert rows[(131, 45)] < 131 and 131 % rows[(131, 45)] != 0
+    assert rows[(23, 41, 37)] < 23 and 23 % rows[(23, 41, 37)] != 0
+    assert rows[(9, 7)] >= 9 and rows[(7, 9, 5)] >= 7
+    assert 67 * 71 > eq.kernels.SAMPLE_SLAB_VOXELS and rows[(5, 67, 71)] == 1
+
+
+def _with_orders(shapes):
+    return [(shape, spacing, l_h) for shape, spacing in shapes
+            for l_h in ((0, 1) if len(shape) == 2 else (0, 1, 2))]
+
+
+@pytest.mark.parametrize("shape,spacing,l_h", _with_orders(SLAB_SHAPES))
+def test_sample_kernel_in_slabs_matches_the_whole_array(shape, spacing, l_h):
+    kg = eq.kernel_grid(shape, spacing)
+    # the heat kernel's support (10 sqrt(2 D t) = 2) is inside every box here
+    heat = eq.gaussian_diffusion(0.5, 0.04, len(shape))
+    assert heat.support < max(n // 2 * h for n, h in zip(shape, kg.spacing))
+    for profile in (eq.inverse_r(), eq.inverse_r2(), eq.log_r(), heat, eq.gaussian(1.3)):
+        got = eq.sample_kernel(kg, profile, l_h).field.components
+        assert _same_bits(got, _whole_array_sample(kg, profile, l_h)), profile.name
+
+
+SLAB_TEMPORARIES = {0: 8, 1: 8, 2: 24}   # slab-sized float arrays; l = 2 forms rhat rhat^T
+
+
+@pytest.mark.parametrize("shape,spacing,l_h",
+                         _with_orders(SLAB_SHAPES + [((95, 95, 95), (1.0, 1.0, 1.0))]))
+def test_sample_kernel_holds_one_slab_of_temporaries(shape, spacing, l_h):
+    # the output, the one-byte-per-value mask of TensorField's finiteness
+    # check, and the temporaries of one slab, whatever the kernel's size
+    kg = eq.kernel_grid(shape, spacing)
+    slab = 8 * _slab_rows(shape) * math.prod(shape[1:])
+    tracemalloc.start()
+    try:
+        values = eq.sample_kernel(kg, eq.inverse_r(), l_h).field.components
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= values.nbytes + values.size + SLAB_TEMPORARIES[l_h] * slab
+
+
 def test_singular_profile_zeroes_origin_without_touching_fn_output():
     r = np.array([[0.0, 0.5], [2.0, 0.0]])
     kept = r.copy()

@@ -625,26 +625,38 @@ def _four_kernels(op):
     return op.nbytes + 4 * op.kernel.nbytes
 
 
+def _layout_and_transform(op):
+    # the spectrum, one work-shaped real array (the kernel's circular layout),
+    # one half-complex work array (its transform) and four slabs' worth of
+    # sampling temporaries and ufunc buffers; the sampled kernel is dropped
+    # before its layout is transformed, so it is not among them
+    w = eq.convolve.work_shape(op.grid.shape, op.kernel_grid.shape, op.boundary)
+    half = math.prod(w[:-1]) * (w[-1] // 2 + 1)
+    return op.nbytes + 8 * math.prod(w) + 16 * half + 4 * 8 * eq.kernels.SAMPLE_SLAB_VOXELS
+
+
 def _heat_24_periodic(op):
     # the 21^3 heat kernel (R = 10 at D t = 0.5) is narrower than the 24^3
-    # work array, so the build temporaries are work-sized: at most four
-    # work arrays beside the kernel and the 24 x 24 x 13 real spectrum
+    # work array, which the 24 x 24 x 13 real spectrum is the half of
     assert op.nbytes == 8 * 24 * 24 * 13
-    return 8 * (21 ** 3 + 24 * 24 * 13) + 4 * 8 * 24 ** 3
+    return _layout_and_transform(op)
 
 
 @pytest.mark.parametrize("build, bound", [
-    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((24,) * 3)), _four_kernels),
-    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((64, 64))), _four_kernels),
+    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((24,) * 3)), _layout_and_transform),
+    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((48,) * 3)), _layout_and_transform),
+    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((64, 64))), _layout_and_transform),
     (lambda: eq.gauss_law_op(eq.Grid.centered((16,) * 3)), _four_kernels),
     (lambda: eq.diffusion_op(eq.Grid.centered((24,) * 3, boundary=eq.PERIODIC), 1.0, 0.5),
      _heat_24_periodic),
-], ids=["inverse_laplacian_3d", "inverse_laplacian_2d", "gauss_law", "diffusion_periodic"])
+], ids=["inverse_laplacian_3d", "inverse_laplacian_48", "inverse_laplacian_2d", "gauss_law",
+        "diffusion_periodic"])
 def test_green_operator_build_peak_is_bounded(build, bound):
     # building an operator with its spectrum holds, at its peak, what the
-    # operator keeps plus a bounded amount of temporaries: four kernels'
-    # worth, the sampled one included, for a Green's function kernel
-    # spanning the free-space box
+    # operator keeps plus a bounded amount of temporaries: for a single
+    # component, work arrays and a few slabs, stated from the grid shape; for
+    # gauss_law's three components, whose layouts are made together, four
+    # kernels' worth, the sampled one included
     tracemalloc.start()
     try:
         op = build()
