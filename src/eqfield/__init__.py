@@ -7,7 +7,7 @@ functions; diffusion-advection simulation and parameter estimation.
 """
 
 from .checks import CheckResult, all_passed, run_checks
-from .convolve import DIRECT, FOURIER, conv, conv_direct, conv_fourier
+from .convolve import DIRECT, FOURIER, conv_direct, conv_fourier
 from .fields import (FieldError, ProductRule, RuleError, TensorField,
                      components_for, field_norm, l2_basis, l2_from_matrix,
                      matrix_from_l2, pointwise_product, product_rule,
@@ -25,7 +25,7 @@ from .learn import (AttentionLayer, EmptyBasisError, FitResult, NeuralOp,
                     basis_kernels, default_param_radial, fit_gradient_descent,
                     fit_least_squares, grad_params, load_model, loss,
                     make_neural_op, power_profile, save_model)
-from .operators import (REGISTRY, EquivariantOp, curl, curl_op, diffusion,
+from .operators import (REGISTRY, EquivariantOp, conv, curl, curl_op, diffusion,
                         diffusion_op, div, div_op, gauss_law, gauss_law_op,
                         grad, grad_op, identity_op, inverse_laplacian,
                         inverse_laplacian_op, laplacian, laplacian_op,

@@ -1,5 +1,6 @@
-"""Tensor-field convolution: direct path for compact kernels, Fourier path
-for long-range ones.
+"""The two convolution paths and the kernel spectrum: direct for compact
+kernels, Fourier for long-range ones.  ``operators.EquivariantOp.apply`` is
+the one caller that picks between them; ``eq.conv`` goes through it.
 
 A tensor convolution decomposes into scalar convolutions of component
 fields weighted by the product-expansion coefficients C_mnp:
@@ -31,58 +32,19 @@ import itertools
 import numpy as np
 from numpy import fft as sfft
 
-from .fields import (FieldError, ProductRule, RuleError, TensorField,
-                     rule_coefficients)
-from .grid import PERIODIC, ZERO, Grid, check_boundary
+from .fields import ProductRule, TensorField, rule_coefficients
+from .grid import PERIODIC, ZERO
 from .kernels import KernelField
 
 DIRECT = "direct"
 FOURIER = "fourier"
-DIRECT_MAX_EXTENT = 5   # widest kernel axis (voxels) that conv takes direct
+DIRECT_MAX_EXTENT = 5   # widest kernel axis (voxels) that goes direct by default
 
 
 def default_path(kernel: KernelField) -> str:
-    """The path ``conv`` takes unless told otherwise: direct for kernels at
-    most ``DIRECT_MAX_EXTENT`` voxels wide on every axis, Fourier otherwise."""
+    """The path an operator takes unless told otherwise: direct for kernels
+    at most ``DIRECT_MAX_EXTENT`` voxels wide on every axis, Fourier otherwise."""
     return DIRECT if max(kernel.grid.shape) <= DIRECT_MAX_EXTENT else FOURIER
-
-
-def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
-         path: str | None = None, boundary: str | None = None) -> TensorField:
-    """Tensor-field convolution.
-
-    ``default_path`` sends the finite-difference stencils through the direct
-    path and wider kernels through the Fourier path, whose kernel spectrum
-    is computed here and not kept.  ``path`` forces a path for this call
-    only, so the two can be checked against each other; ``boundary``
-    defaults to the field's, and one not in ``grid.BOUNDARIES`` raises
-    GridError.
-    """
-    check_kernel_grid(u.grid, kernel.grid)
-    if rule.l_u != u.l:
-        raise RuleError(f"rule expects input order {rule.l_u}, field has l={u.l}")
-    if rule.l_h != kernel.l_h:
-        raise RuleError(f"rule expects kernel order {rule.l_h}, kernel has l={kernel.l_h}")
-    if path is None:
-        path = default_path(kernel)
-    boundary = check_boundary(u.grid.boundary if boundary is None else boundary)
-    if path == DIRECT:
-        return conv_direct(u, kernel, rule, boundary)
-    if path == FOURIER:
-        return conv_fourier(u, kernel.grid.shape, rule, boundary,
-                            kernel_spectrum(kernel, u.grid.shape, boundary))
-    raise ValueError(f"path must be direct|fourier, got {path!r}")
-
-
-def check_kernel_grid(grid: Grid, kernel_grid: Grid) -> None:
-    """FieldError unless kernels on ``kernel_grid`` convolve fields on
-    ``grid``: the same dimension and spacing."""
-    if kernel_grid.dim != grid.dim:
-        raise FieldError("field and kernel dimensions differ")
-    for a in range(grid.dim):
-        hu, hk = grid.spacing[a], kernel_grid.spacing[a]
-        if abs(hu - hk) > 1e-12 * max(hu, hk):
-            raise FieldError(f"field and kernel spacing differ on axis {a}: {hu} vs {hk}")
 
 
 def conv_direct(u: TensorField, kernel: KernelField, rule: ProductRule,

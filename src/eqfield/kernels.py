@@ -2,7 +2,7 @@
 
 A kernel is a tensor field on a centered odd-extent grid and nothing more:
 ``sample_kernel`` evaluates a radial profile on it, and the finite-difference
-stencils carry their weights on a 3- or 5-wide grid.  ``conv`` picks the
+stencils carry their weights on a 3- or 5-wide grid.  An operator picks the
 convolution path from the kernel's extent alone.  Stencil weights are stored
 pre-divided by the voxel volume so that the volume-scaled discrete
 convolution reproduces the finite difference exactly; the delta stencil's
@@ -183,8 +183,8 @@ def sample_kernel(grid: Grid, profile: RadialProfile, l_h: int) -> KernelField:
     0 of at most ``SAMPLE_SLAB_VOXELS`` voxels (one row if a row is larger),
     into the one output array, so the temporaries are slab-sized; for l_h =
     1 the unit directions are written into the output and scaled there.
-    For l_h >= 1 the value at r=0 is the zero tensor (the direction is
-    undefined there); for l_h = 0 a singular profile reads 0 there.
+    The profile alone sets r=0, where rhat is 0, so Y_l vanishes there for
+    l_h >= 1; a singular profile reads 0 there, and a non-finite one fails.
     """
     _check_centered(grid)
     axes = [((np.arange(n) - c) * s).reshape((n,) + (1,) * (grid.dim - 1 - a))
@@ -198,13 +198,11 @@ def sample_kernel(grid: Grid, profile: RadialProfile, l_h: int) -> KernelField:
         if l_h == 0:
             values[0, slab] = profile(r)
             continue
-        away = r != 0.0
-        radial = np.where(away, profile(np.where(away, r, 1.0)), 0.0)
         block = values[:, slab]
         rhat = block if l_h == 1 else np.zeros((grid.dim,) + r.shape)
         for x, out in zip([axes[0][slab], *axes[1:]], rhat):
-            np.divide(x, r, out=out, where=away)
-        np.multiply(unit_harmonic(l_h, rhat), radial, out=block)
+            np.divide(x, r, out=out, where=r != 0.0)
+        np.multiply(unit_harmonic(l_h, rhat), profile(r), out=block)
     return KernelField(TensorField(grid, l_h, values), l_h)
 
 

@@ -1,5 +1,9 @@
-"""Named equivariant operators: differential stencils, Green's functions,
-and the diffusion smoother.
+"""Equivariant operators, the one front door to convolution.
+
+``EquivariantOp.apply`` is the one place that picks a convolution path;
+``conv`` is an operator built for one call.  The named operators are the
+differential stencils, the Green's functions and the diffusion smoother;
+``held`` is the one cache of every operator the package builds.
 
 Sign and unit conventions (Gaussian units, eps0 = 1):
 
@@ -21,9 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .convolve import (FOURIER, check_kernel_grid, conv, conv_fourier, default_path,
-                       kernel_layout, layout_spectrum)
-from .fields import FieldError, RuleError, TensorField, product_rule
+from .convolve import (DIRECT, FOURIER, conv_direct, conv_fourier, default_path,
+                       kernel_layout, kernel_spectrum, layout_spectrum)
+from .fields import FieldError, ProductRule, RuleError, TensorField, product_rule
 from .grid import ZERO, Grid, check_boundary
 from .kernels import (KernelError, KernelField, delta_stencil, free_space_kernel_grid,
                       gaussian_diffusion, gradient_stencil, inverse_r, inverse_r2,
@@ -59,7 +63,11 @@ class EquivariantOp:
                  kind: str, boundary: str | None = None, input_l: int | None = None):
         boundary = check_boundary(grid.boundary if boundary is None else boundary)
         sampled = kernel if isinstance(kernel, KernelField) else kernel()
-        check_kernel_grid(grid, sampled.grid)
+        if sampled.grid.dim != grid.dim:
+            raise FieldError("field and kernel dimensions differ")
+        for a, (hu, hk) in enumerate(zip(grid.spacing, sampled.grid.spacing)):
+            if abs(hu - hk) > 1e-12 * max(hu, hk):
+                raise FieldError(f"field and kernel spacing differ on axis {a}: {hu} vs {hk}")
         fourier = default_path(sampled) == FOURIER
         held = dict(name=name, grid=grid, kind=kind, boundary=boundary, input_l=input_l,
                     kernel_grid=sampled.grid, l_h=sampled.l_h,
@@ -84,17 +92,39 @@ class EquivariantOp:
         return kernel + (0 if self.spectrum is None else self.spectrum.nbytes)
 
     def apply(self, u: TensorField, path: str | None = None) -> TensorField:
-        """Convolve u with the kernel; ``path`` forces a path for this call.
-        The Fourier path uses the held spectrum and never the kernel."""
+        """Convolve u with the kernel: on the Fourier path with the held
+        spectrum if there is one, direct otherwise.  ``path`` forces a path
+        for this call only; a forced Fourier apply of an operator without a
+        spectrum computes one and keeps nothing."""
         if u.grid != self.grid:
             raise FieldError(f"operator {self.name!r} was built for another grid")
         if self.input_l is not None and u.l != self.input_l:
             raise RuleError(f"operator {self.name!r} expects l={self.input_l} input, "
                             f"got l={u.l}")
+        if path is None:
+            path = DIRECT if self.spectrum is None else FOURIER
         rule = product_rule(self.kind, u.l, self.l_h, u.grid.dim)
-        if self.spectrum is not None and path in (None, FOURIER):
-            return conv_fourier(u, self.kernel_grid.shape, rule, self.boundary, self.spectrum)
-        return conv(u, self.kernel, rule, path=path, boundary=self.boundary)
+        if path == DIRECT:
+            return conv_direct(u, self.kernel, rule, self.boundary)
+        if path != FOURIER:
+            raise ValueError(f"path must be direct|fourier, got {path!r}")
+        spectrum = (self.spectrum if self.spectrum is not None
+                    else kernel_spectrum(self.kernel, self.grid.shape, self.boundary))
+        return conv_fourier(u, self.kernel_grid.shape, rule, self.boundary, spectrum)
+
+
+def conv(u: TensorField, kernel: KernelField, rule: ProductRule,
+         path: str | None = None, boundary: str | None = None) -> TensorField:
+    """Tensor-field convolution of u with a kernel under ``rule``: an
+    ``EquivariantOp`` built for this one call and held nowhere, so a wide
+    kernel's spectrum is computed here and dropped.  ``path`` forces a path;
+    ``boundary`` defaults to the field's, and one not in ``grid.BOUNDARIES``
+    raises GridError."""
+    if rule.l_u != u.l:
+        raise RuleError(f"rule expects input order {rule.l_u}, field has l={u.l}")
+    if rule.l_h != kernel.l_h:
+        raise RuleError(f"rule expects kernel order {rule.l_h}, kernel has l={kernel.l_h}")
+    return EquivariantOp("conv", u.grid, kernel, rule.kind, boundary, rule.l_u).apply(u, path)
 
 
 def identity_op(grid: Grid) -> EquivariantOp:

@@ -659,6 +659,15 @@ def test_run_checks_refuses_a_tiny_grid_before_any_convolution(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("shape, l, forward, inverse", [
+    ((7, 7, 7), 1, 284, 210), ((7, 7, 7), 0, 108, 270), ((12, 12), 1, 70, 40)])
+def test_run_checks_transforms_one_spectrum_per_rule_and_boundary(fft_calls, shape, l,
+                                                                  forward, inverse):
+    u = eq.TensorField.random(eq.Grid.centered(shape), l, np.random.default_rng(0))
+    assert eq.all_passed(eq.run_checks(u))
+    assert (len(fft_calls.forward), len(fft_calls.inverse)) == (forward, inverse)
+
+
 def test_check_without_input_exits_2(capsys):
     assert main(["check"]) == 2
     capsys.readouterr()

@@ -221,6 +221,18 @@ def test_singular_profile_zeroes_origin_without_touching_fn_output():
     assert _same_bits(r, kept) and np.all(frozen == 1.0) and np.all(table == 2.0)
 
 
+def test_unflagged_profile_infinite_at_the_origin_is_refused_for_every_order():
+    # the profile alone sets the origin voxel: Y_l(0) = 0 times inf is not finite
+    kg = eq.kernel_grid((5, 5, 5), 1.0)
+    bare = eq.RadialProfile(lambda r: 1.0 / r)
+    flagged = eq.RadialProfile(bare.fn, singular_at_origin=True)
+    for l_h in (0, 1, 2):
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(eq.FieldError):
+            eq.sample_kernel(kg, bare, l_h)
+        origin = eq.sample_kernel(kg, flagged, l_h).field.components[:, 2, 2, 2]
+        assert origin.tolist() == [0.0] * len(origin)
+
+
 def test_delta_stencil_identity_weight():
     g = eq.Grid.centered((5, 5), spacing=0.5)
     k = eq.delta_stencil(g)

@@ -455,6 +455,43 @@ def test_path_argument_forces_one_call_only():
     assert np.array_equal(op.apply(u).components, direct.components)
 
 
+@pytest.mark.parametrize("path", ["bogus", ""])
+def test_invalid_path_is_refused_before_any_kernel_is_sampled(monkeypatch, fft_calls, path):
+    # only None selects the default path; anything else but direct|fourier
+    # raises before the recipe samples a kernel or a transform runs
+    g = eq.Grid.centered((9, 9, 9))
+    u = eq.TensorField.random(g, 0, np.random.default_rng(3))
+    kernel = eq.sample_kernel(eq.kernel_grid((3, 3, 3), 1.0), eq.gaussian(1.0), 0)
+    ops = (eq.make_operator("inverse_laplacian", g), eq.make_operator("laplacian", g))
+    sample, calls = eq.operators.sample_kernel, []
+    monkeypatch.setattr(eq.operators, "sample_kernel", lambda *a: calls.append(1) or sample(*a))
+    fft_calls.forward.clear()
+    for call in (lambda: ops[0].apply(u, path=path), lambda: ops[1].apply(u, path=path),
+                 lambda: eq.conv(u, kernel, eq.product_rule("scalar", 0, 0, 3), path=path)):
+        with pytest.raises(ValueError, match="path must be"):
+            call()
+    assert calls == [] and fft_calls.forward == [] and fft_calls.inverse == []
+
+
+def test_conv_is_an_operator_built_for_one_call():
+    # the same bits as an operator built from the kernel, and nothing held
+    g = eq.Grid.centered((9, 8, 7))
+    u = eq.TensorField.random(g, 1, np.random.default_rng(5))
+    rule = eq.product_rule("dot", 1, 1, 3)
+    for width in (3, 9):
+        kernel = eq.sample_kernel(eq.kernel_grid((width,) * 3, 1.0), eq.gaussian(2.0), 1)
+        for boundary in eq.BOUNDARIES:
+            op = eq.EquivariantOp("x", g, kernel, "dot", boundary)
+            held = [(k, id(v)) for k, v in eq.operators._held.items()]
+            for path in (None, eq.DIRECT, eq.FOURIER):
+                out = eq.conv(u, kernel, rule, path=path, boundary=boundary)
+                assert np.array_equal(out.components, op.apply(u, path).components)
+            assert [(k, id(v)) for k, v in eq.operators._held.items()] == held
+    with pytest.raises(eq.RuleError, match="input order"):
+        eq.conv(eq.TensorField.zeros(g, 0), kernel, rule)
+    assert not hasattr(eq.convolve, "conv")
+
+
 def test_operator_rejects_field_on_another_grid():
     # a kernel built for 9^3 spans too few displacements for a 17^3 field
     op = eq.make_operator("inverse_laplacian", eq.Grid.centered((9, 9, 9)))
