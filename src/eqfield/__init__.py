@@ -7,7 +7,7 @@ functions; diffusion-advection simulation and parameter estimation.
 """
 
 from .checks import CheckResult, all_passed, run_checks
-from .convolve import DIRECT, FOURIER, conv_direct, conv_fourier
+from .convolve import DIRECT, FOURIER
 from .fields import (FieldError, ProductRule, RuleError, TensorField,
                      components_for, field_norm, l2_basis, l2_from_matrix,
                      matrix_from_l2, pointwise_product, product_rule,

@@ -94,9 +94,11 @@ def unit_harmonic(l: int, rhat: np.ndarray) -> np.ndarray:
     raise FieldError(f"unit harmonic l={l} unsupported in {dim}d")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TensorField:
-    """Rotation order plus per-voxel component array over a grid."""
+    """Rotation order plus per-voxel component array over a grid.  Frozen, so a
+    held kernel cannot be swapped out; the array stays writable unless a
+    ``KernelField`` holds it."""
 
     grid: Grid
     l: int
@@ -109,7 +111,7 @@ class TensorField:
             raise FieldError(f"component array shape {arr.shape} != expected {want}")
         if not np.all(np.isfinite(arr)):
             raise FieldError("field contains non-finite values")
-        self.components = arr
+        object.__setattr__(self, "components", arr)
 
     @property
     def n_components(self) -> int:

@@ -25,7 +25,7 @@ class KernelError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadialProfile:
     """Scalar radial function R(r), a function of |r| only.
 

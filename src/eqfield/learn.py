@@ -284,55 +284,51 @@ def grad_params(op: NeuralOp, dataset) -> np.ndarray:
 class FitResult:
     amplitudes: np.ndarray
     residual: float          # relative MSE at the fitted amplitudes
-    condition: float         # condition estimate of the (regularized) normal matrix
-    flagged: bool            # singular-beyond-ridge or divergence warning
+    condition: float         # condition number of the (regularized) normal matrix
+    flagged: bool            # ill-conditioned beyond the ridge, or diverged
     trace: list = field(default_factory=list)   # loss per step (gradient descent)
 
 
 def fit_least_squares(op: NeuralOp, dataset, ridge: float = 1e-10) -> FitResult:
-    """Solve the normal equations A p = Rx^T c, A = Rx^T Rx = X^T X, over all
-    amplitudes, with the samples folded one at a time into Rx and c.
+    """Minimize |X p - y|^2 + lam |p|^2 over all amplitudes as one ``lstsq`` of
+    [Rx; sqrt(lam) I] against [c; 0], with the samples folded one at a time
+    into Rx and c, so X^T X is never formed and cond(X) is not squared.
 
-    ridge scales a Tikhonov term by trace(A)/n so the default 1e-10 is
-    dimensionless; a condition estimate above 1e12 flags the result.
+    lam = ridge |Rx|_F^2 / n makes the default 1e-10 dimensionless; with
+    lam = 0 the result is the minimum-norm solution.  A condition of
+    X^T X + lam I above 1e12 flags the result.
     """
     if not 0.0 <= ridge < math.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     Rx, c, rho2, norm = _reduce_dataset(op, dataset)
-    A = Rx.T @ Rx
-    n = A.shape[0]
-    lam = ridge * (np.trace(A) / n if np.trace(A) > 0 else 1.0)
-    A_reg = A + lam * np.eye(n)
-    flagged = False
-    try:
-        p = np.linalg.solve(A_reg, Rx.T @ c)
-    except np.linalg.LinAlgError:
-        p, *_ = np.linalg.lstsq(A_reg, Rx.T @ c, rcond=None)
-        flagged = True
-    condition = float(np.linalg.cond(A_reg))
-    if not np.isfinite(condition) or condition > 1e12:
-        flagged = True
+    n = Rx.shape[1]
+    s = np.linalg.svd(Rx, compute_uv=False)
+    scale = float(s @ s)
+    lam = ridge * (scale / n if scale > 0 else 1.0)
+    p, *_ = np.linalg.lstsq(np.vstack([Rx, math.sqrt(lam) * np.eye(n)]),
+                            np.concatenate([c, np.zeros(n)]), rcond=None)
+    low = float(s[-1]) ** 2 + lam   # cond(X^T X + lam I), infinite when singular
+    condition = (float(s[0]) ** 2 + lam) / low if low > 0.0 else math.inf
     residual = (float(np.sum((Rx @ p - c) ** 2)) + rho2) / norm
-    return FitResult(p, residual, condition, flagged)
+    return FitResult(p, residual, condition, not condition <= 1e12)
 
 
 def fit_gradient_descent(op: NeuralOp, dataset, steps: int = 500,
                          step_size: float | None = None) -> FitResult:
     """Plain gradient descent on the same relative-MSE objective.
 
-    step_size None picks 1/L from the largest normal-matrix eigenvalue,
-    which guarantees descent on this quadratic.  Divergence (loss above
-    1e6 times the initial value) aborts with the trace recorded.
+    step_size None picks 1/L from the largest singular value of Rx, which
+    guarantees descent on this quadratic.  Divergence (loss above 1e6
+    times the initial value) aborts with the trace recorded.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     Rx, c, rho2, norm = _reduce_dataset(op, dataset)
-    A = Rx.T @ Rx
+    s = np.linalg.svd(Rx, compute_uv=False)
     if step_size is None:
-        top = float(np.linalg.eigvalsh(A)[-1])
-        if top <= 0:
+        if s[0] <= 0:
             raise ValueError("basis responses vanish on this dataset")
-        step_size = norm / (2.0 * top)
+        step_size = norm / (2.0 * float(s[0]) ** 2)
     elif step_size <= 0:
         raise ValueError("step_size must be positive")
     p = op.param.amplitudes.copy()
@@ -346,7 +342,9 @@ def fit_gradient_descent(op: NeuralOp, dataset, steps: int = 500,
         if not math.isfinite(trace[-1]) or trace[-1] > 1e6 * max(trace[0], 1e-300):
             flagged = True
             break
-    return FitResult(p, trace[-1], float(np.linalg.cond(A)), flagged, trace)
+    low = float(s[-1]) ** 2
+    condition = float(s[0]) ** 2 / low if low > 0.0 else math.inf
+    return FitResult(p, trace[-1], condition, flagged, trace)
 
 
 @dataclass

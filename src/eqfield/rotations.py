@@ -9,25 +9,30 @@ machine precision without interpolation.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import l2_basis
 
 
+@dataclass(frozen=True, eq=False)
 class LatticeRotation:
-    """A signed-permutation rotation matrix with determinant +1."""
+    """A signed-permutation rotation matrix with determinant +1, frozen and
+    read-only, so its hash cannot change while it sits in a set."""
 
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=int)
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=int)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 3):
             raise ValueError("rotation matrix must be 2x2 or 3x3")
         if not np.array_equal(m @ m.T, np.eye(m.shape[0], dtype=int)):
             raise ValueError("matrix is not a signed permutation (not orthogonal)")
         if round(float(np.linalg.det(m))) != 1:
             raise ValueError("improper rotation (det != +1); reflections unsupported")
-        self.matrix = m
-        self.matrix.setflags(write=False)
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:

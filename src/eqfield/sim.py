@@ -12,6 +12,7 @@ of the discretization).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -52,8 +53,11 @@ def max_stable_dt(grid: Grid, D: float, w) -> float:
     return 0.5 * bound
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiffusionAdvectionModel:
+    """Frozen, ``w`` an owned read-only copy: no value can be re-set past the
+    checks below, the stability guard among them."""
+
     grid: Grid
     D: float
     w: np.ndarray
@@ -61,9 +65,11 @@ class DiffusionAdvectionModel:
     source: TensorField | None = None
 
     def __post_init__(self):
-        self.D = float(self.D)
-        self.w = np.asarray(self.w, dtype=float)
-        self.dt = float(self.dt)
+        set_value = functools.partial(object.__setattr__, self)
+        set_value("D", float(self.D))
+        set_value("w", np.array(self.w, dtype=float))
+        self.w.setflags(write=False)
+        set_value("dt", float(self.dt))
         if not np.all(np.isfinite(np.append(self.w, (self.D, self.dt)))):
             raise ValueError("D, w and dt must be finite")
         if self.D < 0:
@@ -73,7 +79,7 @@ class DiffusionAdvectionModel:
         if self.dt <= 0:
             raise ValueError("time step must be positive")
         if self.source is None:
-            self.source = TensorField.zeros(self.grid, 0)
+            set_value("source", TensorField.zeros(self.grid, 0))
         if self.source.grid != self.grid or self.source.l != 0:
             raise ValueError("source must be a scalar field on the model grid")
         limit = max_stable_dt(self.grid, self.D, self.w)

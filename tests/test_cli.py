@@ -487,6 +487,23 @@ def test_simulate_non_finite_diffusivity_exits_3(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape, extra, message", [
+    ((6, 6, 6), [], "needs --wz"),
+    ((8, 8), ["--wz", "0"], "--wz given for a 2d grid"),
+    ((8, 8), ["--steps", "-1"], "n_steps must be >= 0")])
+def test_simulate_argument_errors_exit_3(tmp_path, capsys, shape, extra, message):
+    g = eq.Grid.centered(shape)
+    u0 = tmp_path / "u0.eqf"
+    _write_scalar(u0, g, _blob(g))
+    argv = ["simulate", "none", str(u0), str(tmp_path / "run"), "--D", "0.1",
+            "--wx", "0", "--wy", "0", "--dt", "0.1", "--steps", "2"]
+    assert main(argv + extra) == 3
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and line.startswith("error:") and message in line
+    assert not (tmp_path / "run").exists()
+
+
 def test_estimate_recovers_parameters(tmp_path, capsys):
     g = eq.Grid.centered((16, 16), boundary=eq.PERIODIC)
     u0 = tmp_path / "u0.eqf"

@@ -136,8 +136,14 @@ def test_conv_direct_matches_tap_by_tap_loop(dim, width):
         for boundary in (eq.ZERO, eq.PERIODIC):
             g = eq.Grid.centered((7, 6, 5)[:dim], 1.0, boundary=boundary)
             u = eq.TensorField.random(g, rule.l_u, rng)
-            got = eq.conv_direct(u, kern, rule, boundary).components
+            got = eq.convolve.conv_direct(u, kern, rule, boundary).components
             assert got.tobytes() == _direct_tap_by_tap(u, kern, rule, boundary).tobytes()
+
+
+def test_raw_paths_are_not_exported():
+    # they skip the operator's checks of kernel grid, boundary and rule
+    for name in ("conv_direct", "conv_fourier"):
+        assert not hasattr(eq, name) and callable(getattr(eq.convolve, name))
 
 
 def test_delta_identity_exact():

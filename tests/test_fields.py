@@ -1,5 +1,6 @@
 """Grid geometry, tensor storage, l=2 algebra, rotations, and file formats."""
 
+import dataclasses
 import itertools
 import math
 
@@ -182,6 +183,18 @@ def test_rotation_2d():
     rot = eq.rotation_2d(1)
     assert np.allclose(rot.matrix, [[0.0, -1.0], [1.0, 0.0]])
     assert np.allclose(eq.rotation_2d(4).matrix, np.eye(2))
+
+
+def test_rotation_is_frozen_and_keeps_its_hash():
+    rot = eq.rotation_2d(1)
+    seen = {rot}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rot.matrix = np.eye(2, dtype=int)
+    with pytest.raises(ValueError):
+        rot.matrix[0, 0] = 1
+    assert rot in seen and rot == eq.rotation_2d(1) and rot != eq.rotation_2d(3)
+    m = np.array([[0, -1], [1, 0]])
+    assert eq.LatticeRotation(m) == rot and m.flags.writeable   # it holds its own copy
 
 
 def test_all_rotations_order():

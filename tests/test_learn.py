@@ -319,6 +319,46 @@ def test_least_squares_recovers_amplitudes():
     assert np.max(np.abs(fit.amplitudes - truth)) < 1e-6
 
 
+@pytest.mark.parametrize("shape, l_h", [((12, 12, 12), 0), ((12, 12, 12), 1), ((24, 24), 0)])
+def test_least_squares_matches_the_svd_tikhonov_solution(shape, l_h):
+    # the fit solves on the factor Rx, so it keeps cond(X) rather than its square
+    g = eq.Grid.centered(shape)
+    f = eq.TensorField.random(g, 0, np.random.default_rng(1))
+    data = [(f, eq.inverse_laplacian(f) if l_h == 0 else eq.gauss_law(f))]
+    op = eq.make_neural_op(g, kind="scalar", l_u=0, l_h=l_h)
+    fit = eq.fit_least_squares(op, data)
+    Rx, c, _, _ = _reduce_dataset(op, data)
+    U, s, Vt = np.linalg.svd(Rx)
+    lam = 1e-10 * float(s @ s) / len(s)
+    ref = Vt.T @ (s / (s ** 2 + lam) * (U.T @ c))
+    assert np.linalg.norm(fit.amplitudes - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert fit.condition == pytest.approx((s[0] ** 2 + lam) / (s[-1] ** 2 + lam), rel=1e-9)
+    assert not fit.flagged
+
+
+def test_ridge_free_fit_on_a_repeated_width_is_solved_on_the_factor():
+    g = eq.Grid.centered((8, 8, 8))
+    f = eq.TensorField.random(g, 0, np.random.default_rng(0))
+    param = eq.ParamRadial(((0.0, 1.0), (0.0, 1.0), (0.0, 2.0)), ((0.0, 1, 1.0),),
+                           ((0.0, 0),))
+    op = eq.make_neural_op(g, kind="scalar", l_u=0, l_h=0, param=param)
+    fit = eq.fit_least_squares(op, [(f, eq.inverse_laplacian(f))], ridge=0.0)
+    assert fit.residual < 1e-20 and fit.flagged
+    assert np.max(np.abs(fit.amplitudes)) < 1.0   # the minimum-norm solution
+
+
+def test_a_dead_basis_term_makes_the_ridge_free_condition_infinite():
+    # a power law cut off beyond the kernel grid responds with exact zeros
+    g = eq.Grid.centered((8, 8, 8))
+    f = eq.TensorField.random(g, 0, np.random.default_rng(0))
+    op = eq.make_neural_op(g, kind="scalar", l_u=0, l_h=0,
+                           param=eq.ParamRadial(((0.0, 1.0),), ((0.0, 1, 100.0),)))
+    data = [(f, eq.inverse_laplacian(f))]
+    ls = eq.fit_least_squares(op, data, ridge=0.0)
+    assert ls.condition == math.inf and ls.flagged and ls.amplitudes[1] == 0.0
+    assert eq.fit_gradient_descent(op, data, steps=3).condition == math.inf
+
+
 def test_one_shot_greens_function_fit():
     rng = np.random.default_rng(6)
     g = eq.Grid.centered((13, 13, 13))

@@ -425,6 +425,19 @@ def test_operators_are_frozen():
     assert eq.make_neural_op(g) == nop and hash(eq.make_neural_op(g)) == hash(nop)
 
 
+def test_a_held_kernel_cannot_be_swapped_out():
+    g = eq.Grid.centered((9, 9, 9))
+    u = eq.TensorField.random(g, 0, np.random.default_rng(6))
+    before = eq.grad(u)
+    k = eq.make_operator("grad", g).kernel
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        k.field.components = np.zeros_like(k.field.components)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        eq.gaussian(1.0).fn = np.cos   # held recipes capture their profile
+    assert eq.grad(u).components.tobytes() == before.components.tobytes()
+    u.components[0, 4, 4, 4] = 1.0   # a field's own array stays writable
+
+
 def test_cached_kernels_are_read_only():
     g = eq.Grid.centered((9, 9, 9))
     u = eq.TensorField.random(g, 0, np.random.default_rng(5))

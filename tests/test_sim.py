@@ -1,5 +1,6 @@
 """Time stepping and parameter recovery for the diffusion-advection model."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -40,6 +41,18 @@ def test_model_validation():
         eq.DiffusionAdvectionModel(g, 0.1, (0.0, 0.0, 0.0), 0.01)
     with pytest.raises(ValueError):
         eq.DiffusionAdvectionModel(g, 0.1, (0.0, 0.0), -0.5)
+
+
+def test_model_values_cannot_be_reset_past_their_checks():
+    w = np.array([0.2, -0.1])
+    model = eq.DiffusionAdvectionModel(_periodic((8, 8)), 0.1, w, 0.5)
+    for name, value in (("dt", 50.0), ("D", 10.0), ("w", np.zeros(2)), ("source", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, value)
+    with pytest.raises(ValueError):
+        model.w[0] = 5.0
+    w[0] = 5.0   # the model holds its own copy
+    assert model.w.tolist() == [0.2, -0.1] and model.dt == 0.5
 
 
 def test_constant_state_grows_linearly_with_source():

@@ -208,6 +208,12 @@ CLI = [   # (label, argv); run in order in one working directory
     ("check tiny (exit 3)", "check --random 4,4,4"),
     ("apply model other grid (exit 3)", "apply m.eqm other.eqf bad.eqf"),
     ("estimate huge smooth (exit 3)", "estimate traj --smooth 1e200"),
+    ("simulate 3d without --wz (exit 3)", "simulate none in.eqf traj_e --D 0.1 --wx 0 "
+                                          "--wy 0 --dt 0.1 --steps 2"),
+    ("simulate 2d with --wz (exit 3)", "simulate none flat.eqf traj_e --D 0.1 --wx 0 "
+                                       "--wy 0 --wz 0 --dt 0.1 --steps 2"),
+    ("simulate negative steps (exit 3)", "simulate none in.eqf traj_e --D 0.1 --wx 0 "
+                                         "--wy 0 --wz 0 --dt 0.1 --steps -1"),
     ("simulate unstable (exit 4)", "simulate none in.eqf traj_u --D 10 --wx 0 --wy 0 "
                                    "--wz 0 --dt 1 --steps 1"),
     ("simulate one frame", "simulate none in.eqf traj_0 --D 0.1 --wx 0 --wy 0 --wz 0 "
@@ -240,6 +246,7 @@ def _cli_cases(eq, np):
         eq.write_eqf("e.eqf", eq.gauss_law(rho))
         eq.write_eqf("plane.eqf", eq.TensorField.random(eq.Grid.centered((5, 6), 0.9), 1, rng))
         eq.write_eqf("other.eqf", eq.TensorField.random(eq.Grid.centered((5, 5, 5)), 0, rng))
+        eq.write_eqf("flat.eqf", eq.TensorField.random(eq.Grid.centered((5, 6), 0.9), 0, rng))
         with open("pairs.txt", "w") as fh:
             fh.write("in.eqf phi.eqf\n")
         with open("pairs_v.txt", "w") as fh:
