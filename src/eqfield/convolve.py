@@ -17,7 +17,11 @@ case at the Hockney size, N + min(kernel radius, N - 1) per axis rounded up
 to the next 11-smooth length, and the periodic case at the field's own
 size.  ``kernel_spectrum`` is the kernel's half of that product; an
 operator computes it when it is built and keeps it, and ``conv_fourier``
-applies it without the kernel.  Kernels and inputs
+applies it without the kernel.  A sampled radial kernel is exactly even or
+odd on the first axis, so its spectrum mirrors there and is held for rows
+0 ... W0//2 of the W0 first-axis rows alone, with one sign per component:
+8 C (W0//2 + 1) prod(W[1:-1]) (W[-1]//2 + 1) bytes for C components at the
+work shape W (``kernel_layout``).  Kernels and inputs
 go through one forward transform, ``_rfftn_padded``, and outputs through
 ``_irfftn_cropped``; both are pruned, one axis pass at a time, in place:
 the forward pass pads each real-axis line inside the transform and skips
@@ -34,7 +38,7 @@ from numpy import fft as sfft
 
 from .fields import ProductRule, TensorField, rule_coefficients
 from .grid import PERIODIC, ZERO
-from .kernels import KernelField
+from .kernels import SAMPLE_SLAB_VOXELS, KernelField
 
 DIRECT = "direct"
 FOURIER = "fourier"
@@ -124,22 +128,48 @@ def work_shape(ushape, kshape, boundary: str) -> tuple:
                  for n, k in zip(ushape, kshape))
 
 
-def kernel_spectrum(kernel: KernelField, ushape, boundary: str) -> np.ndarray:
-    """rfftn of each kernel component laid out on the work shape, read-only:
-    ``layout_spectrum`` of ``kernel_layout``."""
-    return layout_spectrum(*kernel_layout(kernel, ushape, boundary), kernel.l_h)
+def kernel_spectrum(kernel: KernelField, ushape, boundary: str) -> tuple:
+    """The held spectrum of each kernel component laid out on the work shape,
+    read-only, and its first-axis signs: ``layout_spectrum`` of ``kernel_layout``."""
+    layout, spectrum, signs = kernel_layout(kernel, ushape, boundary)
+    return layout_spectrum(layout, spectrum, kernel.l_h), signs
+
+
+def _has_parity(k: np.ndarray, sign: float, axes) -> bool:
+    """Whether k equals ``sign`` times its reflection through its center on
+    ``axes``, exactly.  Compared one block of rows along axis 0 at a time, of
+    at most ``SAMPLE_SLAB_VOXELS`` voxels (one row if a row is larger), so
+    no temporary is larger than a block."""
+    flip = tuple(slice(None, None, -1) if a in axes else slice(None) for a in range(k.ndim))
+    w = k.shape[0]
+    end = w // 2 + 1 if 0 in axes else w   # a mirrored pair of blocks is compared once
+    step = max(1, SAMPLE_SLAB_VOXELS * w // k.size)
+    for i in range(0, end, step):
+        j = min(i + step, end)
+        mirror = (k[w - j:w - i] if 0 in axes else k[i:j])[flip]
+        if not np.array_equal(k[i:j], mirror if sign > 0 else -mirror):
+            return False
+    return True
 
 
 def kernel_layout(kernel: KernelField, ushape, boundary: str) -> tuple:
-    """Every kernel component laid out circularly on the work shape, one
-    (components, *work) array, and the empty spectrum that it transforms
-    into: float64 for a kernel with exact inversion parity as laid out,
-    h(-r) = (-1)^l_h h(r), complex for any other.
+    """Every kernel component laid out circularly on the work shape W, one
+    (components, *W) array; the empty spectrum that it transforms into; and
+    the components' first-axis signs, or None.
+
+    Two exact parity tests on the array laid out shape the spectrum.  A
+    kernel whose every component k has a parity on the first axis,
+    k(-x, ...) = s k(x, ...), mirrors there: S[W0 - j] = s S[j], so it holds
+    rows 0 ... W0//2 alone, and the signs s; any other holds all W0 rows and
+    None.  A kernel with inversion parity, h(-r) = (-1)^l_h h(r), has a real
+    or imaginary spectrum, so it holds one float64 part; any other a complex
+    spectrum.  Every sampled radial kernel passes both, and holds
+    8 C (W0//2 + 1) prod(W[1:-1]) (W[-1]//2 + 1) bytes for C components.
 
     For the zero boundary the kernel is first cropped to offsets within
     N - 1 of its center; the periodic layout sums aliased offsets.  Nothing
     returned refers to the kernel, so a caller that drops it holds only
-    these two arrays while the layout is transformed.  The spectrum, which
+    these arrays while the layout is transformed.  The spectrum, which
     outlives the build, is allocated while the kernel is still held: under
     glibc's malloc, allocated after the kernel was dropped, it left every
     later 48^3 apply of the greens benchmark faulting about 1,900 pages of
@@ -152,24 +182,29 @@ def kernel_layout(kernel: KernelField, ushape, boundary: str) -> tuple:
         reach = [min((k - 1) // 2, n - 1) for n, k in zip(ushape, kshape)]
         karr = karr[(slice(None),) + tuple(slice((k - 1) // 2 - c, (k + 1) // 2 + c)
                                            for k, c in zip(kshape, reach))]
-    flip = (slice(None, None, -1),) * len(work)
-    odd = kernel.l_h % 2
-    symmetric = all(np.array_equal(k, -k[flip] if odd else k[flip]) for k in karr)
+    signs = tuple(next((s for s in (1.0, -1.0) if _has_parity(k, s, (0,))), None)
+                  for k in karr)
+    signs = None if None in signs else signs
+    inversion = -1.0 if kernel.l_h % 2 else 1.0
+    real = all(_has_parity(k, inversion, range(len(work))) for k in karr)
+    rows = work[0] // 2 + 1 if signs else work[0]
     layout = _circular_kernel(karr, work)
-    return layout, np.empty((len(karr),) + work[:-1] + (work[-1] // 2 + 1,),
-                            float if symmetric else complex)
+    return layout, np.empty((len(karr), rows) + work[1:-1] + (work[-1] // 2 + 1,),
+                            float if real else complex), signs
 
 
 def layout_spectrum(layout: np.ndarray, spectrum: np.ndarray, l_h: int) -> np.ndarray:
     """Fill ``spectrum`` with ``_rfftn_padded`` of each component of a
     ``kernel_layout`` of order ``l_h``, which prunes nothing here: every line
-    is live, and return it read-only.  A float64 spectrum keeps one part per
-    component, the real one for even l_h and the imaginary one for odd l_h
-    (``conv_fourier`` restores the factor i); a complex one keeps both.
+    is live, and return it read-only.  Each whole transform is made, and the
+    spectrum keeps its first rows: half of the first axis for a kernel that
+    mirrors there, all of it otherwise.  A float64 spectrum keeps one part
+    per component, the real one for even l_h and the imaginary one for odd
+    l_h (``conv_fourier`` restores the factor i); a complex one keeps both.
     """
     part = (np.imag if l_h % 2 else np.real) if np.isrealobj(spectrum) else np.asarray
     for k, out in zip(layout, spectrum):   # one statement: each transform is freed at once
-        out[...] = part(_rfftn_padded(k, layout.shape[1:]))
+        out[...] = part(_rfftn_padded(k, layout.shape[1:]))[:len(out)]
     spectrum.flags.writeable = False
     return spectrum
 
@@ -208,28 +243,38 @@ def _irfftn_cropped(acc: np.ndarray, work, shape) -> np.ndarray:
 
 
 def conv_fourier(u: TensorField, kernel_shape, rule: ProductRule, boundary: str,
-                 spectrum: np.ndarray) -> TensorField:
+                 spectrum: np.ndarray, signs: tuple | None) -> TensorField:
     """FFT-path convolution via the tensor convolution theorem.
 
-    ``spectrum`` is ``kernel_spectrum(kernel, u.grid.shape, boundary)`` of a
-    kernel of ``kernel_shape`` and order ``rule.l_h``; the kernel itself is
-    not needed.  Transforms at ``work_shape``: the field's own size for the
+    ``spectrum, signs`` is ``kernel_spectrum(kernel, u.grid.shape, boundary)``
+    of a kernel of ``kernel_shape`` and order ``rule.l_h``; the kernel itself
+    is not needed.  Transforms at ``work_shape``: the field's own size for the
     periodic boundary, the Hockney size for the zero boundary.  The factor i
     that an odd-order kernel's real spectrum leaves out joins the rule
-    coefficient, and a term is scaled only when that product is not 1.
+    coefficient, and a term is scaled only when that product is not 1.  A
+    spectrum that holds h = W0//2 + 1 of the W0 first-axis rows multiplies
+    rows 0 ... h - 1 against them, and rows h ... W0 - 1 against their
+    reversed view ``spectrum[n, W0 - h:0:-1]``, copying nothing; the sign of
+    component n joins that block's coefficient.
     """
     coeff = rule_coefficients(rule, u.grid.dim)
     ushape = u.grid.shape
     work = work_shape(ushape, kernel_shape, boundary)
     phase = 1j if rule.l_h % 2 and np.isrealobj(spectrum) else 1
+    h = spectrum.shape[1]
     mnp = np.argwhere(coeff != 0)
     u_hat = {m: _rfftn_padded(u.components[m], work) for m in set(mnp[:, 0])}
     v_hat = {}
     for i, (m, n, p) in enumerate(mnp):
-        term = np.multiply(u_hat[m], spectrum[n], out=None if m in mnp[i + 1:, 0] else u_hat[m])
-        c = coeff[m, n, p] * phase
-        if c != 1:
-            term *= c
+        term = u_hat[m] if m not in mnp[i + 1:, 0] else np.empty_like(u_hat[m])
+        blocks = [(slice(0, h), spectrum[n], 1.0)]
+        if h < work[0]:
+            blocks.append((slice(h, None), spectrum[n, work[0] - h:0:-1], signs[n]))
+        for rows, held, sign in blocks:
+            np.multiply(u_hat[m][rows], held, out=term[rows])
+            c = coeff[m, n, p] * phase * sign
+            if c != 1:
+                term[rows] *= c
         if p in v_hat:
             v_hat[p] += term
         else:

@@ -40,14 +40,16 @@ class EquivariantOp:
     with everything it applies with.  ``kernel`` is a KernelField, or a
     zero-argument recipe that samples one; the recipe runs once here.  An
     operator whose default path is Fourier computes its read-only kernel
-    spectrum when it is built (one float64 array per component for a kernel
-    with exact inversion parity, as every sampled radial kernel has; see
-    ``kernel_spectrum``) and applies with that alone: built from a recipe,
-    it keeps the recipe in place of the kernel and drops the sample once it
-    is laid out, before the transform, so ``kernel`` and a forced direct
-    apply sample it again, to the same bits; a recipe looks its sampler up
-    when it runs.  A stencil operator, or one built from a KernelField,
-    keeps the array.  Nothing in it changes on apply."""
+    spectrum when it is built and applies with that alone.  For a sampled
+    radial kernel, which has exact inversion and first-axis parity, that is
+    one float64 part per component, of rows 0 ... W0//2 of the first axis,
+    with each component's first-axis sign in ``signs`` (``kernel_layout``).
+    Built from a recipe, it keeps the recipe in place of the kernel and
+    drops the sample once it is laid out, before the transform, so
+    ``kernel`` and a forced direct apply sample it again, to the same bits;
+    a recipe looks its sampler up when it runs.  A stencil operator, or one
+    built from a KernelField, keeps the array.  Nothing in it changes on
+    apply."""
 
     name: str
     grid: Grid
@@ -58,6 +60,7 @@ class EquivariantOp:
     l_h: int
     recipe: KernelField | Callable[[], KernelField] = field(repr=False)
     spectrum: np.ndarray | None = field(repr=False, compare=False)
+    signs: tuple | None = field(repr=False, compare=False)
 
     def __init__(self, name: str, grid: Grid, kernel: KernelField | Callable[[], KernelField],
                  kind: str, boundary: str | None = None, input_l: int | None = None):
@@ -71,9 +74,9 @@ class EquivariantOp:
         fourier = default_path(sampled) == FOURIER
         held = dict(name=name, grid=grid, kind=kind, boundary=boundary, input_l=input_l,
                     kernel_grid=sampled.grid, l_h=sampled.l_h,
-                    recipe=kernel if fourier else sampled, spectrum=None)
+                    recipe=kernel if fourier else sampled, spectrum=None, signs=None)
         if fourier:
-            layout, spectrum = kernel_layout(sampled, grid.shape, boundary)
+            layout, spectrum, held["signs"] = kernel_layout(sampled, grid.shape, boundary)
             del sampled   # a recipe's sample is gone before its layout is transformed
             held["spectrum"] = layout_spectrum(layout, spectrum, held["l_h"])
         for key, value in held.items():
@@ -87,7 +90,8 @@ class EquivariantOp:
     @property
     def nbytes(self) -> int:
         """Bytes of the arrays the operator holds: its spectrum, and its
-        kernel unless a recipe stands in for it."""
+        kernel unless a recipe stands in for it.  The first-axis signs are a
+        tuple of C floats, not an array, and are not counted."""
         kernel = self.recipe.nbytes if isinstance(self.recipe, KernelField) else 0
         return kernel + (0 if self.spectrum is None else self.spectrum.nbytes)
 
@@ -108,9 +112,9 @@ class EquivariantOp:
             return conv_direct(u, self.kernel, rule, self.boundary)
         if path != FOURIER:
             raise ValueError(f"path must be direct|fourier, got {path!r}")
-        spectrum = (self.spectrum if self.spectrum is not None
-                    else kernel_spectrum(self.kernel, self.grid.shape, self.boundary))
-        return conv_fourier(u, self.kernel_grid.shape, rule, self.boundary, spectrum)
+        spectrum, signs = ((self.spectrum, self.signs) if self.spectrum is not None
+                           else kernel_spectrum(self.kernel, self.grid.shape, self.boundary))
+        return conv_fourier(u, self.kernel_grid.shape, rule, self.boundary, spectrum, signs)
 
 
 def conv(u: TensorField, kernel: KernelField, rule: ProductRule,

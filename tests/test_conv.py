@@ -226,7 +226,7 @@ def test_path_equivalence_random_pairs():
                               (eq.checks._corrupted(symmetric), np.complex128),
                               (_random_kernel(dim, rule.l_h, rng, 7), np.complex128),
                               (_random_kernel(dim, rule.l_h, rng, 3), np.complex128)):
-            assert eq.convolve.kernel_spectrum(kernel, g.shape, boundary).dtype == dtype
+            assert eq.convolve.kernel_spectrum(kernel, g.shape, boundary)[0].dtype == dtype
             d = eq.conv(u, kernel, rule, path=eq.DIRECT).components
             f = eq.conv(u, kernel, rule, path=eq.FOURIER).components
             assert np.max(np.abs(d - f)) / np.max(np.abs(d)) < PATH_TOL, (rule, boundary, dtype)
@@ -422,7 +422,7 @@ def test_every_forward_transform_goes_through_rfftn_padded(monkeypatch):
                     op.apply(eq.TensorField.random(g, 0, rng))
                     built.append(name)
             kernel = _random_kernel(g.dim, 1, rng, 7)
-            assert eq.convolve.kernel_spectrum(kernel, shape, boundary).dtype == np.complex128
+            assert eq.convolve.kernel_spectrum(kernel, shape, boundary)[0].dtype == np.complex128
             eq.conv(eq.TensorField.random(g, 0, rng), kernel,
                     eq.product_rule("scalar", 0, 1, g.dim), path=eq.FOURIER)
     assert set(built) == {"inverse_laplacian", "gauss_law", "diffusion"}
@@ -496,12 +496,18 @@ def _fourier_registry_ops():
 @pytest.mark.parametrize("op", _fourier_registry_ops())
 def test_symmetric_kernel_keeps_one_real_part(op):
     # h(-r) = (-1)^l h(r): the spectrum is real for even l, imaginary for odd
-    # l, and the operator keeps that part alone, bit for bit
+    # l; h(-x, ...) = s h(x, ...): it mirrors on the first axis, S[W0 - j] =
+    # s S[j].  The operator keeps that part of rows 0 ... W0//2 alone, bit
+    # for bit, and the rows it drops are the mirrored kept rows times s
     full = _complex_spectrum(op.kernel, op.grid.shape, op.boundary)
-    kept, dropped = (full.imag, full.real) if op.kernel.l_h % 2 else (full.real, full.imag)
+    part, other = (full.imag, full.real) if op.kernel.l_h % 2 else (full.real, full.imag)
+    w0, h = full.shape[1], full.shape[1] // 2 + 1
     assert op.spectrum.dtype == np.float64
-    assert _same_bits(op.spectrum, kept)
-    assert np.max(np.abs(dropped)) <= 1e-14 * np.max(np.abs(kept))
+    assert _same_bits(op.spectrum, part[:, :h])
+    scale = np.max(np.abs(part))
+    assert np.max(np.abs(other)) <= 1e-14 * scale
+    signs = np.reshape(op.signs, (-1,) + (1,) * (part.ndim - 1))
+    assert np.max(np.abs(part[:, h:] - signs * part[:, w0 - h:0:-1])) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("boundary", eq.BOUNDARIES)
@@ -511,10 +517,98 @@ def test_asymmetric_kernel_keeps_its_complex_spectrum(boundary):
     for l_h in (0, 1, 2):
         symmetric = eq.sample_kernel(eq.kernel_grid((9, 7, 7), 1.0), eq.gaussian(2.0), l_h)
         for kernel in (eq.checks._corrupted(symmetric), _random_kernel(3, l_h, rng, 7)):
-            spectrum = eq.convolve.kernel_spectrum(kernel, g.shape, boundary)
-            assert spectrum.dtype == np.complex128
+            spectrum, signs = eq.convolve.kernel_spectrum(kernel, g.shape, boundary)
+            assert spectrum.dtype == np.complex128 and signs is None
             assert _same_bits(spectrum.view(float),
                               _complex_spectrum(kernel, g.shape, boundary).view(float))
+
+
+def _full_spectrum_apply(op, u):
+    """``op.apply(u)`` on the Fourier path with the whole complex spectrum of
+    ``_complex_spectrum``: whole ``numpy.fft`` transforms, one einsum product."""
+    rule = eq.product_rule(op.kind, u.l, op.l_h, u.grid.dim)
+    coeff = eq.rule_coefficients(rule, u.grid.dim)
+    work = eq.convolve.work_shape(u.grid.shape, op.kernel_grid.shape, op.boundary)
+    axes = tuple(range(1, u.grid.dim + 1))
+    spectrum = _complex_spectrum(op.kernel, u.grid.shape, op.boundary)
+    u_hat = np.fft.rfftn(u.components, s=work, axes=axes)
+    v = np.fft.irfftn(np.einsum("mnp,m...,n...->p...", coeff, u_hat, spectrum), s=work, axes=axes)
+    return v[(slice(None),) + tuple(slice(0, n) for n in u.grid.shape)] * u.grid.voxel_volume
+
+
+def _half_spectrum_ops():
+    # first-axis work lengths: zero boundary 15 (N0 = 8) and 18 (N0 = 9),
+    # periodic 8 and 9; the registry's Green's functions, and a 9-wide
+    # sampled kernel for every rule, l_h 0, 1 and 2
+    for shape in ((9, 8, 7), (8, 8, 7), (9, 5), (8, 5)):
+        for boundary in eq.BOUNDARIES:
+            g = eq.Grid.centered(shape, boundary=boundary)
+            for name in ("inverse_laplacian", "gauss_law", "diffusion"):
+                if name != "gauss_law" or g.dim == 3:
+                    op = eq.REGISTRY[name](g, **({"D": 1.0, "t": 0.5} if name == "diffusion"
+                                                  else {}))
+                    yield pytest.param(op, 0, id=f"{name}-{shape}-{boundary}")
+            for rule in eq.supported_rules(g.dim):
+                kernel = eq.sample_kernel(eq.kernel_grid((9,) * g.dim, 1.0), eq.gaussian(2.0),
+                                          rule.l_h)
+                op = eq.EquivariantOp("conv", g, kernel, rule.kind, input_l=rule.l_u)
+                yield pytest.param(op, rule.l_u, id=f"{rule}-{shape}-{boundary}")
+
+
+@pytest.mark.parametrize("op, l", _half_spectrum_ops())
+def test_half_spectrum_apply_matches_the_whole_spectrum(op, l):
+    w0 = eq.convolve.work_shape(op.grid.shape, op.kernel_grid.shape, op.boundary)[0]
+    assert op.spectrum.dtype == np.float64 and op.spectrum.shape[1] == w0 // 2 + 1
+    u = eq.TensorField.random(op.grid, l, np.random.default_rng(24))
+    assert _relative_deviation(op.apply(u).components, _full_spectrum_apply(op, u)) <= 1e-14
+
+
+def test_parity_tests_hold_no_kernel_sized_temporary():
+    # one block of rows at a time: a 63^3 kernel (2 MB) is compared in rows
+    # of 63^2 voxels
+    k = eq.sample_kernel(eq.kernel_grid((63,) * 3, 1.0), eq.gaussian(9.0), 0).field.components[0]
+    tracemalloc.start()
+    try:
+        found = [eq.convolve._has_parity(k, s, axes) for s in (1.0, -1.0)
+                 for axes in ((0,), (0, 1, 2), (1,))]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == [True] * 3 + [False] * 3
+    assert peak <= 4 * 8 * 63 ** 2 < k.nbytes // 8
+
+
+def _xyz(width, spacing):
+    """Per-axis offsets of a centered kernel grid, exactly symmetric about 0."""
+    return np.ix_(*((np.arange(width) - width // 2) * h for h in spacing))
+
+
+@pytest.mark.parametrize("boundary", eq.BOUNDARIES)
+def test_kernel_without_a_parity_keeps_its_rows_or_its_complex_part(boundary):
+    # exp(x y) exp(-z^2) has inversion parity but no first-axis parity: one
+    # real part of every row.  Bumped off center, it has neither: the complex
+    # spectrum of every row.  x exp(-r^2) at l = 0 is odd on the first axis
+    # but even under no inversion: complex, of half the rows.  All three
+    # match the direct path
+    spacing = (0.7, 1.1, 0.9)
+    x, y, z = _xyz(7, spacing)
+    xy = np.exp(x * y) * np.exp(-z * z)
+    bumped = xy.copy()
+    bumped[1, 2, 3] += 0.5
+    g = eq.Grid.centered((9, 8, 7), spacing, boundary=boundary)
+    w0 = eq.convolve.work_shape(g.shape, (7, 7, 7), boundary)[0]
+    u = eq.TensorField.random(g, 0, np.random.default_rng(25))
+    rule = eq.product_rule("scalar", 0, 0, 3)
+    for values, dtype, rows, signs in (
+            (xy, np.float64, w0, None), (bumped, np.complex128, w0, None),
+            (x * np.exp(-(x * x + y * y + z * z)), np.complex128, w0 // 2 + 1, (-1.0,))):
+        kernel = eq.KernelField(eq.TensorField(eq.kernel_grid((7, 7, 7), spacing), 0,
+                                               values[None]), 0)
+        spectrum, got = eq.convolve.kernel_spectrum(kernel, g.shape, boundary)
+        assert spectrum.dtype == dtype and spectrum.shape[1] == rows and got == signs
+        d = eq.conv(u, kernel, rule, path=eq.DIRECT, boundary=boundary).components
+        f = eq.conv(u, kernel, rule, path=eq.FOURIER, boundary=boundary).components
+        assert _relative_deviation(f, d) < PATH_TOL
 
 
 def _relative_deviation(a, b):

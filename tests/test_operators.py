@@ -660,15 +660,16 @@ def test_degenerate_heat_kernel_fails_when_the_operator_is_built():
     ("diffusion", (48, 48, 48), eq.ZERO), ("diffusion", (48, 48, 48), eq.PERIODIC),
 ])
 def test_green_operator_bytes_follow_from_the_grid_shape(name, shape, boundary):
-    # one real half spectrum per component, at the work shape of a kernel
-    # (2N-1) wide or for heat 2 min(N-1, ceil(R/h)) + 1; the kernel is not held
+    # one real half spectrum per component, of rows 0 ... W0//2 of the first
+    # axis, at the work shape W of a kernel (2N-1) wide or for heat
+    # 2 min(N-1, ceil(R/h)) + 1; the kernel is not held
     g = eq.Grid.centered(shape, boundary=boundary)
     op = eq.make_operator(name, g, **({"D": 1.0, "t": 0.5} if name == "diffusion" else {}))
     ncomp = 3 if name == "gauss_law" else 1
     half = _heat_half_widths(g, 1.0, 0.5) if name == "diffusion" else [n - 1 for n in shape]
     k = tuple(2 * c + 1 for c in half)
     w = eq.convolve.work_shape(shape, k, op.boundary)
-    assert op.nbytes == 8 * ncomp * math.prod(w[:-1]) * (w[-1] // 2 + 1)
+    assert op.nbytes == 8 * ncomp * (w[0] // 2 + 1) * math.prod(w[1:-1]) * (w[-1] // 2 + 1)
 
 
 def _four_kernels(op):
@@ -687,8 +688,9 @@ def _layout_and_transform(op):
 
 def _heat_24_periodic(op):
     # the 21^3 heat kernel (R = 10 at D t = 0.5) is narrower than the 24^3
-    # work array, which the 24 x 24 x 13 real spectrum is the half of
-    assert op.nbytes == 8 * 24 * 24 * 13
+    # work array; the 13 x 24 x 13 real spectrum keeps half its first and
+    # last axes
+    assert op.nbytes == 8 * 13 * 24 * 13
     return _layout_and_transform(op)
 
 
@@ -786,8 +788,8 @@ def test_one_budget_holds_operators_and_learned_bases(monkeypatch):
 
 def test_cache_budget_holds_the_greens_benchmark_operators():
     # bench/workloads.py applies these four in turn; all must stay cached,
-    # and they hold their spectra alone
+    # and they hold their spectra alone, of half the first axis
     g48, g32 = eq.Grid.centered((48,) * 3), eq.Grid.centered((32,) * 3)
     ops = (eq.inverse_laplacian_op(g48), eq.diffusion_op(g48, 1.0, 0.5),
            eq.gauss_law_op(g32), eq.inverse_laplacian_op(eq.Grid.centered((256, 256))))
-    assert sum(op.nbytes for op in ops) == 8_606_336 <= eq.operators.CACHE_BYTES
+    assert sum(op.nbytes for op in ops) == 4_381_928 <= eq.operators.CACHE_BYTES

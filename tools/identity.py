@@ -16,10 +16,12 @@ A revision is unpacked with ``git archive``.  Both processes run at once,
 single-threaded (OMP/OPENBLAS/MKL threads = 1), each in its own empty
 working directory, so the CLI cases read and write relative paths there.
 The corpus covers every registry operator (2d and 3d, both boundaries, the
-default, direct and Fourier paths, its kernel and spectrum), ``conv`` for
-every supported rule, ``rotate_field`` for every rotation, ``run_checks``
-with and without ``corrupt``, a one-sample learned fit, ``estimate_parameters``
-with and without smoothing, and every CLI subcommand, exit codes 0 to 4.
+default, direct and Fourier paths, its kernel and spectrum, and an even
+first-axis work length), ``conv`` for every supported rule (and a wide
+l_h = 2 kernel, an aliased periodic one and one with inversion parity alone),
+``rotate_field`` for every rotation, ``run_checks`` with and without
+``corrupt``, a one-sample learned fit, ``estimate_parameters`` with and
+without smoothing, and every CLI subcommand, exit codes 0 to 4.
 """
 
 from __future__ import annotations
@@ -84,18 +86,22 @@ def _without_timings(data: bytes) -> bytes:
 # ------------------------------------------------------------------ corpus
 
 def _registry_cases(eq, np):
-    shapes = {2: ((6, 5), (0.7, 1.1)), 3: ((5, 4, 3), (0.7, 1.1, 0.9))}
-    for dim, (shape, spacing) in shapes.items():
-        for boundary in eq.BOUNDARIES:
+    # (label suffix, shape, spacing, boundaries); N0 = 7 makes the zero-boundary
+    # work length 7 + 6 = 13, rounded up to an even 14 on the first axis
+    grids = [("2d", (6, 5), (0.7, 1.1), eq.BOUNDARIES),
+             ("3d", (5, 4, 3), (0.7, 1.1, 0.9), eq.BOUNDARIES),
+             ("3d N0=7", (7, 4, 3), (0.7, 1.1, 0.9), (eq.ZERO,))]
+    for suffix, shape, spacing, boundaries in grids:
+        for boundary in boundaries:
             g = eq.Grid.centered(shape, spacing, boundary=boundary)
             for name, build in eq.REGISTRY.items():
-                if name == "gauss_law" and dim == 2:
+                if name == "gauss_law" and g.dim == 2:
                     continue
                 # D t = 0.005 keeps the heat kernel at most 5 wide (direct); 0.5 does not
                 times = (0.005, 0.5) if name == "diffusion" else (None,)
                 for t in times:
                     params = {} if t is None else {"D": 1.0, "t": t}
-                    label = f"op {name}{'' if t is None else f' t={t}'} {dim}d {boundary}"
+                    label = f"op {name}{'' if t is None else f' t={t}'} {suffix} {boundary}"
 
                     def run(g=g, build=build, params=params):
                         op = build(g, **params)
@@ -124,6 +130,36 @@ def _conv_cases(eq, np):
                                                    boundary=boundary)
                                 for path in (None, eq.DIRECT, eq.FOURIER)}
                     yield f"conv {rule} {dim}d width={width} {boundary}", run
+
+    def run_wide(shape, l_h, width, boundary, spacing=(0.7, 1.1, 0.9)):
+        # a sampled kernel of order l_h, wider than the default cases
+        g = eq.Grid.centered(shape, spacing)
+        kernel = eq.sample_kernel(eq.kernel_grid((width,) * 3, spacing), eq.gaussian(1.5), l_h)
+        rule = eq.product_rule("scalar", 0, l_h, 3)
+        u = eq.TensorField.random(g, 0, np.random.default_rng(9))
+        return {str(path): eq.conv(u, kernel, rule, path=path, boundary=boundary)
+                for path in (None, eq.DIRECT, eq.FOURIER)}
+    # 13 wide on N0 = 7: an even zero-boundary work length (14) on the first axis
+    yield "conv l_h=2 3d width=13 zero N0=7", lambda: run_wide((7, 5, 4), 2, 13, eq.ZERO)
+    # 11 wide on a 5 x 4 x 3 periodic field: the layout wraps each axis more than once
+    yield "conv l_h=1 3d width=11 periodic aliased", \
+        lambda: run_wide((5, 4, 3), 1, 11, eq.PERIODIC)
+
+    def run_xy(boundary):
+        # exp(x y) exp(-z^2) is even under inversion, but neither even nor odd
+        # under the reflection of x alone
+        spacing = (0.7, 1.1, 0.9)
+        x, y, z = np.ix_(*((np.arange(7) - 3) * h for h in spacing))
+        values = (np.exp(x * y) * np.exp(-z * z))[None]
+        kernel = eq.KernelField(eq.TensorField(eq.kernel_grid((7,) * 3, spacing), 0, values), 0)
+        g = eq.Grid.centered((6, 5, 4), spacing)
+        u = eq.TensorField.random(g, 0, np.random.default_rng(10))
+        rule = eq.product_rule("scalar", 0, 0, 3)
+        return {"spectrum": eq.EquivariantOp("xy", g, kernel, "scalar", boundary).spectrum,
+                **{str(path): eq.conv(u, kernel, rule, path=path, boundary=boundary)
+                   for path in (None, eq.DIRECT, eq.FOURIER)}}
+    for boundary in eq.BOUNDARIES:
+        yield f"conv f(xy) l_h=0 3d {boundary}", lambda boundary=boundary: run_xy(boundary)
 
 
 def _rotation_cases(eq, np):
