@@ -14,8 +14,9 @@ that defines the pointwise product.
 
 The Fourier path runs on ``numpy.fft``.  It transforms the zero-boundary
 case at the Hockney size, N + min(kernel radius, N - 1) per axis rounded up
-to the next 11-smooth length, and the periodic case at the field's own
-size.  ``kernel_spectrum`` is the kernel's half of that product; an
+to the next 11-smooth length on the leading axes and 5-smooth on the last
+(real) one, and the periodic case at the field's own size.
+``kernel_spectrum`` is the kernel's half of that product; an
 operator computes it when it is built and keeps it, and ``conv_fourier``
 applies it without the kernel.  A sampled radial kernel is exactly even or
 odd on the first axis, so its spectrum mirrors there and is held for rows
@@ -27,6 +28,8 @@ go through one forward transform, ``_rfftn_padded``, and outputs through
 the forward pass pads each real-axis line inside the transform and skips
 the lines that are all zero padding, the inverse pass skips the lines
 outside the kept crop, so no line is transformed only to be thrown away.
+An apply finishes one output component at a time, so it holds the input
+transforms and one or two work spectra, not one spectrum per output.
 """
 
 from __future__ import annotations
@@ -101,11 +104,15 @@ def _circular_kernel(karr: np.ndarray, target_shape) -> np.ndarray:
     return out
 
 
-def _fast_len(n: int) -> int:
-    """The smallest 11-smooth integer >= n (factors 2, 3, 5, 7, 11 only)."""
+def _fast_len(n: int, real: bool = False) -> int:
+    """The smallest 11-smooth integer >= n (factors 2, 3, 5, 7, 11 only), or
+    5-smooth (2, 3, 5) for a ``real`` transform's axis: scipy's
+    ``next_fast_len(n, real)``.  numpy's real transforms have passes of
+    radix 2, 3, 4 and 5 only, and factor 7 and 11 with a slow generic pass."""
+    factors = (2, 3, 5) if real else (2, 3, 5, 7, 11)
     while True:
         r = n
-        for f in (2, 3, 5, 7, 11):
+        for f in factors:
             while r % f == 0:
                 r //= f
         if r == 1:
@@ -117,15 +124,17 @@ def work_shape(ushape, kshape, boundary: str) -> tuple:
     """FFT size per axis for a field of ``ushape`` and a kernel of ``kshape``.
 
     Periodic boundary: the field's own size.  Zero boundary: N + c rounded
-    up to the next 11-smooth length (``_fast_len``), where c = min(kernel
-    radius, N - 1) is the farthest offset that reaches the kept crop [0, N);
-    no wrapped-around product lands in that crop (Hockney-Eastwood
-    free-space doubling).
+    up to the next fast length (``_fast_len``), 11-smooth on the leading
+    (complex) axes and 5-smooth on the last (real) one, where
+    c = min(kernel radius, N - 1) is the farthest offset that reaches the
+    kept crop [0, N); no wrapped-around product lands in that crop
+    (Hockney-Eastwood free-space doubling).
     """
     if boundary == PERIODIC:
         return tuple(ushape)
-    return tuple(_fast_len(n + min((k - 1) // 2, n - 1))
-                 for n, k in zip(ushape, kshape))
+    last = len(ushape) - 1
+    return tuple(_fast_len(n + min((k - 1) // 2, n - 1), real=a == last)
+                 for a, (n, k) in enumerate(zip(ushape, kshape)))
 
 
 def kernel_spectrum(kernel: KernelField, ushape, boundary: str) -> tuple:
@@ -250,37 +259,59 @@ def conv_fourier(u: TensorField, kernel_shape, rule: ProductRule, boundary: str,
     of a kernel of ``kernel_shape`` and order ``rule.l_h``; the kernel itself
     is not needed.  Transforms at ``work_shape``: the field's own size for the
     periodic boundary, the Hockney size for the zero boundary.  The factor i
-    that an odd-order kernel's real spectrum leaves out joins the rule
-    coefficient, and a term is scaled only when that product is not 1.  A
-    spectrum that holds h = W0//2 + 1 of the W0 first-axis rows multiplies
-    rows 0 ... h - 1 against them, and rows h ... W0 - 1 against their
-    reversed view ``spectrum[n, W0 - h:0:-1]``, copying nothing; the sign of
-    component n joins that block's coefficient.
+    that an odd-order kernel's real spectrum leaves out multiplies each input
+    transform once, and a term is scaled only when its rule coefficient is
+    not 1.  A spectrum that holds h = W0//2 + 1 of the W0 first-axis rows
+    multiplies rows 0 ... h - 1 against them, and rows h ... W0 - 1 against
+    their reversed view ``spectrum[n, W0 - h:0:-1]``, copying nothing; the
+    sign of component n joins that block's coefficient.
+
+    Each output component is finished before the next is started: its terms
+    are summed in m order in one spectrum-sized buffer, which is inverted,
+    and the crop is written into the output and scaled there by the voxel
+    volume.  A term that is the last reader of an input transform is formed
+    in place there; any other takes the buffer that the previous output was
+    summed in, or a new one.  An apply holds the input transforms, one work
+    spectrum, and a second only while a term is added to a partial sum,
+    however many outputs it has.
     """
     coeff = rule_coefficients(rule, u.grid.dim)
     ushape = u.grid.shape
     work = work_shape(ushape, kernel_shape, boundary)
-    phase = 1j if rule.l_h % 2 and np.isrealobj(spectrum) else 1
     h = spectrum.shape[1]
     mnp = np.argwhere(coeff != 0)
+    mnp = mnp[np.argsort(mnp[:, 2], kind="stable")]   # output by output, each in m order
     u_hat = {m: _rfftn_padded(u.components[m], work) for m in set(mnp[:, 0])}
-    v_hat = {}
+    if rule.l_h % 2 and np.isrealobj(spectrum):
+        for x in u_hat.values():
+            x *= 1j
+    out = spare = acc = None   # spare: a free spectrum-sized buffer for a later term
     for i, (m, n, p) in enumerate(mnp):
-        term = u_hat[m] if m not in mnp[i + 1:, 0] else np.empty_like(u_hat[m])
+        if m in mnp[i + 1:, 0]:
+            x = u_hat[m]
+            term = spare if spare is not None else np.empty_like(x)
+            spare = None
+        else:   # the last reader of u_hat[m] forms its term in place
+            x = term = u_hat.pop(m)
         blocks = [(slice(0, h), spectrum[n], 1.0)]
         if h < work[0]:
             blocks.append((slice(h, None), spectrum[n, work[0] - h:0:-1], signs[n]))
         for rows, held, sign in blocks:
-            np.multiply(u_hat[m][rows], held, out=term[rows])
-            c = coeff[m, n, p] * phase * sign
+            np.multiply(x[rows], held, out=term[rows])
+            c = coeff[m, n, p] * sign
             if c != 1:
                 term[rows] *= c
-        if p in v_hat:
-            v_hat[p] += term
+        if acc is None:
+            acc = term
         else:
-            v_hat[p] = term
-    out = np.zeros((coeff.shape[2],) + ushape)
-    for p, acc in v_hat.items():
-        out[p] = _irfftn_cropped(acc, work, ushape)
-    out *= u.grid.voxel_volume
+            acc += term
+        del x, term   # a scratch term or a spent input transform is freed here
+        if i + 1 == len(mnp) or mnp[i + 1, 2] != p:
+            if out is None:   # made once the first output's product buffers are freed
+                out = np.zeros((coeff.shape[2],) + ushape)
+            out[p] = _irfftn_cropped(acc, work, ushape)
+            out[p] *= u.grid.voxel_volume
+            # kept if more terms remain than inputs: one of them is not a last reader
+            spare = acc if len(u_hat) < len(mnp) - i - 1 else None
+            acc = None
     return TensorField(u.grid, rule.l_v, out)

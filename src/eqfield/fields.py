@@ -109,7 +109,11 @@ class TensorField:
         want = (components_for(self.l, self.grid.dim),) + self.grid.shape
         if arr.shape != want:
             raise FieldError(f"component array shape {arr.shape} != expected {want}")
-        if not np.all(np.isfinite(arr)):
+        # a finite sum means every value is finite, so the exact mask is built
+        # only for a sum that is not: one holding inf or nan, or one that overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.sum(arr)
+        if not np.isfinite(total) and not np.all(np.isfinite(arr)):
             raise FieldError("field contains non-finite values")
         object.__setattr__(self, "components", arr)
 

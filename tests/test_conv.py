@@ -1,5 +1,6 @@
 """Convolution semantics: brute-force oracle, paths, boundaries, rules."""
 
+import math
 import tracemalloc
 import zlib
 
@@ -314,14 +315,17 @@ def test_default_path_follows_kernel_extent():
 
 
 def test_fast_len_matches_scipy():
-    # scipy's next_fast_len is the independent reference for the 11-smooth rule
-    assert [eq.convolve._fast_len(n) for n in range(1, 4097)] == \
-        [next_fast_len(n) for n in range(1, 4097)]
+    # scipy's next_fast_len is the independent reference for both rules:
+    # 11-smooth for a complex axis, 5-smooth for a real one
+    for real in (False, True):
+        assert [eq.convolve._fast_len(n, real=real) for n in range(1, 4097)] == \
+            [next_fast_len(n, real=real) for n in range(1, 4097)]
 
 
 def test_fourier_work_shape(fft_calls):
     # zero boundary: N + min(radius, N - 1) rounded up to a fast length, with
-    # the (2N+3)-wide kernel cropped; periodic: the field's own shape
+    # the (2N+3)-wide kernel cropped, 11-smooth on the leading axes and
+    # 5-smooth on the last (real) one; periodic: the field's own shape
     rng = np.random.default_rng(13)
     shape = (6, 5, 4)
     rule = eq.product_rule("scalar", 0, 0, 3)
@@ -335,7 +339,8 @@ def test_fourier_work_shape(fft_calls):
             if boundary == eq.PERIODIC:
                 work = shape
             else:
-                work = tuple(next_fast_len(n + min((width - 1) // 2, n - 1)) for n in shape)
+                work = tuple(next_fast_len(n + min((width - 1) // 2, n - 1), real=a == 2)
+                             for a, n in enumerate(shape))
             assert fft_calls.forward == [work, work]   # the kernel, then the input
             assert fft_calls.inverse == [work]
 
@@ -375,6 +380,53 @@ def test_forward_transform_allocates_only_its_output(shape, work):
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + 64 * 2**10
+
+
+# The traced peak of one Fourier apply when every output's spectrum was kept
+# until the last term was formed (numpy 2.4.6): gauss_law at 32^3, then each
+# 3d rule on a 16^3 field with a 31^3 kernel
+APPLY_PEAKS_BEFORE = {"gauss_law 32^3": 7_403_589, "scalar(0,0)->0": 412_831,
+                      "scalar(0,1)->1": 1_003_973, "scalar(1,0)->1": 1_004_221,
+                      "scalar(0,2)->2": 1_627_499, "scalar(2,0)->2": 1_627_899,
+                      "dot(1,1)->0": 970_821, "dot(2,2)->0": 1_528_699,
+                      "cross(1,1)->1": 1_528_539, "matvec(2,1)->1": 2_232_124}
+
+
+@pytest.mark.parametrize("case", list(APPLY_PEAKS_BEFORE))
+def test_fourier_apply_holds_its_input_transforms_and_two_spectra(case):
+    # an apply holds the input transforms, one work spectrum and, only when a
+    # term is added to a partial sum, a scratch one; the output; and either
+    # the real-axis block of one inverse transform or the buffer through which
+    # a product casts the float64 held spectrum to complex (numpy's buffer
+    # size in complex elements).  64 KiB covers the interpreter's objects, of
+    # which 1 KiB may differ from the peak before
+    if case == "gauss_law 32^3":
+        g = eq.Grid.centered((32,) * 3)
+        op, rule = eq.gauss_law_op(g), eq.product_rule("scalar", 0, 1, 3)
+    else:
+        g = eq.Grid.centered((16,) * 3)
+        rule = next(r for r in eq.supported_rules(3) if str(r) == case)
+        kernel = eq.sample_kernel(eq.kernel_grid((31,) * 3, 1.0), eq.gaussian(4.0), rule.l_h)
+        op = eq.EquivariantOp(case, g, kernel, rule.kind, eq.ZERO)
+    u = eq.TensorField.random(g, rule.l_u, np.random.default_rng(37))
+    op.apply(u)   # one-time allocations of numpy and the interpreter
+    tracemalloc.start()
+    try:
+        op.apply(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    work = eq.convolve.work_shape(g.shape, op.kernel_grid.shape, op.boundary)
+    coeff = eq.fields.rule_coefficients(rule, g.dim)
+    spectra = coeff.shape[0] + (2 if np.count_nonzero(coeff, axis=(0, 1)).max() > 1 else 1)
+    spectrum = 16 * math.prod(work[:-1]) * (work[-1] // 2 + 1)
+    out = 8 * coeff.shape[2] * g.n_voxels
+    block = 8 * math.prod(g.shape[:-1]) * work[-1]
+    transient = max(block, 16 * np.getbufsize())
+    assert peak <= spectra * spectrum + out + transient + 64 * 2**10
+    assert peak <= APPLY_PEAKS_BEFORE[case] + 2**10
+    if case == "gauss_law 32^3":
+        assert work == (63, 63, 64) and peak < 6_000_000
 
 
 def test_direct_path_lists_taps_not_mix_entries():

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,77 @@ def test_field_storage_shapes():
     assert s.l == 0
     with pytest.raises(eq.FieldError):
         eq.TensorField.from_scalar(g, np.ones((4, 5)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_are_refused(bad):
+    g = eq.Grid.centered((4, 5, 6))
+    values = np.zeros((1,) + g.shape)
+    values[0, 3, 4, 5] = bad
+    with pytest.raises(eq.FieldError, match=r"^field contains non-finite values$"):
+        eq.TensorField(g, 0, values)
+    values[0, 0, 0, 0] = -values[0, 3, 4, 5]   # inf - inf: a nan sum, as for a nan
+    with pytest.raises(eq.FieldError, match=r"^field contains non-finite values$"):
+        eq.TensorField(g, 0, values)
+
+
+def test_finite_values_whose_sum_overflows_are_accepted():
+    # the sum is only a shortcut: when it overflows, the exact test decides
+    g = eq.Grid.centered((3, 3))
+    for big in (1e308, -1e308):
+        values = np.full((1, 3, 3), big)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.sum(values))
+        assert eq.TensorField(g, 0, values).components is values
+
+
+def test_finite_check_holds_no_field_sized_mask():
+    # a 95^3 field is checked by its sum; a mask would take 857,375 bytes
+    values = np.random.default_rng(31).standard_normal((1, 95, 95, 95))
+    g = eq.Grid.centered((95, 95, 95))
+    tracemalloc.start()
+    try:
+        u = eq.TensorField(g, 0, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.components is values
+    assert peak <= 16 * 2**10
+
+
+def test_field_guards_name_what_is_wrong():
+    g2, g3 = eq.Grid.centered((4, 4)), eq.Grid.centered((4, 4, 4))
+    with pytest.raises(eq.FieldError, match=r"^l=2 fields are supported in 3d only$"):
+        eq.components_for(2, 2)
+    with pytest.raises(eq.FieldError, match=r"^rotation order 3 unsupported \(l <= 2\)$"):
+        eq.components_for(3, 3)
+    with pytest.raises(eq.FieldError, match=r"^unit harmonic l=2 unsupported in 2d$"):
+        eq.unit_harmonic(2, np.ones((2, 3)))
+    with pytest.raises(eq.FieldError, match=r"^unit harmonic l=3 unsupported in 3d$"):
+        eq.unit_harmonic(3, np.ones((3, 3)))
+    with pytest.raises(eq.FieldError, match=r"^component array shape \(1, 4, 4\) != "
+                                             r"expected \(2, 4, 4\)$"):
+        eq.TensorField(g2, 1, np.zeros((1, 4, 4)))
+    scalar = eq.TensorField.zeros(g3, 0)
+    rule = eq.product_rule("scalar", 0, 0, 3)
+    with pytest.raises(eq.FieldError, match=r"^pointwise product requires identical grids$"):
+        eq.pointwise_product(scalar, eq.TensorField.zeros(eq.Grid.centered((4, 4, 5)), 0), rule)
+    with pytest.raises(eq.RuleError, match=r"^rule expects orders \(0,0\), fields have \(0,1\)$"):
+        eq.pointwise_product(scalar, eq.TensorField.zeros(g3, 1), rule)
+    with pytest.raises(eq.FieldError, match=r"^fields differ in grid or rotation order$"):
+        scalar + eq.TensorField.zeros(g3, 1)
+    with pytest.raises(eq.RuleError, match=r"^no product 'wedge' for \(l_u=1, l_h=1\) in 3d; "
+                                            r"supported: scalar\(0,0\)->0, "):
+        eq.product_rule("wedge", 1, 1, 3)
+    with pytest.raises(eq.RuleError, match=r"^unknown product kind 'wedge'$"):
+        eq.fields.rule_coefficients(eq.ProductRule("wedge", 1, 1, 1), 3)
+    with pytest.raises(eq.FieldError, match=r"^rotation dimension does not match the grid$"):
+        eq.rotate_field(scalar, eq.all_rotations(2)[1])
+    box = eq.TensorField.zeros(eq.Grid.centered((4, 4, 5)), 1)
+    swap_xz = next(rot for rot in eq.all_rotations(3) if rot.axis_map(box.grid.shape) is None)
+    with pytest.raises(eq.FieldError, match=r"^rotation incompatible with grid shape "
+                                             r"\(non-square/cube domain\)$"):
+        eq.rotate_field(box, swap_xz)
 
 
 def test_field_norm_oracle():

@@ -792,4 +792,4 @@ def test_cache_budget_holds_the_greens_benchmark_operators():
     g48, g32 = eq.Grid.centered((48,) * 3), eq.Grid.centered((32,) * 3)
     ops = (eq.inverse_laplacian_op(g48), eq.diffusion_op(g48, 1.0, 0.5),
            eq.gauss_law_op(g32), eq.inverse_laplacian_op(eq.Grid.centered((256, 256))))
-    assert sum(op.nbytes for op in ops) == 4_381_928 <= eq.operators.CACHE_BYTES
+    assert sum(op.nbytes for op in ops) == 4_430_312 <= eq.operators.CACHE_BYTES

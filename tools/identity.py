@@ -17,11 +17,13 @@ single-threaded (OMP/OPENBLAS/MKL threads = 1), each in its own empty
 working directory, so the CLI cases read and write relative paths there.
 The corpus covers every registry operator (2d and 3d, both boundaries, the
 default, direct and Fourier paths, its kernel and spectrum, and an even
-first-axis work length), ``conv`` for every supported rule (and a wide
-l_h = 2 kernel, an aliased periodic one and one with inversion parity alone),
-``rotate_field`` for every rotation, ``run_checks`` with and without
-``corrupt``, a one-sample learned fit, ``estimate_parameters`` with and
-without smoothing, and every CLI subcommand, exit codes 0 to 4.
+first-axis work length; ``gauss_law`` at 32^3 and ``inverse_laplacian`` at
+11 x 11, whose zero-boundary work lengths are 7-smooth), ``conv`` for every
+supported rule (and a wide l_h = 2 kernel, an aliased periodic one and one
+with inversion parity alone), ``rotate_field`` for every rotation,
+``run_checks`` with and without ``corrupt``, a one-sample learned fit,
+``estimate_parameters`` with and without smoothing, and every CLI
+subcommand, exit codes 0 to 4.
 """
 
 from __future__ import annotations
@@ -111,6 +113,14 @@ def _registry_cases(eq, np):
                                 "direct": op.apply(u, path=eq.DIRECT),
                                 "fourier": op.apply(u, path=eq.FOURIER)}
                     yield label, run
+    # zero-boundary work lengths that are 11-smooth but not 5-smooth on every
+    # axis: 63 at 32^3 (the greens benchmark's gauss_law), 21 at 11 x 11
+    for name, shape in (("gauss_law", (32, 32, 32)), ("inverse_laplacian", (11, 11))):
+        def run(name=name, shape=shape):
+            g = eq.Grid.centered(shape, 0.9)
+            u = eq.TensorField.random(g, 0, np.random.default_rng(1))
+            return {"default": eq.REGISTRY[name](g).apply(u)}
+        yield f"op {name} {'x'.join(map(str, shape))} zero", run
 
 
 def _conv_cases(eq, np):
