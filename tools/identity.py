@@ -18,7 +18,9 @@ working directory, so the CLI cases read and write relative paths there.
 The corpus covers every registry operator (2d and 3d, both boundaries, the
 default, direct and Fourier paths, its kernel and spectrum, and an even
 first-axis work length; ``gauss_law`` at 32^3 and ``inverse_laplacian`` at
-11 x 11, whose zero-boundary work lengths are 7-smooth), ``conv`` for every
+11 x 11, whose zero-boundary work lengths are 7-smooth; the builds of a
+periodic heat kernel wider than its grid and of the 32^3 inverse
+Laplacian, spectrum and signs), ``conv`` for every
 supported rule (and a wide l_h = 2 kernel, an aliased periodic one and one
 with inversion parity alone), ``rotate_field`` for every rotation,
 ``run_checks`` with and without ``corrupt``, a one-sample learned fit,
@@ -121,6 +123,18 @@ def _registry_cases(eq, np):
             u = eq.TensorField.random(g, 0, np.random.default_rng(1))
             return {"default": eq.REGISTRY[name](g).apply(u)}
         yield f"op {name} {'x'.join(map(str, shape))} zero", run
+    # builds: a heat kernel (17 x 15 x 13) wider than its 9 x 8 x 7 periodic
+    # grid, whose layout sums aliased offsets, and the 32^3 inverse Laplacian
+    for name, shape, boundary, params in (
+            ("diffusion", (9, 8, 7), eq.PERIODIC, {"D": 1.0, "t": 0.5}),
+            ("inverse_laplacian", (32, 32, 32), eq.ZERO, {})):
+        def run(name=name, shape=shape, boundary=boundary, params=params):
+            g = eq.Grid.centered(shape, 0.9, boundary=boundary)
+            op = eq.REGISTRY[name](g, **params)
+            u = eq.TensorField.random(g, 0, np.random.default_rng(1))
+            return {"spectrum": op.spectrum, "signs": op.signs, "nbytes": op.nbytes,
+                    "default": op.apply(u)}
+        yield f"op {name} build {'x'.join(map(str, shape))} {boundary}", run
 
 
 def _conv_cases(eq, np):
