@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolve import DIRECT, FOURIER
-from .fields import TensorField, rotate_field, supported_rules
+from .fields import NormalGenerator, TensorField, rotate_field, supported_rules
 from .grid import PERIODIC, ZERO, Grid, GridError
 from .kernels import KernelField, gaussian, kernel_grid, sample_kernel
 from .operators import EquivariantOp, curl, div, grad, laplacian
@@ -66,7 +66,7 @@ def _corrupted(kern: KernelField) -> KernelField:
     return KernelField(TensorField(kern.grid, kern.l_h, comps), kern.l_h)
 
 
-def check_rules(u: TensorField, rng: np.random.Generator, corrupt: bool = False) -> list:
+def check_rules(u: TensorField, rng, corrupt: bool = False) -> list:
     """Equivariance, linearity and path equivalence of conv(u, h) for every
     rule that takes u: all equivariance results, then linearity, then paths.
     Each rule's kernel makes one operator per boundary, applied on both
@@ -118,7 +118,7 @@ def _check_extent(grid: Grid) -> None:
         raise GridError(f"check needs at least {least} voxels per axis, got shape {grid.shape}")
 
 
-def check_calculus(grid: Grid, rng: np.random.Generator) -> list:
+def check_calculus(grid: Grid, rng) -> list:
     """curl(grad f) = 0, div(curl v) = 0 (3d), div(grad f) = laplacian f,
     each over the interior, ``CALCULUS_MARGIN`` voxels in from every face."""
     _check_extent(grid)
@@ -138,12 +138,13 @@ def check_calculus(grid: Grid, rng: np.random.Generator) -> list:
             for name, dev, scale in identities]
 
 
-def run_checks(u: TensorField, rng: np.random.Generator | None = None,
-               corrupt: bool = False) -> list:
+def run_checks(u: TensorField, rng=None, corrupt: bool = False) -> list:
     """Full property suite on one field; corrupt=True is the negative
     control that breaks the radial symmetry of the equivariance kernels.
-    A grid too small for ``check_calculus`` raises GridError up front."""
+    ``rng`` draws the other fields: a numpy ``Generator`` or a
+    ``NormalGenerator``, by default ``NormalGenerator(0)``.  A grid too
+    small for ``check_calculus`` raises GridError up front."""
     _check_extent(u.grid)
     if rng is None:
-        rng = np.random.default_rng(0)
+        rng = NormalGenerator(0)
     return check_rules(u, rng, corrupt) + check_calculus(u.grid, rng)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .checks import all_passed, run_checks
 from .convolve import DIRECT, FOURIER
-from .fields import TensorField, field_norm
+from .fields import NormalGenerator, TensorField, field_norm
 from .formats import (FormatError, fmt_value, format_keyvalues, manifest_lines,
                       parse_list, read_eqf, write_eqf, write_keyvalues)
 from .grid import BOUNDARIES, Grid
@@ -241,7 +241,7 @@ def cmd_check(args) -> RunReport:
         raise FormatError("check takes an input file or --random SHAPE, not both")
     if args.input and args.l is not None:
         raise FormatError("--l sets the order of a --random field; an input file has its own")
-    rng = np.random.default_rng(args.seed)
+    rng = NormalGenerator(args.seed)
     if args.input:
         u = _read_field(args.input, args.boundary)
         source = args.input

@@ -16,30 +16,33 @@ The Fourier path runs on ``numpy.fft``.  It transforms the zero-boundary
 case at the Hockney size, N + min(kernel radius, N - 1) per axis rounded up
 to the next 11-smooth length on the leading axes and 5-smooth on the last
 (real) one, and the periodic case at the field's own size.
-``kernel_spectrum`` is the kernel's half of that product; an
-operator computes it when it is built and keeps it, and ``conv_fourier``
-applies it without the kernel.  A sampled radial kernel is exactly even or
-odd on the first axis, so its spectrum mirrors there and is held for rows
-0 ... W0//2 of the W0 first-axis rows alone, with one sign per component:
-8 C (W0//2 + 1) prod(W[1:-1]) (W[-1]//2 + 1) bytes for C components at the
-work shape W (``kernel_layout``).  Kernels and inputs
-go through one forward transform, ``_rfftn_padded``, and outputs through
-``_irfftn_cropped``; both are pruned, one axis pass at a time, in place:
-the forward pass pads each real-axis line inside the transform and skips
-the lines that are all zero padding, the inverse pass skips the lines
-outside the kept crop, so no line is transformed only to be thrown away.
-An apply finishes one output component at a time, so it holds the input
-transforms and one or two work spectra, not one spectrum per output.
+The kernel's half of that product is built in a ``KernelLayout``: the
+kernel is laid out circularly in the real view of the half-complex work
+array that then transforms it in place, slab by slab as it is sampled when
+it comes from a recipe.  An operator builds it once and keeps it, and
+``conv_fourier`` applies it without the kernel.  A sampled radial kernel is
+exactly even or odd on the first axis, so its spectrum mirrors there and is
+held for rows 0 ... W0//2 of the W0 first-axis rows alone, with one sign per
+component: 8 C (W0//2 + 1) prod(W[1:-1]) (W[-1]//2 + 1) bytes for C
+components at the work shape W.  Kernels and inputs go through one forward
+transform, ``_rfftn_padded``, and outputs through ``_irfftn_cropped``; both
+are pruned, one axis pass at a time, in place: the forward pass pads each
+real-axis line inside the transform and skips the lines that are all zero
+padding, the inverse pass skips the lines outside the kept crop, so no line
+is transformed only to be thrown away.  An apply finishes one output
+component at a time, so it holds the input transforms and one or two work
+spectra, not one spectrum per output.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from numpy import fft as sfft
 
-from .fields import ProductRule, TensorField, rule_coefficients
+from .fields import ProductRule, TensorField, components_for, rule_coefficients
 from .grid import PERIODIC, ZERO
 from .kernels import SAMPLE_SLAB_VOXELS, KernelField
 
@@ -82,25 +85,28 @@ def conv_direct(u: TensorField, kernel: KernelField, rule: ProductRule,
     return TensorField(u.grid, rule.l_v, out)
 
 
-def _circular_kernel(karr: np.ndarray, target_shape) -> np.ndarray:
-    """Lay a kernel out circularly (center at index 0) on its trailing axes,
-    carrying any leading (component) axes along.
+def _circular_kernel(karr: np.ndarray, out: np.ndarray, first: int = 0,
+                     extent: int | None = None) -> np.ndarray:
+    """Add one kernel component into ``out``, laid out circularly (center at
+    index 0), and return ``out``.
 
     Index i lands on (i - center) mod w; one sliced add per combination of
     per-axis runs with contiguous targets, in kernel-index order, sums aliased
     offsets in ``np.add.at``'s order: the image sum of a narrow periodic domain.
+    ``karr`` may be a slab, rows ``first`` ... of a kernel ``extent`` rows
+    long on the first axis; slabs added in row order sum as the whole kernel
+    does.
     """
-    lead = karr.ndim - len(target_shape)
     runs = []
-    for k, w in zip(karr.shape[lead:], target_shape):
+    for a, (n, w) in enumerate(zip(karr.shape, out.shape)):
+        lo, k = (first, n if extent is None else extent) if a == 0 else (0, n)
         c = (k - 1) // 2
-        cuts = [0, *range(c % w or w, k, w), k]
-        runs.append([(slice((a - c) % w, (a - c) % w + b - a), slice(a, b))
-                     for a, b in zip(cuts, cuts[1:])])
-    out = np.zeros(karr.shape[:lead] + tuple(target_shape))
+        cuts = [0, *range((c - lo) % w or w, n, w), n]   # where the target wraps
+        runs.append([(slice((lo + i - c) % w, (lo + i - c) % w + j - i), slice(i, j))
+                     for i, j in zip(cuts, cuts[1:])])
     for pairs in itertools.product(*runs):
         dst, src = zip(*pairs)
-        out[(Ellipsis, *dst)] += karr[(Ellipsis, *src)]
+        out[dst] += karr[src]
     return out
 
 
@@ -138,10 +144,12 @@ def work_shape(ushape, kshape, boundary: str) -> tuple:
 
 
 def kernel_spectrum(kernel: KernelField, ushape, boundary: str) -> tuple:
-    """The held spectrum of each kernel component laid out on the work shape,
-    read-only, and its first-axis signs: ``layout_spectrum`` of ``kernel_layout``."""
-    layout, spectrum, signs = kernel_layout(kernel, ushape, boundary)
-    return layout_spectrum(layout, spectrum, kernel.l_h), signs
+    """The held spectrum of each kernel component on the work shape,
+    read-only, and its first-axis signs: the kernel laid out whole in a
+    ``KernelLayout`` and transformed there."""
+    layout = KernelLayout(ushape, boundary)
+    layout.lay(kernel)
+    return layout.spectrum()
 
 
 def _has_parity(k: np.ndarray, sign: float, axes) -> bool:
@@ -161,75 +169,149 @@ def _has_parity(k: np.ndarray, sign: float, axes) -> bool:
     return True
 
 
-def kernel_layout(kernel: KernelField, ushape, boundary: str) -> tuple:
-    """Every kernel component laid out circularly on the work shape W, one
-    (components, *W) array; the empty spectrum that it transforms into; and
-    the components' first-axis signs, or None.
+def _circular_parity(k: np.ndarray, sign: float, axes) -> bool:
+    """``_has_parity`` of a circular layout, reflected through index 0: i to
+    -i mod W on ``axes``.  There index 0 maps to itself and 1 ... W - 1
+    reflect through their own center, so each such block is tested alone."""
+    blocks = (k[sel] for sel in itertools.product(
+        *[(slice(0, 1), slice(1, None)) if a in axes else (slice(None),)
+          for a in range(k.ndim)]))
+    return all(_has_parity(b, sign, axes) for b in blocks if b.size)
 
-    Two exact parity tests on the array laid out shape the spectrum.  A
-    kernel whose every component k has a parity on the first axis,
-    k(-x, ...) = s k(x, ...), mirrors there: S[W0 - j] = s S[j], so it holds
-    rows 0 ... W0//2 alone, and the signs s; any other holds all W0 rows and
-    None.  A kernel with inversion parity, h(-r) = (-1)^l_h h(r), has a real
-    or imaginary spectrum, so it holds one float64 part; any other a complex
-    spectrum.  Every sampled radial kernel passes both, and holds
-    8 C (W0//2 + 1) prod(W[1:-1]) (W[-1]//2 + 1) bytes for C components.
 
-    For the zero boundary the kernel is first cropped to offsets within
-    N - 1 of its center; the periodic layout sums aliased offsets.  Nothing
-    returned refers to the kernel, so a caller that drops it holds only
-    these arrays while the layout is transformed.  The spectrum, which
-    outlives the build, is allocated while the kernel is still held: under
-    glibc's malloc, allocated after the kernel was dropped, it left every
-    later 48^3 apply of the greens benchmark faulting about 1,900 pages of
-    work arrays in again, against none.
+def _parities(comps, l_h: int, has_parity) -> tuple:
+    """The first-axis sign of every component in ``comps``, or None unless
+    each has one, and whether all have inversion parity (-1)^l_h, by the
+    exact test ``has_parity``."""
+    signs = tuple(next((s for s in (1.0, -1.0) if has_parity(k, s, (0,))), None)
+                  for k in comps)
+    inversion = -1.0 if l_h % 2 else 1.0
+    return (None if None in signs else signs,
+            all(has_parity(k, inversion, range(k.ndim)) for k in comps))
+
+
+class KernelLayout:
+    """The work array that one kernel spectrum is built in, for a field of
+    ``ushape`` under ``boundary``: one zeroed half-complex array per kernel
+    component, C x W0 x ... x (W[-1]//2 + 1) at the work shape W.  The kernel
+    is laid out circularly in its real view, C x W, and each component is
+    then transformed in place, so no other kernel- or work-sized array is
+    made.  ``sample_kernel`` lays its samples out here slab by slab when
+    ``open`` takes them; ``lay`` lays out a whole kernel.
+
+    Two exact parity tests shape the held spectrum.  A kernel whose every
+    component k has a parity on the first axis, k(-x, ...) = s k(x, ...),
+    mirrors there: S[W0 - j] = s S[j], so it holds rows 0 ... W0//2 alone,
+    and the signs s; any other holds all W0 rows and None.  A kernel with
+    inversion parity, h(-r) = (-1)^l_h h(r), has a real or imaginary
+    spectrum, so it holds one float64 part; any other a complex spectrum.
+    Every sampled radial kernel passes both, and holds
+    8 C (W0//2 + 1) prod(W[1:-1]) (W[-1]//2 + 1) bytes.  A kernel laid out
+    in slabs, which never aliases, is tested on its layout, one block at a
+    time; a whole one on its own array, since a periodic layout that aliases
+    sums mirrored offsets in different orders, so is not exactly symmetric.
     """
-    work = work_shape(ushape, kernel.grid.shape, boundary)
-    karr = kernel.field.components
-    if boundary == ZERO:
-        kshape = kernel.grid.shape
-        reach = [min((k - 1) // 2, n - 1) for n, k in zip(ushape, kshape)]
-        karr = karr[(slice(None),) + tuple(slice((k - 1) // 2 - c, (k + 1) // 2 + c)
-                                           for k, c in zip(kshape, reach))]
-    signs = tuple(next((s for s in (1.0, -1.0) if _has_parity(k, s, (0,))), None)
-                  for k in karr)
-    signs = None if None in signs else signs
-    inversion = -1.0 if kernel.l_h % 2 else 1.0
-    real = all(_has_parity(k, inversion, range(len(work))) for k in karr)
-    rows = work[0] // 2 + 1 if signs else work[0]
-    layout = _circular_kernel(karr, work)
-    return layout, np.empty((len(karr), rows) + work[1:-1] + (work[-1] // 2 + 1,),
-                            float if real else complex), signs
+
+    def __init__(self, ushape, boundary: str):
+        self.ushape, self.boundary = tuple(ushape), boundary
+        self.grid = self.l_h = self.work = self.arrays = self.parity = None
+
+    def _allocate(self, grid, l_h: int) -> None:
+        self.grid, self.l_h = grid, l_h
+        self.work = work_shape(self.ushape, grid.shape, self.boundary)
+        self.arrays = np.zeros((components_for(l_h, grid.dim),) + self.work[:-1]
+                               + (self.work[-1] // 2 + 1,), complex)
+
+    @property
+    def view(self) -> np.ndarray:
+        """The real view, C x W, that the kernel is laid out in."""
+        return self.arrays.view(float)[..., :self.work[-1]]
+
+    def open(self, grid, l_h: int) -> bool:
+        """Allocate the work array for a kernel of order ``l_h`` on ``grid``,
+        to be laid out slab by slab with ``add``, and return True.  Return
+        False, allocating nothing, for a kernel of another dimension, one
+        that goes direct by default, or one that on some axis is wider than
+        the periodic field or than 2N - 1, so would alias or be cropped: it
+        is sampled whole instead."""
+        span = [n if self.boundary == PERIODIC else 2 * n - 1 for n in self.ushape]
+        if (grid.dim != len(span) or max(grid.shape) <= DIRECT_MAX_EXTENT
+                or any(k > s for k, s in zip(grid.shape, span))):
+            return False
+        self._allocate(grid, l_h)
+        return True
+
+    def add(self, first: int, block: np.ndarray) -> None:
+        """Lay out kernel rows ``first`` ... on the first axis, one block per
+        component; slabs are added in row order."""
+        for k, out in zip(block, self.view):
+            _circular_kernel(k, out, first, self.grid.shape[0])
+
+    def lay(self, kernel: KernelField) -> None:
+        """Lay out a whole kernel.  For the zero boundary it is first cropped
+        to offsets within N - 1 of its center; the periodic layout sums
+        aliased offsets."""
+        karr = kernel.field.components
+        if self.boundary == ZERO:
+            kshape = kernel.grid.shape
+            reach = [min((k - 1) // 2, n - 1) for n, k in zip(self.ushape, kshape)]
+            karr = karr[(slice(None),) + tuple(slice((k - 1) // 2 - c, (k + 1) // 2 + c)
+                                               for k, c in zip(kshape, reach))]
+        self.parity = _parities(karr, kernel.l_h, _has_parity)
+        self._allocate(kernel.grid, kernel.l_h)
+        for k, out in zip(karr, self.view):
+            _circular_kernel(k, out)
+
+    def spectrum(self) -> tuple:
+        """Transform the laid-out kernel in place, one component at a time, by
+        ``_rfftn_padded``, which prunes nothing here: every line is live.
+        Returns the held spectrum, read-only, and the first-axis signs, and
+        lets go of the work array.  A float64 spectrum keeps one part per
+        component, the real one for even l_h and the imaginary one for odd
+        l_h (``conv_fourier`` restores the factor i); a complex one keeps both.
+
+        The held spectrum, which outlives the build, is allocated while the
+        work array is alive: under glibc's malloc, allocated after the sampled
+        kernel was dropped, it once left every later 48^3 apply of the greens
+        benchmark faulting about 1,900 pages of work arrays in again, against
+        none.
+        """
+        signs, real = self.parity or _parities(self.view, self.l_h, _circular_parity)
+        rows = self.work[0] // 2 + 1 if signs else self.work[0]
+        spectrum = np.empty((len(self.arrays), rows) + self.arrays.shape[2:],
+                            float if real else complex)
+        part = (np.imag if self.l_h % 2 else np.real) if real else np.asarray
+        for array, laid, held in zip(self.arrays, self.view, spectrum):
+            held[...] = part(_rfftn_padded(laid, self.work, array))[:rows]
+        self.arrays = None
+        spectrum.flags.writeable = False
+        return spectrum, signs
 
 
-def layout_spectrum(layout: np.ndarray, spectrum: np.ndarray, l_h: int) -> np.ndarray:
-    """Fill ``spectrum`` with ``_rfftn_padded`` of each component of a
-    ``kernel_layout`` of order ``l_h``, which prunes nothing here: every line
-    is live, and return it read-only.  Each whole transform is made, and the
-    spectrum keeps its first rows: half of the first axis for a kernel that
-    mirrors there, all of it otherwise.  A float64 spectrum keeps one part
-    per component, the real one for even l_h and the imaginary one for odd
-    l_h (``conv_fourier`` restores the factor i); a complex one keeps both.
-    """
-    part = (np.imag if l_h % 2 else np.real) if np.isrealobj(spectrum) else np.asarray
-    for k, out in zip(layout, spectrum):   # one statement: each transform is freed at once
-        out[...] = part(_rfftn_padded(k, layout.shape[1:]))[:len(out)]
-    spectrum.flags.writeable = False
-    return spectrum
-
-
-def _rfftn_padded(x: np.ndarray, work) -> np.ndarray:
+def _rfftn_padded(x: np.ndarray, work, out: np.ndarray | None = None) -> np.ndarray:
     """``rfftn`` of ``x`` zero-padded to ``work``, without transforming the
     lines that are all padding; the output is the one array it allocates.
 
     The real-axis pass runs only on the rows of ``x``, padded inside ``rfft``;
     the pass on a leading axis a then runs in place on the rows whose earlier
     axes lie below N, from the last leading axis to the first, as ``rfftn``
-    orders them.
+    orders them.  Given ``out``, ``x`` is the work-shaped real view of it (a
+    ``KernelLayout``'s), transformed in place: the real-axis pass reads its
+    lines through a scratch of at most ``SAMPLE_SLAB_VOXELS`` voxels (one
+    line if a line is longer), and nothing else is allocated.
     """
     d = x.ndim
-    out = np.zeros(tuple(work[:-1]) + (work[-1] // 2 + 1,), complex)
-    sfft.rfft(x, n=work[-1], axis=-1, out=out[tuple(slice(0, n) for n in x.shape[:-1])])
+    if out is None:
+        out = np.zeros(tuple(work[:-1]) + (work[-1] // 2 + 1,), complex)
+        sfft.rfft(x, n=work[-1], axis=-1, out=out[tuple(slice(0, n) for n in x.shape[:-1])])
+    else:
+        lines = np.reshape(x, (-1, work[-1]), copy=False)
+        spectra = np.reshape(out, (-1, out.shape[-1]), copy=False)
+        scratch = np.empty((max(1, SAMPLE_SLAB_VOXELS // work[-1]), work[-1]))
+        for i in range(0, len(lines), len(scratch)):
+            block = scratch[:len(lines) - i]
+            block[...] = lines[i:i + len(block)]
+            sfft.rfft(block, axis=-1, out=spectra[i:i + len(block)])
     for a in range(d - 2, -1, -1):
         rows = out[tuple(slice(0, n) for n in x.shape[:a])]
         sfft.fft(rows, axis=a, out=rows)
@@ -241,14 +323,20 @@ def _irfftn_cropped(acc: np.ndarray, work, shape) -> np.ndarray:
 
     The pass on leading axis a runs in place on the rows whose earlier axes
     lie inside the crop, in ``irfftn``'s order; the real-axis pass then runs
-    only on the kept rows.
+    only on the kept rows.  It writes its N0 x ... x W[-1] float64s into rows
+    N0 ... W0 - 1 of ``acc``, which lie outside the crop, when they can hold
+    them, and into a new array when they cannot (periodic, or a kernel much
+    narrower than the field).
     """
     d = acc.ndim
     for a in range(d - 1):
         rows = acc[tuple(slice(0, n) for n in shape[:a])]
         sfft.ifft(rows, axis=a, out=rows)
     rows = acc[tuple(slice(0, n) for n in shape[:-1])]
-    return sfft.irfftn(rows, s=(work[-1],), axes=(d - 1,))[..., :shape[-1]]
+    block = tuple(shape[:-1]) + (work[-1],)
+    spare = acc[shape[0]:].view(float).reshape(-1)
+    out = spare[:math.prod(block)].reshape(block) if spare.size >= math.prod(block) else None
+    return sfft.irfftn(rows, s=(work[-1],), axes=(d - 1,), out=out)[..., :shape[-1]]
 
 
 def conv_fourier(u: TensorField, kernel_shape, rule: ProductRule, boundary: str,

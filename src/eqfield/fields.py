@@ -16,6 +16,7 @@ rotation invariant and component extraction is <M, B_k> / 2.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,25 @@ def unit_harmonic(l: int, rhat: np.ndarray) -> np.ndarray:
     raise FieldError(f"unit harmonic l={l} unsupported in {dim}d")
 
 
+class NormalGenerator:
+    """Seeded standard normal draws from the standard library's
+    ``random.Random``, behind the one ``Generator`` method that
+    ``TensorField.random`` calls, so a caller need not import
+    ``numpy.random``.  The same seed gives the same draws, which are not
+    numpy's; a negative seed, which ``random.Random`` would take as its
+    absolute value, is refused."""
+
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        self._random = random.Random(seed)
+
+    def standard_normal(self, shape: tuple) -> np.ndarray:
+        n = math.prod(shape)
+        return np.fromiter((self._random.gauss(0.0, 1.0) for _ in range(n)), float,
+                           count=n).reshape(shape)
+
+
 @dataclass(frozen=True)
 class TensorField:
     """Rotation order plus per-voxel component array over a grid.  Frozen, so a
@@ -131,7 +151,9 @@ class TensorField:
         return cls(grid, 0, np.asarray(values, dtype=float)[None])
 
     @classmethod
-    def random(cls, grid: Grid, l: int, rng: np.random.Generator) -> "TensorField":
+    def random(cls, grid: Grid, l: int, rng) -> "TensorField":
+        """Standard normal components drawn from ``rng``: a numpy
+        ``Generator`` or a ``NormalGenerator``."""
         c = components_for(l, grid.dim)
         return cls(grid, l, rng.standard_normal((c,) + grid.shape))
 

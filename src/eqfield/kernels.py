@@ -176,34 +176,47 @@ def free_space_kernel_grid(grid: Grid, reach: float = math.inf) -> Grid:
 SAMPLE_SLAB_VOXELS = 2**12   # voxel cap of the block of rows that sample_kernel evaluates at once
 
 
-def sample_kernel(grid: Grid, profile: RadialProfile, l_h: int) -> KernelField:
+def sample_kernel(grid: Grid, profile: RadialProfile, l_h: int, out=None):
     """Sample R(|r|) Y_l(rhat) on a centered grid, from per-axis offsets that broadcast.
 
     The profile is evaluated one slab at a time, a block of rows along axis
     0 of at most ``SAMPLE_SLAB_VOXELS`` voxels (one row if a row is larger),
-    into the one output array, so the temporaries are slab-sized; for l_h =
-    1 the unit directions are written into the output and scaled there.
-    The profile alone sets r=0, where rhat is 0, so Y_l vanishes there for
-    l_h >= 1; a singular profile reads 0 there, and a non-finite one fails.
+    so the temporaries are slab-sized; for l_h = 1 the unit directions are
+    written into the slab and scaled there.  The profile alone sets r=0,
+    where rhat is 0, so Y_l vanishes there for l_h >= 1; a singular profile
+    reads 0 there, and a non-finite one fails.
+
+    Each slab goes into one KernelField's array; or, given ``out``, a
+    ``convolve.KernelLayout`` that ``out.open`` readies for this kernel,
+    straight into its circular place there, and ``out`` is returned, so no
+    kernel-sized array is made.  A kernel that ``out`` does not open is
+    sampled into a KernelField as without it.
     """
     _check_centered(grid)
     axes = [((np.arange(n) - c) * s).reshape((n,) + (1,) * (grid.dim - 1 - a))
             for a, (n, c, s) in enumerate(zip(grid.shape, grid.center_index(), grid.spacing))]
     squares = [x ** 2 for x in axes]
-    values = np.zeros((components_for(l_h, grid.dim),) + grid.shape)
+    shape = (components_for(l_h, grid.dim),) + grid.shape
+    laid = out is not None and out.open(grid, l_h)
+    values = None if laid else np.zeros(shape)
     rows = max(1, SAMPLE_SLAB_VOXELS // math.prod(grid.shape[1:]))
     for start in range(0, grid.shape[0], rows):
         slab = slice(start, start + rows)
         r = np.sqrt(sum([squares[0][slab], *squares[1:]]))
         if l_h == 0:
-            values[0, slab] = profile(r)
-            continue
-        block = values[:, slab]
-        rhat = block if l_h == 1 else np.zeros((grid.dim,) + r.shape)
-        for x, out in zip([axes[0][slab], *axes[1:]], rhat):
-            np.divide(x, r, out=out, where=r != 0.0)
-        np.multiply(unit_harmonic(l_h, rhat), profile(r), out=block)
-    return KernelField(TensorField(grid, l_h, values), l_h)
+            block = profile(r)[None]
+        else:
+            block = np.zeros(shape[:1] + r.shape) if laid else values[:, slab]
+            rhat = block if l_h == 1 else np.zeros((grid.dim,) + r.shape)
+            for x, o in zip([axes[0][slab], *axes[1:]], rhat):
+                np.divide(x, r, out=o, where=r != 0.0)
+            np.multiply(unit_harmonic(l_h, rhat), profile(r), out=block)
+        if laid:
+            out.add(start, block)
+        elif l_h == 0:
+            values[:, slab] = block
+        del block   # freed before the next slab's temporaries are made
+    return out if laid else KernelField(TensorField(grid, l_h, values), l_h)
 
 
 def delta_stencil(grid: Grid) -> KernelField:

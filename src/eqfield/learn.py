@@ -176,7 +176,8 @@ class NeuralOp:
     def operator(self) -> EquivariantOp:
         """The ``EquivariantOp`` with ``kernel`` as its recipe, held under this
         frozen recipe: built on first use, shared by equal recipes, never stale."""
-        return held(self, lambda: EquivariantOp("neural", self.grid, lambda: self.kernel(),
+        return held(self, lambda: EquivariantOp("neural", self.grid,
+                                                lambda out=None: self.kernel(),
                                                 self.rule.kind, boundary=ZERO,
                                                 input_l=self.rule.l_u))
 
@@ -205,11 +206,13 @@ def make_neural_op(grid: Grid, kind: str = "scalar", l_u: int = 0, l_h: int = 0,
 
 
 def _term_recipes(op: NeuralOp) -> list:
-    """One zero-argument kernel recipe per amplitude, in amplitude order, which
-    looks its sampler up when it runs; a stencil keeps its 3-voxel width."""
+    """One kernel recipe per amplitude, in amplitude order, which looks its
+    sampler up when it runs: a smooth term samples into the layout it is
+    given; a stencil keeps its 3-voxel width."""
     kgrid = free_space_kernel_grid(op.grid)
-    return ([lambda p=p: sample_kernel(kgrid, p, op.l_h) for p in op.param.smooth_profiles()]
-            + [lambda o=o: (delta_stencil if o == 0 else gradient_stencil)(op.grid)
+    return ([lambda out=None, p=p: sample_kernel(kgrid, p, op.l_h, out)
+             for p in op.param.smooth_profiles()]
+            + [lambda out=None, o=o: (delta_stencil if o == 0 else gradient_stencil)(op.grid)
                for _, o in op.param.stencils])
 
 

@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .convolve import (DIRECT, FOURIER, conv_direct, conv_fourier, default_path,
-                       kernel_layout, kernel_spectrum, layout_spectrum)
+from .convolve import (DIRECT, FOURIER, KernelLayout, conv_direct, conv_fourier,
+                       default_path, kernel_spectrum)
 from .fields import FieldError, ProductRule, RuleError, TensorField, product_rule
 from .grid import ZERO, Grid, check_boundary
 from .kernels import (KernelError, KernelField, delta_stencil, free_space_kernel_grid,
@@ -38,14 +38,16 @@ from .kernels import (KernelError, KernelField, delta_stencil, free_space_kernel
 class EquivariantOp:
     """A kernel bundled with its product rule, built for one grid together
     with everything it applies with.  ``kernel`` is a KernelField, or a
-    zero-argument recipe that samples one; the recipe runs once here.  An
-    operator whose default path is Fourier computes its read-only kernel
-    spectrum when it is built and applies with that alone.  For a sampled
+    recipe that samples one: a callable that, given a ``KernelLayout``, may
+    sample straight into it and return it (``sample_kernel``'s ``out``), and
+    otherwise returns a KernelField; it runs once here.  An operator whose
+    default path is Fourier computes its read-only kernel spectrum when it
+    is built, in that layout, and applies with that alone.  For a sampled
     radial kernel, which has exact inversion and first-axis parity, that is
     one float64 part per component, of rows 0 ... W0//2 of the first axis,
-    with each component's first-axis sign in ``signs`` (``kernel_layout``).
-    Built from a recipe, it keeps the recipe in place of the kernel and
-    drops the sample once it is laid out, before the transform, so
+    with each component's first-axis sign in ``signs`` (``KernelLayout``).
+    Built from a recipe, it keeps the recipe in place of the kernel, which
+    is gone before the layout is transformed, or was never made whole, so
     ``kernel`` and a forced direct apply sample it again, to the same bits;
     a recipe looks its sampler up when it runs.  A stencil operator, or one
     built from a KernelField, keeps the array.  Nothing in it changes on
@@ -58,14 +60,15 @@ class EquivariantOp:
     input_l: int | None           # None: any order the rule accepts
     kernel_grid: Grid
     l_h: int
-    recipe: KernelField | Callable[[], KernelField] = field(repr=False)
+    recipe: KernelField | Callable[..., KernelField] = field(repr=False)
     spectrum: np.ndarray | None = field(repr=False, compare=False)
     signs: tuple | None = field(repr=False, compare=False)
 
-    def __init__(self, name: str, grid: Grid, kernel: KernelField | Callable[[], KernelField],
+    def __init__(self, name: str, grid: Grid, kernel: KernelField | Callable[..., KernelField],
                  kind: str, boundary: str | None = None, input_l: int | None = None):
         boundary = check_boundary(grid.boundary if boundary is None else boundary)
-        sampled = kernel if isinstance(kernel, KernelField) else kernel()
+        layout = KernelLayout(grid.shape, boundary)
+        sampled = kernel if isinstance(kernel, KernelField) else kernel(layout)
         if sampled.grid.dim != grid.dim:
             raise FieldError("field and kernel dimensions differ")
         for a, (hu, hk) in enumerate(zip(grid.spacing, sampled.grid.spacing)):
@@ -76,9 +79,10 @@ class EquivariantOp:
                     kernel_grid=sampled.grid, l_h=sampled.l_h,
                     recipe=kernel if fourier else sampled, spectrum=None, signs=None)
         if fourier:
-            layout, spectrum, held["signs"] = kernel_layout(sampled, grid.shape, boundary)
+            if sampled is not layout:
+                layout.lay(sampled)
             del sampled   # a recipe's sample is gone before its layout is transformed
-            held["spectrum"] = layout_spectrum(layout, spectrum, held["l_h"])
+            held["spectrum"], held["signs"] = layout.spectrum()
         for key, value in held.items():
             object.__setattr__(self, key, value)
 
@@ -158,7 +162,8 @@ def laplacian_op(grid: Grid) -> EquivariantOp:
 def inverse_laplacian_op(grid: Grid) -> EquivariantOp:
     profile = inverse_r() if grid.dim == 3 else log_r()
     kgrid = free_space_kernel_grid(grid)
-    return EquivariantOp("inverse_laplacian", grid, lambda: sample_kernel(kgrid, profile, 0),
+    return EquivariantOp("inverse_laplacian", grid,
+                         lambda out=None: sample_kernel(kgrid, profile, 0, out),
                          "scalar", boundary=ZERO, input_l=0)
 
 
@@ -166,8 +171,9 @@ def gauss_law_op(grid: Grid) -> EquivariantOp:
     if grid.dim != 3:
         raise RuleError("gauss_law is defined for 3d grids only")
     kgrid, profile = free_space_kernel_grid(grid), inverse_r2()
-    return EquivariantOp("gauss_law", grid, lambda: sample_kernel(kgrid, profile, 1), "scalar",
-                         boundary=ZERO, input_l=0)
+    return EquivariantOp("gauss_law", grid,
+                         lambda out=None: sample_kernel(kgrid, profile, 1, out),
+                         "scalar", boundary=ZERO, input_l=0)
 
 
 def diffusion_op(grid: Grid, D: float, t: float) -> EquivariantOp:
@@ -186,7 +192,7 @@ def diffusion_op(grid: Grid, D: float, t: float) -> EquivariantOp:
     profile = gaussian_diffusion(D, t, grid.dim)
     kgrid = free_space_kernel_grid(grid, profile.support)
 
-    def kernel() -> KernelField:
+    def kernel(out=None) -> KernelField:   # sampled whole for its mass, then laid out
         raw = sample_kernel(kgrid, profile, 0)
         mass = float(np.sum(raw.field.components)) * grid.voxel_volume
         if not 0.0 < mass < math.inf:

@@ -17,9 +17,9 @@ class _RecordingFFT:
         self.forward = []
         self.inverse = []
 
-    def rfftn_padded(self, x, work):
+    def rfftn_padded(self, x, work, out=None):
         self.forward.append(tuple(work))
-        return self._padded(x, work)
+        return self._padded(x, work, out)
 
     def irfftn_cropped(self, acc, work, shape):
         self.inverse.append(tuple(work))

@@ -700,3 +700,36 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_check_loads_no_numpy_random():
+    # check draws its fields from the standard library's generator, so no
+    # command imports numpy.random; run in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eq.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import contextlib, io, sys\n"
+            "from eqfield.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['--seed', '3', 'check', '--random', '7,7,7', '--l', '1'])\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0 []"
+
+
+def test_check_seed_repeats_its_fields(capsys):
+    runs = {}
+    for seed in ("3", "3", "4"):
+        assert main(["--seed", seed, "check", "--random", "6,5", "--l", "1"]) == 0
+        runs.setdefault(seed, []).append(capsys.readouterr().out)
+    assert runs["3"][0] == runs["3"][1] != runs["4"][0]
+
+
+def test_negative_seed_is_refused_before_any_work(capsys, tmp_path):
+    # random.Random would take -1 as seed 1; the input file is not read
+    missing = str(tmp_path / "missing.eqf")
+    for argv in (["check", "--random", "7,7,7"], ["check", missing]):
+        assert main(["--seed", "-1", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: seed must be a non-negative integer, got -1\n"

@@ -477,3 +477,26 @@ def test_keyvalues_round_trip(tmp_path):
     assert back["format"] == "eqfield-test-v1"
     assert float(back["alpha"]) == 1.5
     assert back["w"] == "0.2,-0.1"
+
+
+def test_normal_generator_draws_seeded_standard_normals():
+    # the same seed gives the same field, another seed another; the draws
+    # have mean 0 and variance 1 (20,000 of them: 4 standard errors)
+    g = eq.Grid.centered((9, 8, 7))
+    first = eq.TensorField.random(g, 1, eq.fields.NormalGenerator(3)).components
+    again = eq.TensorField.random(g, 1, eq.fields.NormalGenerator(3)).components
+    other = eq.TensorField.random(g, 1, eq.fields.NormalGenerator(4)).components
+    assert first.shape == (3, 9, 8, 7) and first.dtype == np.float64
+    assert np.array_equal(first, again) and not np.array_equal(first, other)
+    draws = eq.fields.NormalGenerator(5).standard_normal((100, 200))
+    assert abs(np.mean(draws)) < 4 / math.sqrt(draws.size)
+    assert abs(np.var(draws) - 1.0) < 4 * math.sqrt(2 / draws.size)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        eq.fields.NormalGenerator(-1)
+
+
+def test_run_checks_draws_from_seed_zero_by_default():
+    u = eq.TensorField.random(eq.Grid.centered((6, 5)), 1, eq.fields.NormalGenerator(1))
+    got = [(r.name, r.deviation) for r in eq.run_checks(u)]
+    assert got == [(r.name, r.deviation)
+                   for r in eq.run_checks(u, eq.fields.NormalGenerator(0))]

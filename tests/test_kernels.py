@@ -17,6 +17,28 @@ def test_gaussian_profile_values():
         eq.gaussian(0.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: eq.gaussian(-1.0), "gaussian width must be positive and finite, got -1.0"),
+    (lambda: eq.gaussian_diffusion(1.0, 0.0, 3), "gaussian_diffusion needs finite D > 0 and t > 0"),
+    (lambda: eq.gaussian_diffusion(1e-300, 1e-300, 3),
+     "heat kernel for D=1e-300, t=1e-300 is out of float range"),
+    (lambda: eq.named_profile("cubic"),
+     "unknown profile 'cubic'; library: ['gaussian', 'gaussian_diffusion', 'inverse_r', "
+     "'inverse_r2', 'log_r']"),
+    (lambda: eq.KernelField(eq.TensorField.zeros(eq.kernel_grid((3, 3), 1.0), 1), 0),
+     "kernel l_h does not match its field"),
+    (lambda: eq.KernelField(eq.TensorField.zeros(eq.Grid.centered((3, 4), 1.0), 0), 0),
+     "kernel grids need odd extent per axis"),
+    (lambda: eq.sample_kernel(eq.Grid((3, 3), (1.0, 1.0), (0.0, 0.0)), eq.gaussian(1.0), 0),
+     "kernel grid must be centered (a voxel at r=0)"),
+    (lambda: eq.kernel_grid((3, 4), 1.0), "kernel grids need odd extent per axis, got (3, 4)"),
+])
+def test_kernel_guards_name_what_is_wrong(make, message):
+    with pytest.raises(eq.KernelError) as info:
+        make()
+    assert type(info.value) is eq.KernelError and str(info.value) == message
+
+
 def test_greens_profile_values():
     r = np.array([1.0, 2.0])
     assert np.allclose(eq.inverse_r()(r), 1.0 / (4.0 * math.pi * r))

@@ -672,18 +672,15 @@ def test_green_operator_bytes_follow_from_the_grid_shape(name, shape, boundary):
     assert op.nbytes == 8 * ncomp * (w[0] // 2 + 1) * math.prod(w[1:-1]) * (w[-1] // 2 + 1)
 
 
-def _four_kernels(op):
-    return op.nbytes + 4 * op.kernel.nbytes
-
-
-def _layout_and_transform(op):
-    # the spectrum, one work-shaped real array (the kernel's circular layout),
-    # one half-complex work array (its transform) and four slabs' worth of
-    # sampling temporaries and ufunc buffers; the sampled kernel is dropped
-    # before its layout is transformed, so it is not among them
+def _work_arrays_and_slabs(op):
+    # the spectrum, one half-complex work array per kernel component, in whose
+    # real view the kernel is laid out and which is transformed in place, and
+    # four slabs' worth of sampling temporaries, ufunc buffers and the
+    # real-axis scratch; no kernel-sized array, and no other work-sized one
     w = eq.convolve.work_shape(op.grid.shape, op.kernel_grid.shape, op.boundary)
     half = math.prod(w[:-1]) * (w[-1] // 2 + 1)
-    return op.nbytes + 8 * math.prod(w) + 16 * half + 4 * 8 * eq.kernels.SAMPLE_SLAB_VOXELS
+    return (op.nbytes + op.spectrum.shape[0] * 16 * half
+            + 4 * 8 * eq.kernels.SAMPLE_SLAB_VOXELS)
 
 
 def _heat_24_periodic(op):
@@ -691,24 +688,25 @@ def _heat_24_periodic(op):
     # work array; the 13 x 24 x 13 real spectrum keeps half its first and
     # last axes
     assert op.nbytes == 8 * 13 * 24 * 13
-    return _layout_and_transform(op)
+    return _work_arrays_and_slabs(op)
 
 
 @pytest.mark.parametrize("build, bound", [
-    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((24,) * 3)), _layout_and_transform),
-    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((48,) * 3)), _layout_and_transform),
-    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((64, 64))), _layout_and_transform),
-    (lambda: eq.gauss_law_op(eq.Grid.centered((16,) * 3)), _four_kernels),
+    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((24,) * 3)), _work_arrays_and_slabs),
+    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((32,) * 3)), _work_arrays_and_slabs),
+    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((48,) * 3)), _work_arrays_and_slabs),
+    (lambda: eq.inverse_laplacian_op(eq.Grid.centered((64, 64))), _work_arrays_and_slabs),
+    (lambda: eq.gauss_law_op(eq.Grid.centered((16,) * 3)), _work_arrays_and_slabs),
     (lambda: eq.diffusion_op(eq.Grid.centered((24,) * 3, boundary=eq.PERIODIC), 1.0, 0.5),
      _heat_24_periodic),
-], ids=["inverse_laplacian_3d", "inverse_laplacian_48", "inverse_laplacian_2d", "gauss_law",
-        "diffusion_periodic"])
+], ids=["inverse_laplacian_3d", "inverse_laplacian_32", "inverse_laplacian_48",
+        "inverse_laplacian_2d", "gauss_law", "diffusion_periodic"])
 def test_green_operator_build_peak_is_bounded(build, bound):
     # building an operator with its spectrum holds, at its peak, what the
-    # operator keeps plus a bounded amount of temporaries: for a single
-    # component, work arrays and a few slabs, stated from the grid shape; for
-    # gauss_law's three components, whose layouts are made together, four
-    # kernels' worth, the sampled one included
+    # operator keeps plus its work arrays and a few slabs, stated from the
+    # grid shape: a recipe's kernel is sampled slab by slab into the work
+    # array.  The 21^3 heat kernel (74 kB), sampled whole for its mass, is
+    # laid out and dropped before the transform, and fits in those slabs
     tracemalloc.start()
     try:
         op = build()
