@@ -87,18 +87,19 @@ def conv_direct(u: TensorField, kernel: KernelField, rule: ProductRule,
 
 def _circular_kernel(karr: np.ndarray, out: np.ndarray, first: int = 0,
                      extent: int | None = None) -> np.ndarray:
-    """Add one kernel component into ``out``, laid out circularly (center at
-    index 0), and return ``out``.
+    """Add a kernel into ``out``, laid out circularly (center at index 0) on
+    every axis after the first, which (the components) is carried along,
+    and return ``out``.
 
     Index i lands on (i - center) mod w; one sliced add per combination of
     per-axis runs with contiguous targets, in kernel-index order, sums aliased
     offsets in ``np.add.at``'s order: the image sum of a narrow periodic domain.
     ``karr`` may be a slab, rows ``first`` ... of a kernel ``extent`` rows
-    long on the first axis; slabs added in row order sum as the whole kernel
-    does.
+    long on the first laid-out axis; slabs added in row order sum as the
+    whole kernel does.
     """
     runs = []
-    for a, (n, w) in enumerate(zip(karr.shape, out.shape)):
+    for a, (n, w) in enumerate(zip(karr.shape[1:], out.shape[1:])):
         lo, k = (first, n if extent is None else extent) if a == 0 else (0, n)
         c = (k - 1) // 2
         cuts = [0, *range((c - lo) % w or w, n, w), n]   # where the target wraps
@@ -106,7 +107,7 @@ def _circular_kernel(karr: np.ndarray, out: np.ndarray, first: int = 0,
                      for i, j in zip(cuts, cuts[1:])])
     for pairs in itertools.product(*runs):
         dst, src = zip(*pairs)
-        out[dst] += karr[src]
+        out[(slice(None), *dst)] += karr[(slice(None), *src)]
     return out
 
 
@@ -244,8 +245,7 @@ class KernelLayout:
     def add(self, first: int, block: np.ndarray) -> None:
         """Lay out kernel rows ``first`` ... on the first axis, one block per
         component; slabs are added in row order."""
-        for k, out in zip(block, self.view):
-            _circular_kernel(k, out, first, self.grid.shape[0])
+        _circular_kernel(block, self.view, first, self.grid.shape[0])
 
     def lay(self, kernel: KernelField) -> None:
         """Lay out a whole kernel.  For the zero boundary it is first cropped
@@ -259,8 +259,7 @@ class KernelLayout:
                                                for k, c in zip(kshape, reach))]
         self.parity = _parities(karr, kernel.l_h, _has_parity)
         self._allocate(kernel.grid, kernel.l_h)
-        for k, out in zip(karr, self.view):
-            _circular_kernel(k, out)
+        _circular_kernel(karr, self.view)
 
     def spectrum(self) -> tuple:
         """Transform the laid-out kernel in place, one component at a time, by
@@ -296,9 +295,10 @@ def _rfftn_padded(x: np.ndarray, work, out: np.ndarray | None = None) -> np.ndar
     the pass on a leading axis a then runs in place on the rows whose earlier
     axes lie below N, from the last leading axis to the first, as ``rfftn``
     orders them.  Given ``out``, ``x`` is the work-shaped real view of it (a
-    ``KernelLayout``'s), transformed in place: the real-axis pass reads its
-    lines through a scratch of at most ``SAMPLE_SLAB_VOXELS`` voxels (one
-    line if a line is longer), and nothing else is allocated.
+    ``KernelLayout``'s), transformed in place: the real-axis pass runs on
+    blocks of lines of at most ``SAMPLE_SLAB_VOXELS`` voxels (one line if a
+    line is longer), and numpy copies each block, which its output
+    overlaps; nothing else is allocated.
     """
     d = x.ndim
     if out is None:
@@ -307,11 +307,9 @@ def _rfftn_padded(x: np.ndarray, work, out: np.ndarray | None = None) -> np.ndar
     else:
         lines = np.reshape(x, (-1, work[-1]), copy=False)
         spectra = np.reshape(out, (-1, out.shape[-1]), copy=False)
-        scratch = np.empty((max(1, SAMPLE_SLAB_VOXELS // work[-1]), work[-1]))
-        for i in range(0, len(lines), len(scratch)):
-            block = scratch[:len(lines) - i]
-            block[...] = lines[i:i + len(block)]
-            sfft.rfft(block, axis=-1, out=spectra[i:i + len(block)])
+        step = max(1, SAMPLE_SLAB_VOXELS // work[-1])
+        for i in range(0, len(lines), step):
+            sfft.rfft(lines[i:i + step], axis=-1, out=spectra[i:i + step])
     for a in range(d - 2, -1, -1):
         rows = out[tuple(slice(0, n) for n in x.shape[:a])]
         sfft.fft(rows, axis=a, out=rows)

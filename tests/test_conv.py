@@ -511,6 +511,11 @@ def _add_at_layout(karr, target):
     return out
 
 
+def _laid_out(karr, target):
+    """``_circular_kernel`` of one component into a zeroed ``target``."""
+    return eq.convolve._circular_kernel(karr[None], np.zeros((1, *target)))[0]
+
+
 def _same_bits(a, b):
     return (a.dtype == b.dtype and np.array_equal(a, b)
             and np.array_equal(np.signbit(a), np.signbit(b)))
@@ -532,12 +537,12 @@ def test_circular_kernel_matches_add_at_property(data):
     karr = rng.standard_normal(kshape)
     karr[rng.random(kshape) < 0.2] = -0.0
     ref = _add_at_layout(karr, target)
-    assert _same_bits(eq.convolve._circular_kernel(karr, np.zeros(target)), ref)
+    assert _same_bits(_laid_out(karr, target), ref)
     # slabs of rows added in row order, as sample_kernel lays them out
-    rows, out = data.draw(st.integers(1, kshape[0])), np.zeros(target)
+    rows, out = data.draw(st.integers(1, kshape[0])), np.zeros((1, *target))
     for first in range(0, kshape[0], rows):
-        eq.convolve._circular_kernel(karr[first:first + rows], out, first, kshape[0])
-    assert _same_bits(out, ref)
+        eq.convolve._circular_kernel(karr[None, first:first + rows], out, first, kshape[0])
+    assert _same_bits(out[0], ref)
 
 
 @pytest.mark.parametrize("kshape,target", [((95, 95, 95), (96, 96, 96)), ((95, 95, 95), (48, 48, 48)),
@@ -545,8 +550,7 @@ def test_circular_kernel_matches_add_at_property(data):
 def test_circular_kernel_matches_add_at(kshape, target):
     karr = np.random.default_rng(17).standard_normal(kshape)
     karr[tuple(k // 2 for k in kshape)] = -0.0
-    assert _same_bits(eq.convolve._circular_kernel(karr, np.zeros(target)),
-                      _add_at_layout(karr, target))
+    assert _same_bits(_laid_out(karr, target), _add_at_layout(karr, target))
 
 
 def _complex_spectrum(kernel, ushape, boundary):
@@ -608,8 +612,8 @@ def _whole_layout_route(op):
     signs = tuple(next(s for s in (1.0, -1.0) if eq.convolve._has_parity(k, s, (0,)))
                   for k in karr)
     part = np.imag if kernel.l_h % 2 else np.real
-    held = [part(eq.convolve._rfftn_padded(eq.convolve._circular_kernel(k, np.zeros(work)),
-                                           work))[:work[0] // 2 + 1] for k in karr]
+    held = [part(eq.convolve._rfftn_padded(_laid_out(k, work), work))[:work[0] // 2 + 1]
+            for k in karr]
     return np.stack(held), signs
 
 
