@@ -243,8 +243,8 @@ class KernelLayout:
         return True
 
     def add(self, first: int, block: np.ndarray) -> None:
-        """Lay out kernel rows ``first`` ... on the first axis, one block per
-        component; slabs are added in row order."""
+        """Lay out kernel rows ``first`` ... on the first axis, held by
+        ``block`` for every component; slabs are added in row order."""
         _circular_kernel(block, self.view, first, self.grid.shape[0])
 
     def lay(self, kernel: KernelField) -> None:
