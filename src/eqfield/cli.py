@@ -4,12 +4,15 @@ Each subcommand maps its parsed arguments to a ``RunReport``; ``main`` prints
 and writes that report and exits with its code.  Exit codes: 0 success,
 1 property-check failure, 2 input/format error, 3 shape/rule mismatch,
 4 numerical guard (instability, blow-up, unidentifiable parameters).  All
-numbers print at 17 significant digits.
+numbers print at 17 significant digits.  ``entry`` is the process entry of
+``python -m eqfield.cli`` and of the ``eqfield`` script; ``main`` is the
+in-process call.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -347,5 +350,18 @@ def main(argv=None) -> int:
         return EXIT_RULE   # RuleError, FieldError, GridError, KernelError, other ValueErrors
 
 
+def entry(argv=None) -> int:
+    """Run one command as a whole process: freeze, then ``main(argv)``.
+
+    ``gc.freeze()`` moves every object that the imports of numpy and eqfield
+    created into the collector's permanent generation, so neither a
+    collection during the command nor the one at interpreter exit walks
+    them again.  ``main`` never freezes: a caller in a long-lived process
+    keeps its collector as it was.
+    """
+    gc.freeze()
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -1,5 +1,6 @@
 """End-to-end CLI runs, in process, pinned to the documented exit codes."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 import eqfield as eq
 from eqfield.cli import _read_pair_manifest, main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _write_scalar(path, grid, values):
@@ -416,6 +419,15 @@ def test_fit_rejects_bad_manifest(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fit_refuses_a_manifest_without_pairs(tmp_path, capsys):
+    empty = tmp_path / "pairs.txt"
+    empty.write_text("# density -> potential\n\n")
+    assert main(["fit", str(empty), "--model", str(tmp_path / "m.eqm")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {empty}: manifest has no field pairs\n"
+    assert not (tmp_path / "m.eqm").exists()
+
+
 def test_simulate_writes_trajectory(tmp_path, capsys):
     g = eq.Grid.centered((16, 16), boundary=eq.PERIODIC)
     u0 = tmp_path / "u0.eqf"
@@ -430,6 +442,21 @@ def test_simulate_writes_trajectory(tmp_path, capsys):
     assert (outdir / "trajectory.txt").exists()
     assert (outdir / "frame_00010.eqf").exists()
     capsys.readouterr()
+
+
+def test_simulate_3d_takes_its_third_velocity_component(tmp_path, capsys):
+    g = eq.Grid.centered((6, 6, 6), boundary=eq.PERIODIC)
+    u0 = tmp_path / "u0.eqf"
+    _write_scalar(u0, g, _blob(g))
+    outdir = tmp_path / "run"
+    assert main(["simulate", "none", str(u0), str(outdir),
+                 "--D", "0.1", "--wx", "0.2", "--wy", "-0.1", "--wz", "0.3",
+                 "--dt", "0.1", "--steps", "2"]) == 0
+    frames, model = eq.load_trajectory(outdir)
+    assert len(frames) == 3 and frames[-1].grid == g
+    assert list(model.w) == [0.2, -0.1, 0.3]
+    assert "param.w=0.20000000000000001,-0.10000000000000001,0.29999999999999999" \
+        in capsys.readouterr().out.splitlines()
 
 
 def test_simulate_report_file(tmp_path, capsys):
@@ -733,3 +760,55 @@ def test_negative_seed_is_refused_before_any_work(capsys, tmp_path):
         assert main(["--seed", "-1", *argv]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err == "error: seed must be a non-negative integer, got -1\n"
+
+
+_EXIT_PROBE = ("import atexit, gc, sys\n"
+               "atexit.register(lambda: print('at exit', gc.get_freeze_count() > 0,"
+               " gc.isenabled()))\n")
+
+
+def _run_probed(code, argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", _EXIT_PROBE + code, *argv], env=env,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("start", [
+    # as `python -m eqfield.cli` runs it
+    "import runpy\n"
+    "sys.argv[0] = 'eqfield'\n"
+    "runpy.run_module('eqfield.cli', run_name='__main__')\n",
+    # as the installed `eqfield` script runs it; the import alone freezes nothing
+    "import eqfield.cli\n"
+    "print('imported', gc.get_freeze_count(), gc.isenabled())\n"
+    "sys.exit(eqfield.cli.entry(sys.argv[1:]))\n"], ids=["python_m", "entry"])
+def test_cli_process_freezes_its_imports_before_the_command(tmp_path, start):
+    src = tmp_path / "in.eqf"
+    _write_scalar(src, eq.Grid.centered((5, 5)), _blob(eq.Grid.centered((5, 5))))
+    out = _run_probed(start, ["apply", "identity", str(src), str(tmp_path / "out.eqf")])
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[-1] == "at exit True True"
+    assert "command: apply" in lines
+    if "imported" in start:
+        assert lines[0] == "imported 0 True"
+    assert eq.read_eqf(tmp_path / "out.eqf")[0].components.tobytes() == \
+        eq.read_eqf(src)[0].components.tobytes()
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys):
+    # library callers, tests and the bench's probe call main in long-lived processes
+    src = tmp_path / "in.eqf"
+    _write_scalar(src, eq.Grid.centered((5, 5)), _blob(eq.Grid.centered((5, 5))))
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(["apply", "identity", str(src), str(tmp_path / "out.eqf")]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+    capsys.readouterr()
+
+
+def test_console_script_starts_at_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"eqfield": "eqfield.cli:entry"}
