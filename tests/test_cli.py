@@ -412,19 +412,13 @@ def test_pair_manifest_relative_paths_round_trip(tmp_path, monkeypatch, data):
 
 def test_fit_rejects_bad_manifest(tmp_path, capsys):
     bad = tmp_path / "pairs.txt"
-    for content in (b"only_one_column.eqf\n",
-                    b"a\xff.eqf b.eqf\n"):                # not UTF-8
+    for content, message in ((b"only_one_column.eqf\n", "expected 'input.eqf output.eqf'"),
+                             (b"a\xff.eqf b.eqf\n", "not UTF-8 text"),
+                             (b"# density -> potential\n\n", "manifest has no field pairs")):
         bad.write_bytes(content)
         assert main(["fit", str(bad), "--model", str(tmp_path / "m.eqm")]) == 2
-    capsys.readouterr()
-
-
-def test_fit_refuses_a_manifest_without_pairs(tmp_path, capsys):
-    empty = tmp_path / "pairs.txt"
-    empty.write_text("# density -> potential\n\n")
-    assert main(["fit", str(empty), "--model", str(tmp_path / "m.eqm")]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == f"error: {empty}: manifest has no field pairs\n"
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {bad}: {message}")
     assert not (tmp_path / "m.eqm").exists()
 
 
@@ -717,31 +711,34 @@ def test_check_without_input_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the package's one numerical dependency; check in a fresh interpreter
+def _fresh_python(code, *argv):
+    """Run ``code`` with ``argv`` in a fresh interpreter that imports this eqfield."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(eq.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the package's one numerical dependency; check in a fresh interpreter
     code = ("import eqfield.cli, sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
+    out = _fresh_python(code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
 
 def test_check_loads_no_numpy_random():
     # check draws its fields from the standard library's generator, so no
     # command imports numpy.random; run in a fresh interpreter
-    src = os.path.dirname(os.path.dirname(os.path.abspath(eq.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import contextlib, io, sys\n"
             "from eqfield.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = main(['--seed', '3', 'check', '--random', '7,7,7', '--l', '1'])\n"
             "print(code, sorted(m for m in sys.modules if m.startswith('numpy.random')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
+    out = _fresh_python(code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "0 []"
 
 
@@ -767,13 +764,6 @@ _EXIT_PROBE = ("import atexit, gc, sys\n"
                " gc.isenabled()))\n")
 
 
-def _run_probed(code, argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", _EXIT_PROBE + code, *argv], env=env,
-                          capture_output=True, text=True)
-
-
 @pytest.mark.parametrize("start", [
     # as `python -m eqfield.cli` runs it
     "import runpy\n"
@@ -785,8 +775,10 @@ def _run_probed(code, argv):
     "sys.exit(eqfield.cli.entry(sys.argv[1:]))\n"], ids=["python_m", "entry"])
 def test_cli_process_freezes_its_imports_before_the_command(tmp_path, start):
     src = tmp_path / "in.eqf"
-    _write_scalar(src, eq.Grid.centered((5, 5)), _blob(eq.Grid.centered((5, 5))))
-    out = _run_probed(start, ["apply", "identity", str(src), str(tmp_path / "out.eqf")])
+    g = eq.Grid.centered((5, 5))
+    _write_scalar(src, g, _blob(g))
+    out = _fresh_python(_EXIT_PROBE + start, "apply", "identity", str(src),
+                        str(tmp_path / "out.eqf"))
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[-1] == "at exit True True"
@@ -800,7 +792,8 @@ def test_cli_process_freezes_its_imports_before_the_command(tmp_path, start):
 def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys):
     # library callers, tests and the bench's probe call main in long-lived processes
     src = tmp_path / "in.eqf"
-    _write_scalar(src, eq.Grid.centered((5, 5)), _blob(eq.Grid.centered((5, 5))))
+    g = eq.Grid.centered((5, 5))
+    _write_scalar(src, g, _blob(g))
     before = gc.get_freeze_count(), gc.isenabled()
     assert main(["apply", "identity", str(src), str(tmp_path / "out.eqf")]) == 0
     assert (gc.get_freeze_count(), gc.isenabled()) == before
