@@ -23,8 +23,11 @@ periodic heat kernel wider than its grid and of the 32^3 inverse
 Laplacian, spectrum and signs), ``conv`` for every
 supported rule (and a wide l_h = 2 kernel, an aliased periodic one and one
 with inversion parity alone), ``rotate_field`` for every rotation,
-``run_checks`` with and without ``corrupt``, a one-sample learned fit,
-``estimate_parameters`` with and without smoothing, and every CLI
+``run_checks`` with and without ``corrupt``, a one-sample learned fit for
+l_h = 0 and 1, two learned operators at fixed amplitudes (16^3 with l_h = 0,
+its kernel several sampling slabs long and its delta term live; 10 x 7 with
+l_h = 1 on an anisotropic grid: kernel, spectrum, signs, bytes and both
+paths), ``estimate_parameters`` with and without smoothing, and every CLI
 subcommand, exit codes 0 to 4.
 """
 
@@ -222,6 +225,21 @@ def _learn_cases(eq, np):
                     "apply": fitted.apply(f), "direct": fitted.apply(f, path=eq.DIRECT),
                     "loss": eq.loss(fitted, [(f, target)])}
         yield f"learn fit l_h={l_h}", run
+    # learned operators at fixed amplitudes: a 16^3 scalar one, whose 31^3
+    # kernel spans several sampling slabs, with a live delta term and one
+    # Gaussian switched off, and a 10 x 7 vector one on an anisotropic grid
+    for shape, spacing, l_h in (((16, 16, 16), 1.0, 0), ((10, 7), (1.0, 0.7), 1)):
+        def run(shape=shape, spacing=spacing, l_h=l_h):
+            g = eq.Grid.centered(shape, spacing)
+            op = eq.make_neural_op(g, kind="scalar", l_u=0, l_h=l_h)
+            amps = np.random.default_rng(12).standard_normal(op.param.n_params)
+            amps[2] = 0.0
+            learned = op.with_params(amps).operator
+            u = eq.TensorField.random(g, 0, np.random.default_rng(13))
+            return {"kernel": learned.kernel, "spectrum": learned.spectrum,
+                    "signs": learned.signs, "nbytes": learned.nbytes,
+                    "default": learned.apply(u), "direct": learned.apply(u, path=eq.DIRECT)}
+        yield f"learn op {'x'.join(map(str, shape))} l_h={l_h}", run
 
 
 def _estimate_cases(eq, np):
