@@ -1,12 +1,12 @@
 """Learnable equivariant operators.
 
-A NeuralOp is a convolution whose radial function is a weighted sum of
-fixed basis shapes (Gaussian bumps, inverse power laws, compact difference
-stencils).  The output is linear in the amplitude vector, so fitting is a
-linear least-squares problem over all amplitudes at once; gradient descent
-is provided alongside for the same objective.  The norm nonlinearity and
-pairwise attention layers act voxel-by-voxel and are equivariant by
-construction.
+A NeuralOp is a convolution whose kernel samples one radial function,
+``ParamRadial.evaluate``, a weighted sum of fixed basis shapes (Gaussian
+bumps, inverse power laws), and adds compact difference stencils.  The
+output is linear in the amplitudes, so fitting is one linear least-squares
+problem; gradient descent is provided alongside for the same objective.
+The norm nonlinearity and pairwise attention layers act voxel-by-voxel and
+are equivariant by construction.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class ParamRadial:
                 + [power_profile(k, r_min) for _, k, r_min in self.powers])
 
     def evaluate(self, r) -> np.ndarray:
-        """The smooth part R(r); stencil terms live on the lattice, not here."""
+        """The smooth part R(r), which the kernel samples and ``fit --csv`` writes."""
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         for a, profile in zip(self.amplitudes, self.smooth_profiles()):
@@ -186,14 +186,14 @@ class NeuralOp:
         return self.operator.apply(u, path=path)
 
     def kernel(self) -> KernelField:
-        """The amplitude-weighted sum of the terms, stencils added at the centre."""
+        """R(r) Y_l(rhat) of ``param.evaluate``, sampled once; stencils added at the centre."""
         kgrid = free_space_kernel_grid(self.grid)
-        comps = TensorField.zeros(kgrid, self.l_h).components
-        for a, recipe in zip(self.param.amplitudes, _term_recipes(self)):
-            if a != 0.0:
-                term = recipe().field.components
-                comps[tuple(slice((n - k) // 2, (n + k) // 2)
-                            for n, k in zip(comps.shape, term.shape))] += a * term
+        comps = sample_kernel(kgrid, RadialProfile(self.param.evaluate), self.l_h).field.components
+        comps.setflags(write=True)   # a fresh sample, held nowhere else
+        for a, order in self.param.stencils:
+            term = _stencil(self.grid, order).field.components
+            comps[tuple(slice((n - k) // 2, (n + k) // 2)
+                        for n, k in zip(comps.shape, term.shape))] += a * term
         return KernelField(TensorField(kgrid, self.l_h, comps), self.l_h)
 
 
@@ -205,24 +205,23 @@ def make_neural_op(grid: Grid, kind: str = "scalar", l_u: int = 0, l_h: int = 0,
     return NeuralOp(param, rule, grid)
 
 
-def _term_recipes(op: NeuralOp) -> list:
-    """One kernel recipe per amplitude, in amplitude order, which looks its
-    sampler up when it runs: a smooth term samples into the layout it is
-    given; a stencil keeps its 3-voxel width."""
-    kgrid = free_space_kernel_grid(op.grid)
-    return ([lambda out=None, p=p: sample_kernel(kgrid, p, op.l_h, out)
-             for p in op.param.smooth_profiles()]
-            + [lambda out=None, o=o: (delta_stencil if o == 0 else gradient_stencil)(op.grid)
-               for _, o in op.param.stencils])
+def _stencil(grid: Grid, order: int) -> KernelField:
+    """A stencil term's kernel: the delta (order 0) or the gradient."""
+    return (delta_stencil if order == 0 else gradient_stencil)(grid)
 
 
 def basis_kernels(op: NeuralOp) -> tuple:
     """One ``EquivariantOp`` per amplitude, in amplitude order, held per basis and
-    shared: a smooth term holds its spectrum alone, a stencil its 3-wide kernel."""
+    shared.  Its recipe looks its sampler up when it runs: a smooth term holds
+    its spectrum alone, sampled into its layout; a stencil its 3-wide kernel."""
+    kgrid = free_space_kernel_grid(op.grid)
+    recipes = ([lambda out=None, p=p: sample_kernel(kgrid, p, op.l_h, out)
+                for p in op.param.smooth_profiles()]
+               + [lambda out=None, o=o: _stencil(op.grid, o) for _, o in op.param.stencils])
     return held(("basis", op.grid, op.rule, op.param.hyper_key()),
                 lambda: tuple(EquivariantOp("basis", op.grid, recipe, op.rule.kind,
                                             boundary=ZERO, input_l=op.rule.l_u)
-                              for recipe in _term_recipes(op)))
+                              for recipe in recipes))
 
 
 def _check_dataset(op: NeuralOp, dataset) -> None:

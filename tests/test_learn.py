@@ -241,16 +241,19 @@ def test_design_columns_match_convolution_with_the_basis_kernels(shape, l_h):
     assert all(np.array_equal(a, b) for a, b in zip(_reduce_dataset(op, [(u, v)]), reduced))
 
 
+def _padded_stencils(op):
+    # each stencil term's kernel, zero-padded out to the free-space kernel grid
+    return [np.pad((eq.delta_stencil if order == 0 else eq.gradient_stencil)(op.grid)
+                   .field.components, [(0, 0)] + [(n - 2, n - 2) for n in op.grid.shape])
+            for _, order in op.param.stencils]
+
+
 def _padded_sum(op):
     # the learned kernel as the sum of every basis term sampled on the
     # free-space kernel grid, the stencils zero-padded out to it
     kgrid = eq.kernels.free_space_kernel_grid(op.grid)
     terms = [eq.sample_kernel(kgrid, p, op.l_h).field.components
-             for p in op.param.smooth_profiles()]
-    for _, order in op.param.stencils:
-        small = (eq.delta_stencil if order == 0 else eq.gradient_stencil)(op.grid)
-        terms.append(np.pad(small.field.components,
-                            [(0, 0)] + [(n - 2, n - 2) for n in op.grid.shape]))
+             for p in op.param.smooth_profiles()] + _padded_stencils(op)
     comps = np.zeros_like(terms[0])
     for a, term in zip(op.param.amplitudes, terms):
         if a != 0.0:
@@ -258,11 +261,31 @@ def _padded_sum(op):
     return comps
 
 
+def _one_sample(op):
+    # R(r) Y_l(rhat) of the one radial function param.evaluate, computed whole
+    # from the offsets of the free-space kernel grid, plus the padded stencils
+    kgrid = eq.kernels.free_space_kernel_grid(op.grid)
+    x = np.meshgrid(*((np.arange(n) - n // 2) * h for n, h in zip(kgrid.shape, kgrid.spacing)),
+                    indexing="ij")
+    r = np.sqrt(sum(xi ** 2 for xi in x))
+    if op.l_h == 0:
+        comps = op.param.evaluate(r)[None]
+    else:
+        comps = np.divide(x, r, out=np.zeros((len(x),) + r.shape), where=r != 0.0)
+        comps *= op.param.evaluate(r)
+    for (a, _), stencil in zip(op.param.stencils, _padded_stencils(op)):
+        comps = comps + a * stencil
+    return comps
+
+
 @pytest.mark.parametrize("shape, kind, l_u, l_h", [
     ((9, 8, 7), "scalar", 0, 0), ((9, 8, 7), "dot", 1, 1), ((10, 7), "scalar", 0, 1),
     ((3, 4), "scalar", 0, 0)])
 def test_learned_kernel_is_the_padded_sum_of_its_terms(monkeypatch, shape, kind, l_u, l_h):
-    # sampled from the term recipes, without building the basis
+    # one sample of param.evaluate, without building the basis.  For l_h = 0
+    # it is the sum of the terms to the bit; for l_h = 1 the sum and the unit
+    # vector commute to rounding only: 1.1e-16 of the largest value here, and
+    # at most 5.5e-16 over 20 seeds of these and 12^3 and 16^3 grids
     monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
     rng = np.random.default_rng(19)
     op = eq.make_neural_op(eq.Grid.centered(shape), kind=kind, l_u=l_u, l_h=l_h)
@@ -271,11 +294,33 @@ def test_learned_kernel_is_the_padded_sum_of_its_terms(monkeypatch, shape, kind,
     for p in (amps, np.zeros_like(amps), -amps):
         learned = op.with_params(p)
         kernel = learned.kernel()
+        comps, terms = kernel.field.components, _padded_sum(learned)
         assert kernel.grid == eq.kernels.free_space_kernel_grid(op.grid)
-        assert np.array_equal(kernel.field.components, _padded_sum(learned))
-        assert np.array_equal(learned.operator.kernel.field.components,
-                              kernel.field.components)
+        assert np.array_equal(comps, _one_sample(learned))
+        if l_h == 0:
+            assert np.array_equal(comps, terms)
+        else:
+            assert np.max(np.abs(comps - terms)) <= 1e-15 * np.max(np.abs(terms))
+        assert np.array_equal(learned.operator.kernel.field.components, comps)
     assert not any(isinstance(k, tuple) and k[0] == "basis" for k in eq.operators._held)
+
+
+@pytest.mark.parametrize("spacing", [1.0, (0.7, 1.1, 0.9)])
+def test_learned_kernel_reads_the_fitted_radial_function(spacing):
+    # along each axis the l_h = 0 kernel reads param.evaluate, the R_fitted
+    # column that fit --csv writes, to the bit: at offsets k h with k >= 1,
+    # and at the centre with the delta term added
+    g = eq.Grid.centered((9, 8, 7), spacing)
+    op = eq.make_neural_op(g).with_params(np.random.default_rng(21).standard_normal(11))
+    comps = op.kernel().field.components[0]
+    centre = tuple(n // 2 for n in comps.shape)
+    ((a, _),) = op.param.stencils
+    delta = a * eq.delta_stencil(g).field.components[(0, 1, 1, 1)]
+    for axis, h in enumerate(g.spacing):
+        line = comps[centre[:axis] + (slice(centre[axis], None),) + centre[axis + 1:]]
+        expect = op.param.evaluate(np.arange(line.size) * h)
+        assert line[1:].tobytes() == expect[1:].tobytes()
+        assert line[0] == expect[0] + delta
 
 
 def test_recipes_look_up_their_sampler_when_they_run(monkeypatch):
@@ -291,12 +336,44 @@ def test_recipes_look_up_their_sampler_when_they_run(monkeypatch):
         basis = eq.basis_kernels(learned)
         op = learned.operator
     built = len(calls)
-    assert built == 21   # ten basis terms, then the learned kernel and its ten
+    assert built == 12   # ten basis terms, then the learned kernel and its one sample
     for b in basis:
         b.kernel
     op.kernel
     learned.apply(eq.TensorField.random(g, 0, np.random.default_rng(20)), path=eq.DIRECT)
     assert len(calls) == built
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("l_h", [0, 1])
+def test_learned_op_build_holds_one_kernel_beside_its_work_arrays(monkeypatch, n, l_h):
+    # the build samples one radial function into one kernel-sized array, slab
+    # by slab, then lays it out in the C half-complex work arrays of its
+    # spectrum, with numpy's three ufunc buffers of getbufsize() float64s for
+    # the sliced adds.  Sampling's temporaries, at most eight slabs, come
+    # before the work arrays exist and are smaller.  64 KiB covers the interpreter's objects.  A sum
+    # of per-term samples held three kernel-sized arrays: the sum, a term and
+    # the term scaled
+    g = eq.Grid.centered((n,) * 3)
+    learned = eq.make_neural_op(g, l_h=l_h).with_params(
+        np.random.default_rng(22).standard_normal(11))
+    monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
+    learned.operator   # one-time allocations of numpy and the interpreter
+    monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
+    tracemalloc.start()
+    try:
+        learned.operator
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    c, kshape = 2 * l_h + 1, (2 * n - 1,) * 3
+    kernel = 8 * c * math.prod(kshape)
+    w = eq.convolve.work_shape(g.shape, kshape, eq.ZERO)
+    work = 16 * c * math.prod(w[:-1]) * (w[-1] // 2 + 1)
+    row = math.prod(kshape[1:])
+    slab = 8 * row * max(1, eq.kernels.SAMPLE_SLAB_VOXELS // row)
+    assert 8 * slab < work
+    assert peak <= kernel + work + 24 * np.getbufsize() + 64 * 2**10
 
 
 @pytest.mark.parametrize("terms", [
@@ -503,6 +580,52 @@ def test_fit_rejects_degenerate_inputs():
     zero = eq.TensorField.zeros(g, 0)
     with pytest.raises(ValueError):
         eq.fit_least_squares(op, [(zero, zero)])
+
+
+def _guard_cases():
+    # each reached with everything else valid, on a 5^3 grid
+    g = eq.Grid.centered((5, 5, 5))
+    rng = np.random.default_rng(23)
+    u, v = eq.TensorField.random(g, 0, rng), eq.TensorField.random(g, 0, rng)
+    zero = eq.TensorField.zeros(g, 0)
+    op = eq.make_neural_op(g, param=_small_param())
+    other = eq.TensorField.random(eq.Grid.centered((4, 5, 5)), 0, rng)
+    scalar_layer = eq.AttentionLayer.create((0,), (0,), 3)
+    return [
+        (lambda: eq.loss(op, [(u, other)]), ValueError,
+         "dataset fields must live on the operator grid"),
+        (lambda: eq.loss(op, [(u, eq.TensorField.random(g, 1, rng))]), eq.RuleError,
+         "dataset orders do not match the operator rule"),
+        (lambda: eq.loss(op, [(u, zero)]), ValueError,
+         "dataset target is identically zero; relative loss undefined"),
+        (lambda: eq.fit_gradient_descent(op, [(u, v)], steps=-1), ValueError,
+         "steps must be >= 0"),
+        (lambda: eq.fit_gradient_descent(op, [(zero, v)]), ValueError,
+         "basis responses vanish on this dataset"),
+        (lambda: eq.fit_gradient_descent(op, [(u, v)], step_size=0.0), ValueError,
+         "step_size must be positive"),
+        (lambda: eq.NonlinearLayer([1.0, 2.0], [0.0]), ValueError,
+         "a and b must have one value per channel"),
+        (lambda: eq.NonlinearLayer([1.0], [0.0], activation="tanh"), ValueError,
+         "activation must be relu|identity, got 'tanh'"),
+        (lambda: eq.apply_nonlinear(eq.NonlinearLayer([1.0], [0.0]), [u, v]), ValueError,
+         "layer has 1 channels, got 2 fields"),
+        (lambda: eq.AttentionLayer((0,), (0,), 3, scalar_layer.pairs, np.zeros((2, 1))),
+         ValueError, "weights must be (n_output_channels, n_pairs)"),
+        (lambda: eq.apply_attention(scalar_layer, [u, v]), ValueError,
+         "layer has 1 input channels, got 2 fields"),
+        (lambda: eq.apply_attention(scalar_layer, [eq.TensorField.random(g, 1, rng)]),
+         eq.RuleError, "field orders do not match the layer's input channels"),
+        (lambda: eq.apply_attention(eq.AttentionLayer.create((), (0,), 3), []), ValueError,
+         "attention needs at least one input field"),
+    ]
+
+
+@pytest.mark.parametrize("make, error, message", _guard_cases())
+def test_learn_guards_name_what_is_wrong(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_apply_neural_validates_input():
