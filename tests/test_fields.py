@@ -47,6 +47,20 @@ def test_grid_validation():
             eq.Grid.centered((5, 5), spacing=bad)
         with pytest.raises(eq.GridError):
             eq.Grid((5, 5), (1.0, 1.0), (0.0, bad))
+    for spacing, origin in (((1.0,), (0.0, 0.0)), ((1.0, 1.0), (0.0, 0.0, 0.0))):
+        with pytest.raises(eq.GridError,
+                           match="^shape, spacing and origin must have matching length$"):
+            eq.Grid((5, 5), spacing, origin)
+
+
+def test_field_negation_flips_every_component():
+    g = eq.Grid.centered((3, 4))
+    u = eq.TensorField.random(g, 1, np.random.default_rng(4))
+    neg = -u
+    assert neg.grid == g and neg.l == 1 and neg.components is not u.components
+    assert np.array_equal(neg.components, -u.components)
+    assert np.array_equal((-neg).components, u.components)
+    assert np.array_equal((u + neg).components, np.zeros_like(u.components))
 
 
 def test_with_boundary_round_trip():
@@ -493,6 +507,16 @@ def test_normal_generator_draws_seeded_standard_normals():
     assert abs(np.var(draws) - 1.0) < 4 * math.sqrt(2 / draws.size)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         eq.fields.NormalGenerator(-1)
+
+
+def test_check_deviation_is_absolute_against_a_zero_reference():
+    g = eq.Grid.centered((5, 5))
+    diff = eq.TensorField.from_scalar(g, np.full(g.shape, -0.25))
+    assert eq.checks._relative(diff, eq.TensorField.zeros(g, 0)) == 0.25
+    assert eq.checks._relative(diff, eq.TensorField.from_scalar(g, np.full(g.shape, 2.0))) == 0.125
+    # a zero field's equivariance deviations are the absolute ones, all 0
+    results = eq.checks.check_rules(eq.TensorField.zeros(g, 0), eq.fields.NormalGenerator(3))
+    assert [r.deviation for r in results if r.name.startswith("equivariance")] == [0.0] * 2
 
 
 def test_run_checks_draws_from_seed_zero_by_default():

@@ -359,7 +359,8 @@ def test_heat_kernel_is_sampled_on_its_support_ball(g, D, t, taps):
     # exact zeros outside the ball; inside, the bits of the untruncated
     # sample on the whole (2N-1)-wide box at the same offsets
     full_kernel = eq.sample_kernel(eq.kernels.free_space_kernel_grid(g),
-                                   dataclasses.replace(profile, support=math.inf), 0)
+                                   eq.RadialProfile(profile.fn, profile.name,
+                                                    profile.singular_at_origin, math.inf), 0)
     raw_full = full_kernel.field.components
     crop = (slice(None),) + tuple(slice(n - 1 - c, n + c) for n, c in zip(g.shape, half))
     offsets = np.meshgrid(*[(np.arange(2 * c + 1) - c) * h for c, h in zip(half, g.spacing)],
@@ -580,10 +581,11 @@ def _fresh_kernel(g, name, params):
     return eq.sample_kernel(eq.kernels.free_space_kernel_grid(g), profile, l_h)
 
 
-def _reachable_arrays(op):
-    # every ndarray the operator reaches through its fields, the arguments
-    # of a partial and the closure of a function
-    seen, stack, arrays = set(), list(vars(op).values()), []
+def _reachable(op):
+    # (arrays, values): every ndarray the operator reaches through its
+    # attributes, the arguments of a partial, the closure of a function and
+    # the attributes of each eqfield value on the way, and those values
+    seen, stack, arrays, values = set(), list(vars(op).values()), [], []
     while stack:
         v = stack.pop()
         if id(v) in seen:
@@ -595,11 +597,12 @@ def _reachable_arrays(op):
             stack += [*v.args, *v.keywords.values()]
         elif inspect.isfunction(v):
             stack += [c.cell_contents for c in v.__closure__ or ()]
-        elif dataclasses.is_dataclass(v) and not isinstance(v, type):
-            stack += [getattr(v, f.name) for f in dataclasses.fields(v)]
+        elif type(v).__module__.startswith("eqfield."):
+            values.append(v)
+            stack += list(vars(v).values())
         elif isinstance(v, (tuple, list)):
             stack += list(v)
-    return arrays
+    return arrays, values
 
 
 def _fourier_registry_ops():
@@ -622,9 +625,11 @@ def test_fourier_operator_rebuilds_its_kernel_to_the_same_bits(g, name, build, p
                           eq.conv(u, fresh, rule, path=eq.DIRECT, boundary=op.boundary).components)
     assert np.array_equal(op.apply(u).components,
                           eq.conv(u, fresh, rule, boundary=op.boundary).components)
-    # no array the operator reaches has the kernel's shape
-    arrays = _reachable_arrays(op)
-    assert any(a is op.spectrum for a in arrays)
+    # no array the operator reaches has the kernel's shape: it reaches the
+    # spectrum alone, through its grids and the recipe's profile
+    arrays, values = _reachable(op)
+    assert len(arrays) == 1 and arrays[0] is op.spectrum
+    assert sorted(type(v).__name__ for v in values) == ["Grid", "Grid", "RadialProfile"]
     assert all(a.shape[-g.dim:] != fresh.grid.shape for a in arrays)
 
 

@@ -80,6 +80,17 @@ def test_time_derivative_oracle():
     assert np.allclose(out.components[inner], expect[None][inner], atol=1e-12)
 
 
+def test_time_derivative_takes_a_scalar_on_the_model_grid_only():
+    g = eq.Grid.centered((7, 7), spacing=0.5)
+    model = eq.DiffusionAdvectionModel(g, 0.4, (0.2, -0.1), 0.01)
+    for u in (eq.TensorField.zeros(eq.Grid.centered((7, 7)), 0),
+              eq.TensorField.zeros(g.with_boundary(eq.PERIODIC), 0),
+              eq.TensorField.zeros(g, 1)):
+        with pytest.raises(ValueError,
+                           match="^state must be a scalar field on the model grid$"):
+            eq.time_derivative(model, u)
+
+
 def test_pure_diffusion_mode_decay_exact():
     # a periodic sine is an eigenvector of the double-step laplacian with
     # eigenvalue -sin^2(k h)/h^2, so Euler multiplies it by a known factor
