@@ -3,13 +3,11 @@ calculus identities.  Used by the CLI check command and the test suite."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .convolve import DIRECT, FOURIER
 from .fields import NormalGenerator, TensorField, rotate_field, supported_rules
-from .grid import PERIODIC, ZERO, Grid, GridError
+from .grid import PERIODIC, ZERO, Grid, GridError, Record
 from .kernels import KernelField, gaussian, kernel_grid, sample_kernel
 from .operators import EquivariantOp, curl, div, grad, laplacian
 from .rotations import all_rotations
@@ -21,11 +19,15 @@ CALCULUS_TOL = 1e-10
 CALCULUS_MARGIN = 2   # voxels left out at every face by the calculus identities
 
 
-@dataclass
-class CheckResult:
-    name: str
-    deviation: float
-    tolerance: float
+class CheckResult(Record):
+    """One named property check: it passes when its deviation is below its tolerance."""
+
+    _fields = ("name", "deviation", "tolerance")
+
+    def __init__(self, name: str, deviation: float, tolerance: float):
+        self.name = name
+        self.deviation = deviation
+        self.tolerance = tolerance
 
     @property
     def passed(self) -> bool:

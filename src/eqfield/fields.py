@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Frozen, Grid
 
 
 class FieldError(ValueError):
@@ -114,17 +113,20 @@ class NormalGenerator:
                            count=n).reshape(shape)
 
 
-@dataclass(frozen=True)
-class TensorField:
+class TensorField(Frozen):
     """Rotation order plus per-voxel component array over a grid.  Frozen, so a
     held kernel cannot be swapped out; the array stays writable unless a
     ``KernelField`` holds it."""
 
-    grid: Grid
-    l: int
-    components: np.ndarray
+    _fields = ("grid", "l", "components")
+
+    def __init__(self, grid: Grid, l: int, components: np.ndarray):
+        self._set(grid=grid, l=l, components=components)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validation and the finite check, apart from ``__init__``: the bench
+        times it as ``fields.construct``."""
         arr = np.asarray(self.components, dtype=float)
         want = (components_for(self.l, self.grid.dim),) + self.grid.shape
         if arr.shape != want:
@@ -135,7 +137,7 @@ class TensorField:
             total = np.sum(arr)
         if not np.isfinite(total) and not np.all(np.isfinite(arr)):
             raise FieldError("field contains non-finite values")
-        object.__setattr__(self, "components", arr)
+        self._set(components=arr)
 
     @property
     def n_components(self) -> int:
@@ -181,18 +183,17 @@ class TensorField:
         return float(np.max(np.abs(self.components)))
 
 
-@dataclass(frozen=True)
-class ProductRule:
+class ProductRule(Frozen):
     """A tensor product (l_u, l_h) -> l_v, keyed by kind.
 
     The kind disambiguates signatures that collide in 2d: (1,1)->0 is the
     dot product as kind="dot" and the pseudo-scalar cross as kind="cross".
     """
 
-    kind: str
-    l_u: int
-    l_h: int
-    l_v: int
+    _fields = ("kind", "l_u", "l_h", "l_v")
+
+    def __init__(self, kind: str, l_u: int, l_h: int, l_v: int):
+        self._set(kind=kind, l_u=l_u, l_h=l_h, l_v=l_v)
 
     def __str__(self) -> str:
         return f"{self.kind}({self.l_u},{self.l_h})->{self.l_v}"

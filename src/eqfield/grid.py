@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -22,8 +22,50 @@ def check_boundary(boundary: str) -> str:
     return boundary
 
 
-@dataclass(frozen=True)
-class Grid:
+class Record:
+    """Value semantics over ``_fields``, the attribute names that each class's
+    ``__init__`` sets, in order: ``==`` compares them when both sides are of
+    one class, and ``repr`` shows them, less those in ``_unshown``.  A record
+    is mutable, so it is unhashable."""
+
+    _fields = ()
+    _unshown = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields
+                          if name not in self._unshown)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Frozen(Record):
+    """A record whose ``__init__`` stores its attributes with ``_set``; after
+    that, assigning or deleting any attribute raises ``FrozenInstanceError``.
+    Hashable over ``_fields``."""
+
+    def _set(self, **values) -> None:
+        self.__dict__.update(values)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class Grid(Frozen):
     """Geometry of a regular orthogonal voxel lattice.
 
     ``origin`` is the world coordinate of voxel index (0, ..., 0); voxel i
@@ -31,18 +73,13 @@ class Grid:
     values outside the domain: "zero" (implicit zeros) or "periodic".
     """
 
-    shape: tuple[int, ...]
-    spacing: tuple[float, ...]
-    origin: tuple[float, ...]
-    boundary: str = ZERO
+    _fields = ("shape", "spacing", "origin", "boundary")
 
-    def __post_init__(self):
-        shape = tuple(int(n) for n in self.shape)
-        spacing = tuple(float(s) for s in self.spacing)
-        origin = tuple(float(o) for o in self.origin)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "origin", origin)
+    def __init__(self, shape: tuple[int, ...], spacing: tuple[float, ...],
+                 origin: tuple[float, ...], boundary: str = ZERO):
+        shape = tuple(int(n) for n in shape)
+        spacing = tuple(float(s) for s in spacing)
+        origin = tuple(float(o) for o in origin)
         if len(shape) not in (2, 3):
             raise GridError(f"grid must be 2d or 3d, got {len(shape)} axes")
         if not (len(shape) == len(spacing) == len(origin)):
@@ -53,7 +90,8 @@ class Grid:
             raise GridError(f"spacing must be positive and finite, got {spacing}")
         if not all(np.isfinite(origin)):
             raise GridError(f"origin must be finite, got {origin}")
-        check_boundary(self.boundary)
+        self._set(shape=shape, spacing=spacing, origin=origin,
+                  boundary=check_boundary(boundary))
 
     @property
     def dim(self) -> int:
@@ -82,7 +120,7 @@ class Grid:
         return cls(shape, tuple(spacing), origin, boundary)
 
     def with_boundary(self, boundary: str) -> "Grid":
-        return replace(self, boundary=boundary)
+        return Grid(self.shape, self.spacing, self.origin, boundary)
 
     def axis_coords(self, axis: int) -> np.ndarray:
         """World coordinates along one axis."""

@@ -12,21 +12,19 @@ convolution reproduces the finite difference exactly; the delta stencil's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .fields import FieldError, TensorField, components_for, unit_harmonic
 from .formats import read_eqf, write_eqf
-from .grid import Grid
+from .grid import Frozen, Grid
 
 class KernelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(Frozen):
     """Scalar radial function R(r), a function of |r| only.
 
     A profile singular at the origin reads 0 there.  That excludes the
@@ -35,10 +33,11 @@ class RadialProfile:
     ``support`` radius, so a kernel needs no voxel farther out than that.
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
-    name: str = "custom"
-    singular_at_origin: bool = False
-    support: float = math.inf
+    _fields = ("fn", "name", "singular_at_origin", "support")
+
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], name: str = "custom",
+                 singular_at_origin: bool = False, support: float = math.inf):
+        self._set(fn=fn, name=name, singular_at_origin=singular_at_origin, support=support)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -115,23 +114,22 @@ def named_profile(name: str, **params) -> RadialProfile:
     return _PROFILE_LIBRARY[name](**params)
 
 
-@dataclass(frozen=True)
-class KernelField:
+class KernelField(Frozen):
     """A tensor field serving as a convolution kernel.
 
     Its component array is made read-only: operators and bases are cached
     and share their kernels, so a write would change every later result.
     """
 
-    field: TensorField
-    l_h: int
+    _fields = ("field", "l_h")
 
-    def __post_init__(self):
-        if self.l_h != self.field.l:
+    def __init__(self, field: TensorField, l_h: int):
+        if l_h != field.l:
             raise KernelError("kernel l_h does not match its field")
-        if any(n % 2 == 0 for n in self.field.grid.shape):
+        if any(n % 2 == 0 for n in field.grid.shape):
             raise KernelError("kernel grids need odd extent per axis")
-        self.field.components.setflags(write=False)
+        field.components.setflags(write=False)
+        self._set(field=field, l_h=l_h)
 
     @property
     def grid(self) -> Grid:

@@ -11,9 +11,7 @@ are equivariant by construction.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +19,7 @@ from .fields import (ProductRule, RuleError, TensorField, field_norm,
                      pointwise_product, product_rule, supported_rules)
 from .formats import (FormatError, grid_entries, grid_from_entries, manifest_values,
                       parse_list, read_keyvalues, write_keyvalues)
-from .grid import ZERO, Grid
+from .grid import ZERO, Frozen, Grid, Record
 from .kernels import (KernelField, RadialProfile, delta_stencil,
                       free_space_kernel_grid, gaussian, gradient_stencil,
                       sample_kernel)
@@ -55,8 +53,7 @@ class EmptyBasisError(ValueError):
     """A learnable operator needs at least one basis term."""
 
 
-@dataclass(frozen=True)
-class ParamRadial:
+class ParamRadial(Frozen):
     """Radial function linear in its amplitudes; amplitudes must be finite.
 
     gaussians: (amplitude, width) pairs, R += A exp(-r^2/sigma^2)
@@ -66,15 +63,12 @@ class ParamRadial:
                (valid for l_h = 0), order 1 the gradient stencil (l_h = 1)
     """
 
-    gaussians: tuple = ()
-    powers: tuple = ()
-    stencils: tuple = ()
+    _fields = ("gaussians", "powers", "stencils")
 
-    def __post_init__(self):
-        set_terms = functools.partial(object.__setattr__, self)
-        set_terms("gaussians", tuple((float(a), float(s)) for a, s in self.gaussians))
-        set_terms("powers", tuple((float(a), _exponent(k), float(r)) for a, k, r in self.powers))
-        set_terms("stencils", tuple((float(a), int(o)) for a, o in self.stencils))
+    def __init__(self, gaussians: tuple = (), powers: tuple = (), stencils: tuple = ()):
+        self._set(gaussians=tuple((float(a), float(s)) for a, s in gaussians),
+                  powers=tuple((float(a), _exponent(k), float(r)) for a, k, r in powers),
+                  stencils=tuple((float(a), int(o)) for a, o in stencils))
         bad = [a for a in self.amplitudes if not math.isfinite(a)]
         if bad:
             raise ValueError(f"amplitudes must be finite, got {bad[0]}")
@@ -144,26 +138,24 @@ def default_param_radial(grid: Grid, l_h: int, n_gaussians: int = 8) -> ParamRad
     return ParamRadial(gaussians, powers, stencils)
 
 
-@dataclass(frozen=True)
-class NeuralOp:
+class NeuralOp(Frozen):
     """Learnable convolution: kernel = sum of amplitude-weighted basis kernels.
 
     Applies with the free-space (zero) boundary; the kernel grid spans every
     displacement between field voxels, so nothing is truncated.
     """
 
-    param: ParamRadial
-    rule: ProductRule
-    grid: Grid
+    _fields = ("param", "rule", "grid")
 
-    def __post_init__(self):
-        if self.param.n_params == 0:
+    def __init__(self, param: ParamRadial, rule: ProductRule, grid: Grid):
+        if param.n_params == 0:
             raise EmptyBasisError("operator has an empty basis: no Gaussian, power or "
                                   "stencil term")
-        for _, order in self.param.stencils:
-            if order != self.l_h:
+        for _, order in param.stencils:
+            if order != rule.l_h:
                 raise RuleError(f"order-{order} stencil cannot serve an "
-                                f"l_h={self.l_h} kernel")
+                                f"l_h={rule.l_h} kernel")
+        self._set(param=param, rule=rule, grid=grid)
 
     @property
     def l_h(self) -> int:
@@ -282,13 +274,18 @@ def grad_params(op: NeuralOp, dataset) -> np.ndarray:
     return 2.0 * (Rx.T @ (Rx @ op.param.amplitudes - c)) / norm
 
 
-@dataclass
-class FitResult:
-    amplitudes: np.ndarray
-    residual: float          # relative MSE at the fitted amplitudes
-    condition: float         # condition number of the (regularized) normal matrix
-    flagged: bool            # ill-conditioned beyond the ridge, or diverged
-    trace: list = field(default_factory=list)   # loss per step (gradient descent)
+class FitResult(Record):
+    """Fitted amplitudes and how well they fit."""
+
+    _fields = ("amplitudes", "residual", "condition", "flagged", "trace")
+
+    def __init__(self, amplitudes: np.ndarray, residual: float, condition: float,
+                 flagged: bool, trace: list | None = None):
+        self.amplitudes = amplitudes
+        self.residual = residual     # relative MSE at the fitted amplitudes
+        self.condition = condition   # condition number of the (regularized) normal matrix
+        self.flagged = flagged       # ill-conditioned beyond the ridge, or diverged
+        self.trace = [] if trace is None else trace   # loss per step (gradient descent)
 
 
 def fit_least_squares(op: NeuralOp, dataset, ridge: float = 1e-10) -> FitResult:
@@ -349,21 +346,19 @@ def fit_gradient_descent(op: NeuralOp, dataset, steps: int = 500,
     return FitResult(p, trace[-1], condition, flagged, trace)
 
 
-@dataclass
-class NonlinearLayer:
+class NonlinearLayer(Record):
     """Norm nonlinearity: u -> act(a |u| + b) * u/|u| per channel and voxel."""
 
-    a: np.ndarray
-    b: np.ndarray
-    activation: str = RELU
+    _fields = ("a", "b", "activation")
 
-    def __post_init__(self):
-        self.a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
+    def __init__(self, a: np.ndarray, b: np.ndarray, activation: str = RELU):
+        self.a = np.atleast_1d(np.asarray(a, dtype=float))
+        self.b = np.atleast_1d(np.asarray(b, dtype=float))
+        self.activation = activation
         if self.a.shape != self.b.shape:
             raise ValueError("a and b must have one value per channel")
-        if self.activation not in (RELU, IDENTITY):
-            raise ValueError(f"activation must be relu|identity, got {self.activation!r}")
+        if activation not in (RELU, IDENTITY):
+            raise ValueError(f"activation must be relu|identity, got {activation!r}")
 
 
 def apply_nonlinear(layer: NonlinearLayer, fields: list) -> list:
@@ -380,8 +375,7 @@ def apply_nonlinear(layer: NonlinearLayer, fields: list) -> list:
     return out
 
 
-@dataclass
-class AttentionLayer:
+class AttentionLayer(Record):
     """Pairwise products of channels, weighted per output channel.
 
     Channel index len(input_l) is an implicit identity scalar field (all
@@ -390,16 +384,15 @@ class AttentionLayer:
     channel whose order differs from the pair's product order must be zero.
     """
 
-    input_l: tuple
-    output_l: tuple
-    dim: int
-    pairs: list
-    weights: np.ndarray
+    _fields = ("input_l", "output_l", "dim", "pairs", "weights")
 
-    def __post_init__(self):
-        self.input_l = tuple(int(l) for l in self.input_l)
-        self.output_l = tuple(int(l) for l in self.output_l)
-        self.weights = np.asarray(self.weights, dtype=float)
+    def __init__(self, input_l: tuple, output_l: tuple, dim: int, pairs: list,
+                 weights: np.ndarray):
+        self.input_l = tuple(int(l) for l in input_l)
+        self.output_l = tuple(int(l) for l in output_l)
+        self.dim = dim
+        self.pairs = pairs
+        self.weights = np.asarray(weights, dtype=float)
         if self.weights.shape != (len(self.output_l), len(self.pairs)):
             raise ValueError("weights must be (n_output_channels, n_pairs)")
         orders = self.input_l + (0,)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -28,14 +27,13 @@ import numpy as np
 from .convolve import (DIRECT, FOURIER, KernelLayout, conv_direct, conv_fourier,
                        default_path, kernel_spectrum)
 from .fields import FieldError, ProductRule, RuleError, TensorField, product_rule
-from .grid import ZERO, Grid, check_boundary
+from .grid import ZERO, Frozen, Grid, check_boundary
 from .kernels import (KernelError, KernelField, delta_stencil, free_space_kernel_grid,
                       gaussian_diffusion, gradient_stencil, inverse_r, inverse_r2,
                       laplacian_stencil, log_r, sample_kernel)
 
 
-@dataclass(frozen=True, init=False)
-class EquivariantOp:
+class EquivariantOp(Frozen):
     """A kernel bundled with its product rule, built for one grid together
     with everything it applies with.  ``kernel`` is a KernelField, or a
     recipe that samples one: a callable that, given a ``KernelLayout``, may
@@ -51,18 +49,12 @@ class EquivariantOp:
     ``kernel`` and a forced direct apply sample it again, to the same bits;
     a recipe looks its sampler up when it runs.  A stencil operator, or one
     built from a KernelField, keeps the array.  Nothing in it changes on
-    apply."""
+    apply.  ``input_l`` None takes any order the rule accepts.  ``==`` and
+    ``hash`` leave out the spectrum and signs, which follow from the rest;
+    ``repr`` leaves out the recipe too."""
 
-    name: str
-    grid: Grid
-    kind: str
-    boundary: str
-    input_l: int | None           # None: any order the rule accepts
-    kernel_grid: Grid
-    l_h: int
-    recipe: KernelField | Callable[..., KernelField] = field(repr=False)
-    spectrum: np.ndarray | None = field(repr=False, compare=False)
-    signs: tuple | None = field(repr=False, compare=False)
+    _fields = ("name", "grid", "kind", "boundary", "input_l", "kernel_grid", "l_h", "recipe")
+    _unshown = ("recipe",)
 
     def __init__(self, name: str, grid: Grid, kernel: KernelField | Callable[..., KernelField],
                  kind: str, boundary: str | None = None, input_l: int | None = None):
@@ -83,8 +75,7 @@ class EquivariantOp:
                 layout.lay(sampled)
             del sampled   # a recipe's sample is gone before its layout is transformed
             held["spectrum"], held["signs"] = layout.spectrum()
-        for key, value in held.items():
-            object.__setattr__(self, key, value)
+        self._set(**held)
 
     @property
     def kernel(self) -> KernelField:

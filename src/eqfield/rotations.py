@@ -9,22 +9,21 @@ machine precision without interpolation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import l2_basis
+from .grid import Frozen
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeRotation:
+class LatticeRotation(Frozen):
     """A signed-permutation rotation matrix with determinant +1, frozen and
     read-only, so its hash cannot change while it sits in a set."""
 
-    matrix: np.ndarray
+    _fields = ("matrix",)
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=int)
+    def __init__(self, matrix: np.ndarray):
+        m = np.array(matrix, dtype=int)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 3):
             raise ValueError("rotation matrix must be 2x2 or 3x3")
         if not np.array_equal(m @ m.T, np.eye(m.shape[0], dtype=int)):
@@ -32,7 +31,7 @@ class LatticeRotation:
         if round(float(np.linalg.det(m))) != 1:
             raise ValueError("improper rotation (det != +1); reflections unsupported")
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self._set(matrix=m)
 
     @property
     def dim(self) -> int:

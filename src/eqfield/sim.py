@@ -12,17 +12,15 @@ of the discretization).
 
 from __future__ import annotations
 
-import functools
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import FieldError, TensorField, rotate_field, rotate_vector
 from .formats import (FormatError, fmt_value, manifest_values, parse_list, read_eqf,
                       read_keyvalues, write_eqf, write_keyvalues)
-from .grid import Grid
+from .grid import Frozen, Grid, Record
 from .learn import _reduce_rows
 from .operators import diffusion as _diffusion
 from .operators import grad as _grad
@@ -53,41 +51,35 @@ def max_stable_dt(grid: Grid, D: float, w) -> float:
     return 0.5 * bound
 
 
-@dataclass(frozen=True)
-class DiffusionAdvectionModel:
+class DiffusionAdvectionModel(Frozen):
     """Frozen, ``w`` an owned read-only copy: no value can be re-set past the
-    checks below, the stability guard among them."""
+    checks below, the stability guard among them.  ``source`` None is zero."""
 
-    grid: Grid
-    D: float
-    w: np.ndarray
-    dt: float
-    source: TensorField | None = None
+    _fields = ("grid", "D", "w", "dt", "source")
 
-    def __post_init__(self):
-        set_value = functools.partial(object.__setattr__, self)
-        set_value("D", float(self.D))
-        set_value("w", np.array(self.w, dtype=float))
-        self.w.setflags(write=False)
-        set_value("dt", float(self.dt))
-        if not np.all(np.isfinite(np.append(self.w, (self.D, self.dt)))):
+    def __init__(self, grid: Grid, D: float, w: np.ndarray, dt: float,
+                 source: TensorField | None = None):
+        D, w, dt = float(D), np.array(w, dtype=float), float(dt)
+        w.setflags(write=False)
+        if not np.all(np.isfinite(np.append(w, (D, dt)))):
             raise ValueError("D, w and dt must be finite")
-        if self.D < 0:
+        if D < 0:
             raise ValueError("diffusivity must be >= 0")
-        if self.w.shape != (self.grid.dim,):
-            raise ValueError(f"wind must be a {self.grid.dim}-vector")
-        if self.dt <= 0:
+        if w.shape != (grid.dim,):
+            raise ValueError(f"wind must be a {grid.dim}-vector")
+        if dt <= 0:
             raise ValueError("time step must be positive")
-        if self.source is None:
-            set_value("source", TensorField.zeros(self.grid, 0))
-        if self.source.grid != self.grid or self.source.l != 0:
+        if source is None:
+            source = TensorField.zeros(grid, 0)
+        if source.grid != grid or source.l != 0:
             raise ValueError("source must be a scalar field on the model grid")
-        limit = max_stable_dt(self.grid, self.D, self.w)
-        if self.dt > limit:
+        limit = max_stable_dt(grid, D, w)
+        if dt > limit:
             raise StabilityError(
-                f"dt={self.dt:g} exceeds the stability guard {limit:g} "
-                f"for D={self.D:g}, |w|={np.linalg.norm(self.w):g}; "
+                f"dt={dt:g} exceeds the stability guard {limit:g} "
+                f"for D={D:g}, |w|={np.linalg.norm(w):g}; "
                 f"largest stable dt = {fmt_value(limit)}")
+        self._set(grid=grid, D=D, w=w, dt=dt, source=source)
 
     def rotated(self, rot) -> "DiffusionAdvectionModel":
         """The same model in a rotated frame: w as l=1, source as a field."""
@@ -128,12 +120,16 @@ def simulate(model: DiffusionAdvectionModel, u0: TensorField, n_steps: int) -> l
     return traj
 
 
-@dataclass
-class EstimateResult:
-    D: float
-    w: np.ndarray
-    residual: float      # relative MSE of the fitted time derivatives
-    condition: float
+class EstimateResult(Record):
+    """Recovered parameters and how well they fit."""
+
+    _fields = ("D", "w", "residual", "condition")
+
+    def __init__(self, D: float, w: np.ndarray, residual: float, condition: float):
+        self.D = D
+        self.w = w
+        self.residual = residual     # relative MSE of the fitted time derivatives
+        self.condition = condition
 
 
 def estimate_parameters(trajectory: list, dt: float,

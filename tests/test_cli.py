@@ -729,6 +729,35 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+_RECORDS = {"Grid", "TensorField", "ProductRule", "RadialProfile", "KernelField",
+            "EquivariantOp", "LatticeRotation", "CheckResult", "ParamRadial", "NeuralOp",
+            "FitResult", "NonlinearLayer", "AttentionLayer", "DiffusionAdvectionModel",
+            "EstimateResult", "RunReport"}
+
+
+def test_cli_import_generates_no_dataclass_code():
+    # the record classes are written out, so importing the CLI in a fresh
+    # interpreter processes no dataclass and no eqfield class has dataclass fields
+    code = ("import dataclasses, sys\n"
+            "import numpy\n"
+            "calls, process = [], dataclasses._process_class\n"
+            "def counted(cls, *args):\n"
+            "    calls.append(cls.__qualname__)\n"
+            "    return process(cls, *args)\n"
+            "dataclasses._process_class = counted\n"
+            "import eqfield.cli\n"
+            "classes = {c for m in list(sys.modules.values()) for c in vars(m).values()\n"
+            "           if isinstance(c, type) and c.__module__.startswith('eqfield.')}\n"
+            "print(calls)\n"
+            "print(sorted(c.__name__ for c in classes if hasattr(c, '__dataclass_fields__')))\n"
+            "print(sorted(c.__name__ for c in classes))\n")
+    out = _fresh_python(code)
+    assert out.returncode == 0, out.stderr
+    calls, dataclasses, classes = out.stdout.splitlines()
+    assert calls == "[]" and dataclasses == "[]"
+    assert _RECORDS <= set(eval(classes))
+
+
 def test_check_loads_no_numpy_random():
     # check draws its fields from the standard library's generator, so no
     # command imports numpy.random; run in a fresh interpreter
