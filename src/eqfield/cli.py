@@ -2,9 +2,9 @@
 
 Each subcommand maps its parsed arguments to a ``RunReport``; ``main`` prints
 and writes that report and exits with its code.  Exit codes: 0 success,
-1 property-check failure, 2 input/format error, 3 shape/rule mismatch,
-4 numerical guard (instability, blow-up, unidentifiable parameters).  All
-numbers print at 17 significant digits.  ``entry`` is the process entry of
+1 property-check failure, 2 input/format error, 3 shape/rule mismatch or a
+shape too large to allocate, 4 numerical guard (instability, blow-up,
+unidentifiable parameters).  All numbers print at 17 significant digits.  ``entry`` is the process entry of
 ``python -m eqfield.cli`` and of the ``eqfield`` script; ``main`` is the
 in-process call.
 """
@@ -346,13 +346,14 @@ def main(argv=None) -> int:
         report = args.func(args)
         _emit(report, args.report)   # so an unwritable --report path exits 2
         return report.exit_code
-    except (OSError, SimulationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, SimulationError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         if isinstance(exc, (OSError, FormatError)):
             return EXIT_FORMAT
         if isinstance(exc, (StabilityError, SimulationError, EstimationError)):
             return EXIT_NUMERIC
-        return EXIT_RULE   # RuleError, FieldError, GridError, KernelError, other ValueErrors
+        return EXIT_RULE   # RuleError, FieldError, GridError, KernelError, other
+                           # ValueErrors, MemoryError
 
 
 def entry(argv=None) -> int:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .fields import (ProductRule, RuleError, TensorField, field_norm,
+from .fields import (FieldError, ProductRule, RuleError, TensorField, field_norm,
                      pointwise_product, product_rule, supported_rules)
 from .formats import (FormatError, grid_entries, grid_from_entries, manifest_values,
                       parse_list, read_keyvalues, write_keyvalues)
@@ -174,7 +174,10 @@ class NeuralOp(Frozen):
                                                 input_l=self.rule.l_u))
 
     def apply(self, u: TensorField, path: str | None = None) -> TensorField:
-        """Convolve u with the kernel; ``path`` forces a path for this call."""
+        """Convolve u with the kernel; ``path`` forces a path for this call.  A
+        field on another grid is refused before the operator is built."""
+        if u.grid != self.grid:
+            raise FieldError("operator 'neural' was built for another grid")
         return self.operator.apply(u, path=path)
 
     def kernel(self) -> KernelField:

@@ -4,6 +4,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,37 @@ def test_apply_model_on_another_grid_exits_3(tmp_path, capsys):
     _write_scalar(src, g, _blob(g))
     assert main(["apply", str(model), str(src), str(tmp_path / "o.eqf")]) == 3
     assert "grid" in capsys.readouterr().err
+
+
+def test_model_on_another_grid_is_refused_before_it_is_built(tmp_path, capsys):
+    # a 64^3 model's operator would sample and transform a 127^3 kernel
+    model = tmp_path / "m.eqm"
+    nop = eq.make_neural_op(eq.Grid.centered((64, 64, 64)))
+    eq.save_model(model, nop)
+    g = eq.Grid.centered((6, 6, 6))
+    src = tmp_path / "in.eqf"
+    _write_scalar(src, g, _blob(g))
+    tracemalloc.start()
+    try:
+        code = main(["apply", str(model), str(src), str(tmp_path / "o.eqf")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 3 and peak < 2**20
+    assert out == "" and err == "error: operator 'neural' was built for another grid\n"
+    assert not (tmp_path / "o.eqf").exists()
+    with pytest.raises(eq.FieldError, match="^operator 'neural' was built for another grid$"):
+        nop.apply(eq.read_eqf(src)[0])
+    assert nop not in eq.operators._held
+
+
+def test_a_shape_too_large_to_allocate_exits_3(capsys):
+    # 10^15 voxels, 7.1 PiB: past any address space, so the allocation fails at once
+    assert main(["check", "--random", "100000,100000,100000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Unable to allocate 7.11 PiB") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("key,value", [
