@@ -347,7 +347,7 @@ def main(argv=None) -> int:
         _emit(report, args.report)   # so an unwritable --report path exits 2
         return report.exit_code
     except (OSError, SimulationError, ValueError, MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (OSError, FormatError)):
             return EXIT_FORMAT
         if isinstance(exc, (StabilityError, SimulationError, EstimationError)):

@@ -39,8 +39,6 @@ class Record:
             return self._values() == other._values()
         return NotImplemented
 
-    __hash__ = None
-
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields
                           if name not in self._unshown)
