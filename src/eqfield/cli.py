@@ -4,9 +4,9 @@ Each subcommand maps its parsed arguments to a ``RunReport``; ``main`` prints
 and writes that report and exits with its code.  Exit codes: 0 success,
 1 property-check failure, 2 input/format error, 3 shape/rule mismatch or a
 shape too large to allocate, 4 numerical guard (instability, blow-up,
-unidentifiable parameters).  All numbers print at 17 significant digits.  ``entry`` is the process entry of
-``python -m eqfield.cli`` and of the ``eqfield`` script; ``main`` is the
-in-process call.
+unidentifiable parameters).  All numbers print at 17 significant digits.
+``entry`` is the process entry of ``python -m eqfield.cli`` and of the
+``eqfield`` script; ``main`` is the in-process call.
 """
 
 from __future__ import annotations
@@ -352,8 +352,8 @@ def main(argv=None) -> int:
             return EXIT_FORMAT
         if isinstance(exc, (StabilityError, SimulationError, EstimationError)):
             return EXIT_NUMERIC
-        return EXIT_RULE   # RuleError, FieldError, GridError, KernelError, other
-                           # ValueErrors, MemoryError
+        # RuleError, FieldError, GridError, KernelError, other ValueErrors, MemoryError
+        return EXIT_RULE
 
 
 def entry(argv=None) -> int:

@@ -23,8 +23,8 @@ def check_boundary(boundary: str) -> str:
 
 
 class Record:
-    """Value semantics over ``_fields``, the attribute names that each class's
-    ``__init__`` sets, in order: ``==`` compares them when both sides are of
+    """Value semantics over ``_fields``, names of attributes that the class's
+    ``__init__`` sets: ``==`` compares them, in order, when both sides are of
     one class, and ``repr`` shows them, less those in ``_unshown``.  A record
     is mutable, so it is unhashable."""
 
