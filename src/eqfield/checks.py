@@ -7,7 +7,7 @@ import numpy as np
 
 from .convolve import DIRECT, FOURIER
 from .fields import NormalGenerator, TensorField, rotate_field, supported_rules
-from .grid import PERIODIC, ZERO, Grid, GridError, Record
+from .grid import PERIODIC, ZERO, Frozen, Grid, GridError
 from .kernels import KernelField, gaussian, kernel_grid, sample_kernel
 from .operators import EquivariantOp, curl, div, grad, laplacian
 from .rotations import all_rotations
@@ -19,15 +19,13 @@ CALCULUS_TOL = 1e-10
 CALCULUS_MARGIN = 2   # voxels left out at every face by the calculus identities
 
 
-class CheckResult(Record):
+class CheckResult(Frozen):
     """One named property check: it passes when its deviation is below its tolerance."""
 
     _fields = ("name", "deviation", "tolerance")
 
     def __init__(self, name: str, deviation: float, tolerance: float):
-        self.name = name
-        self.deviation = deviation
-        self.tolerance = tolerance
+        self._set(name=name, deviation=deviation, tolerance=tolerance)
 
     @property
     def passed(self) -> bool:

@@ -24,7 +24,7 @@ from .convolve import DIRECT, FOURIER
 from .fields import NormalGenerator, TensorField, field_norm
 from .formats import (FormatError, fmt_value, format_keyvalues, manifest_lines,
                       parse_list, read_eqf, write_eqf, write_keyvalues)
-from .grid import BOUNDARIES, Grid, Record
+from .grid import BOUNDARIES, Frozen, Grid
 from .kernels import named_profile
 from .learn import (default_param_radial, fit_least_squares, load_model, loss,
                     make_neural_op, save_model)
@@ -40,7 +40,7 @@ EXIT_RULE = 3
 EXIT_NUMERIC = 4
 
 
-class RunReport(Record):
+class RunReport(Frozen):
     """What one command read, set, measured and wrote, and its exit code."""
 
     _fields = ("command", "inputs", "parameters", "metrics", "outputs", "exit_code")
@@ -48,12 +48,10 @@ class RunReport(Record):
     def __init__(self, command: str, inputs: dict | None = None,
                  parameters: dict | None = None, metrics: dict | None = None,
                  outputs: list | None = None, exit_code: int = EXIT_OK):
-        self.command = command
-        self.inputs = {} if inputs is None else inputs
-        self.parameters = {} if parameters is None else parameters
-        self.metrics = {} if metrics is None else metrics
-        self.outputs = [] if outputs is None else outputs
-        self.exit_code = exit_code
+        self._set(command=command, inputs={} if inputs is None else inputs,
+                  parameters={} if parameters is None else parameters,
+                  metrics={} if metrics is None else metrics,
+                  outputs=[] if outputs is None else outputs, exit_code=exit_code)
 
     def keyvalues(self) -> dict:
         kv = {"command": self.command}

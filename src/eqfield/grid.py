@@ -22,36 +22,22 @@ def check_boundary(boundary: str) -> str:
     return boundary
 
 
-class Record:
-    """Value semantics over ``_fields``, names of attributes that the class's
-    ``__init__`` sets: ``==`` compares them, in order, when both sides are of
-    one class, and ``repr`` shows them, less those in ``_unshown``.  A record
-    is mutable, so it is unhashable."""
+class Frozen:
+    """A value over ``_fields``, the attributes that ``__init__`` stores once
+    with ``_set``; assigning or deleting any attribute then raises
+    ``FrozenInstanceError``.  ``==`` compares the fields in order, arrays by
+    value, when both sides are of one class; ``hash`` goes by the fields, so
+    it raises ``TypeError`` for a value that holds an array, list or dict;
+    ``repr`` shows the fields less those in ``_unshown``."""
 
     _fields = ()
     _unshown = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields
-                          if name not in self._unshown)
-        return f"{type(self).__qualname__}({shown})"
-
-
-class Frozen(Record):
-    """A record whose ``__init__`` stores its attributes with ``_set``; after
-    that, assigning or deleting any attribute raises ``FrozenInstanceError``.
-    Hashable over ``_fields``."""
-
     def _set(self, **values) -> None:
         self.__dict__.update(values)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -59,8 +45,22 @@ class Frozen(Record):
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for a, b in zip(self._values(), other._values()):
+            arrays = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+            if a is not b and not (np.array_equal(a, b) if arrays else a == b):
+                return False
+        return True
+
     def __hash__(self):
         return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields
+                          if name not in self._unshown)
+        return f"{type(self).__qualname__}({shown})"
 
 
 class Grid(Frozen):

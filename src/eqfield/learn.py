@@ -19,7 +19,7 @@ from .fields import (FieldError, ProductRule, RuleError, TensorField, field_norm
                      pointwise_product, product_rule, supported_rules)
 from .formats import (FormatError, grid_entries, grid_from_entries, manifest_values,
                       parse_list, read_keyvalues, write_keyvalues)
-from .grid import ZERO, Frozen, Grid, Record
+from .grid import ZERO, Frozen, Grid
 from .kernels import (KernelField, RadialProfile, delta_stencil,
                       free_space_kernel_grid, gaussian, gradient_stencil,
                       sample_kernel)
@@ -277,18 +277,17 @@ def grad_params(op: NeuralOp, dataset) -> np.ndarray:
     return 2.0 * (Rx.T @ (Rx @ op.param.amplitudes - c)) / norm
 
 
-class FitResult(Record):
-    """Fitted amplitudes and how well they fit."""
+class FitResult(Frozen):
+    """Fitted amplitudes and how well they fit: the relative MSE, the condition
+    number of the (regularized) normal matrix, a flag for ill-conditioned
+    beyond the ridge or diverged, and the loss per gradient-descent step."""
 
     _fields = ("amplitudes", "residual", "condition", "flagged", "trace")
 
     def __init__(self, amplitudes: np.ndarray, residual: float, condition: float,
                  flagged: bool, trace: list | None = None):
-        self.amplitudes = amplitudes
-        self.residual = residual     # relative MSE at the fitted amplitudes
-        self.condition = condition   # condition number of the (regularized) normal matrix
-        self.flagged = flagged       # ill-conditioned beyond the ridge, or diverged
-        self.trace = [] if trace is None else trace   # loss per step (gradient descent)
+        self._set(amplitudes=amplitudes, residual=residual, condition=condition,
+                  flagged=flagged, trace=[] if trace is None else trace)
 
 
 def fit_least_squares(op: NeuralOp, dataset, ridge: float = 1e-10) -> FitResult:
@@ -349,19 +348,19 @@ def fit_gradient_descent(op: NeuralOp, dataset, steps: int = 500,
     return FitResult(p, trace[-1], condition, flagged, trace)
 
 
-class NonlinearLayer(Record):
+class NonlinearLayer(Frozen):
     """Norm nonlinearity: u -> act(a |u| + b) * u/|u| per channel and voxel."""
 
     _fields = ("a", "b", "activation")
 
     def __init__(self, a: np.ndarray, b: np.ndarray, activation: str = RELU):
-        self.a = np.atleast_1d(np.asarray(a, dtype=float))
-        self.b = np.atleast_1d(np.asarray(b, dtype=float))
-        self.activation = activation
-        if self.a.shape != self.b.shape:
+        a = np.atleast_1d(np.asarray(a, dtype=float))
+        b = np.atleast_1d(np.asarray(b, dtype=float))
+        if a.shape != b.shape:
             raise ValueError("a and b must have one value per channel")
         if activation not in (RELU, IDENTITY):
             raise ValueError(f"activation must be relu|identity, got {activation!r}")
+        self._set(a=a, b=b, activation=activation)
 
 
 def apply_nonlinear(layer: NonlinearLayer, fields: list) -> list:
@@ -378,7 +377,7 @@ def apply_nonlinear(layer: NonlinearLayer, fields: list) -> list:
     return out
 
 
-class AttentionLayer(Record):
+class AttentionLayer(Frozen):
     """Pairwise products of channels, weighted per output channel.
 
     Channel index len(input_l) is an implicit identity scalar field (all
@@ -391,20 +390,19 @@ class AttentionLayer(Record):
 
     def __init__(self, input_l: tuple, output_l: tuple, dim: int, pairs: list,
                  weights: np.ndarray):
-        self.input_l = tuple(int(l) for l in input_l)
-        self.output_l = tuple(int(l) for l in output_l)
-        self.dim = dim
-        self.pairs = pairs
-        self.weights = np.asarray(weights, dtype=float)
-        if self.weights.shape != (len(self.output_l), len(self.pairs)):
+        input_l = tuple(int(l) for l in input_l)
+        output_l = tuple(int(l) for l in output_l)
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (len(output_l), len(pairs)):
             raise ValueError("weights must be (n_output_channels, n_pairs)")
-        orders = self.input_l + (0,)
-        for j, lo in enumerate(self.output_l):
-            for k, (a, b, kind) in enumerate(self.pairs):
-                rule = product_rule(kind, orders[a], orders[b], self.dim)
-                if self.weights[j, k] != 0.0 and rule.l_v != lo:
+        orders = input_l + (0,)
+        for j, lo in enumerate(output_l):
+            for k, (a, b, kind) in enumerate(pairs):
+                rule = product_rule(kind, orders[a], orders[b], dim)
+                if weights[j, k] != 0.0 and rule.l_v != lo:
                     raise RuleError(
                         f"pair {rule} cannot feed output channel {j} of order {lo}")
+        self._set(input_l=input_l, output_l=output_l, dim=dim, pairs=pairs, weights=weights)
 
     @classmethod
     def create(cls, input_l, output_l, dim: int) -> "AttentionLayer":

@@ -40,9 +40,6 @@ class LatticeRotation(Frozen):
     def inverse(self) -> "LatticeRotation":
         return LatticeRotation(self.matrix.T)
 
-    def __eq__(self, other):
-        return isinstance(other, LatticeRotation) and np.array_equal(self.matrix, other.matrix)
-
     def __hash__(self):
         return hash(self.matrix.tobytes())
 

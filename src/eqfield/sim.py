@@ -20,7 +20,7 @@ import numpy as np
 from .fields import FieldError, TensorField, rotate_field, rotate_vector
 from .formats import (FormatError, fmt_value, manifest_values, parse_list, read_eqf,
                       read_keyvalues, write_eqf, write_keyvalues)
-from .grid import Frozen, Grid, Record
+from .grid import Frozen, Grid
 from .learn import _reduce_rows
 from .operators import diffusion as _diffusion
 from .operators import grad as _grad
@@ -120,16 +120,13 @@ def simulate(model: DiffusionAdvectionModel, u0: TensorField, n_steps: int) -> l
     return traj
 
 
-class EstimateResult(Record):
-    """Recovered parameters and how well they fit."""
+class EstimateResult(Frozen):
+    """Recovered D and w; ``residual`` is the relative MSE of the fitted du/dt."""
 
     _fields = ("D", "w", "residual", "condition")
 
     def __init__(self, D: float, w: np.ndarray, residual: float, condition: float):
-        self.D = D
-        self.w = w
-        self.residual = residual     # relative MSE of the fitted time derivatives
-        self.condition = condition
+        self._set(D=D, w=w, residual=residual, condition=condition)
 
 
 def estimate_parameters(trajectory: list, dt: float,
