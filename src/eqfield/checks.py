@@ -48,8 +48,9 @@ def _relative(diff: TensorField, ref: TensorField) -> float:
 
 
 def compatible_rotations(grid: Grid) -> list:
-    """The lattice rotations that map the grid's index box onto itself (``axis_map``)."""
-    return [rot for rot in all_rotations(grid.dim) if rot.axis_map(grid.shape) is not None]
+    """The lattice rotations that map the grid, shape and spacing, onto itself
+    (``axis_map``)."""
+    return [rot for rot in all_rotations(grid.dim) if rot.axis_map(grid) is not None]
 
 
 def _check_kernel(grid: Grid, l_h: int) -> KernelField:

@@ -285,13 +285,15 @@ def rotate_field(u: TensorField, rot) -> TensorField:
 
     A lattice rotation moves voxels by transposing the grid axes and
     reversing some of them (``LatticeRotation.axis_map``), so positions move
-    exactly; tensor values transform in their order-l representation.
+    exactly; tensor values transform in their order-l representation.  A
+    rotation that exchanges axes of another length or spacing is refused.
     """
     if rot.dim != u.grid.dim:
         raise FieldError("rotation dimension does not match the grid")
-    moved = rot.axis_map(u.grid.shape)
+    moved = rot.axis_map(u.grid)
     if moved is None:
-        raise FieldError("rotation incompatible with grid shape (non-square/cube domain)")
+        raise FieldError("rotation incompatible with grid shape or spacing "
+                         "(it exchanges axes that differ)")
     axes, flipped = moved
     permuted = np.flip(np.transpose(u.components, (0, *(axes + 1))),
                        tuple(np.flatnonzero(flipped) + 1))

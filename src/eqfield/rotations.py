@@ -46,12 +46,14 @@ class LatticeRotation(Frozen):
     def __repr__(self):
         return f"LatticeRotation({self.matrix.tolist()})"
 
-    def axis_map(self, shape) -> tuple[np.ndarray, np.ndarray] | None:
+    def axis_map(self, grid) -> tuple[np.ndarray, np.ndarray] | None:
         """(axes, flipped): output axis b reads input axis axes[b], the nonzero
-        column of row b, reversed where that entry is -1.  None unless every
-        shape[axes[b]] == shape[b], i.e. the rotation maps the index box onto itself."""
+        column of row b, reversed where that entry is -1.  None unless each axis
+        b has the length and spacing of the axis axes[b] it reads, i.e. the
+        rotation maps the grid's lattice onto itself."""
         axes = np.argmax(np.abs(self.matrix), axis=1)
-        if any(shape[a] != n for a, n in zip(axes, shape)):
+        if any(grid.shape[a] != grid.shape[b] or grid.spacing[a] != grid.spacing[b]
+               for b, a in enumerate(axes)):
             return None
         return axes, self.matrix[range(self.dim), axes] < 0
 

@@ -685,6 +685,18 @@ def test_check_on_saved_field(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_on_a_cube_with_unequal_spacing_keeps_its_four_rotations(tmp_path, capsys):
+    # a quarter turn would exchange axes of different spacing; only the
+    # identity and the three half turns map the lattice onto itself
+    g = eq.Grid.centered((6, 6, 6), (1.0, 2.0, 3.0))
+    src = tmp_path / "aniso.eqf"
+    eq.write_eqf(src, eq.TensorField.random(g, 0, np.random.default_rng(0)))
+    assert main(["check", str(src)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS equivariance") == 3 and out.count("[4 rotations]") == 3
+    assert "FAIL" not in out
+
+
 def test_check_boundary_flag_moves_the_file_field(tmp_path, capsys):
     g = eq.Grid.centered((8, 8))
     values = np.random.default_rng(12).standard_normal(g.shape)

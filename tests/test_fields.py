@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import eqfield as eq
-from eqfield.checks import compatible_rotations
+from eqfield.checks import EQUIVARIANCE_TOL, compatible_rotations
 from eqfield.formats import _header_line, fmt_value, parse_list
 
 
@@ -160,9 +161,9 @@ def test_field_guards_name_what_is_wrong():
     with pytest.raises(eq.FieldError, match=r"^rotation dimension does not match the grid$"):
         eq.rotate_field(scalar, eq.all_rotations(2)[1])
     box = eq.TensorField.zeros(eq.Grid.centered((4, 4, 5)), 1)
-    swap_xz = next(rot for rot in eq.all_rotations(3) if rot.axis_map(box.grid.shape) is None)
-    with pytest.raises(eq.FieldError, match=r"^rotation incompatible with grid shape "
-                                             r"\(non-square/cube domain\)$"):
+    swap_xz = next(rot for rot in eq.all_rotations(3) if rot.axis_map(box.grid) is None)
+    with pytest.raises(eq.FieldError, match=r"^rotation incompatible with grid shape or spacing "
+                                             r"\(it exchanges axes that differ\)$"):
         eq.rotate_field(box, swap_xz)
 
 
@@ -298,11 +299,13 @@ def test_all_rotations_order():
 
 
 def _float_index_map(grid, rot):
-    """Source voxel g^-1 i of every output voxel i, by float arithmetic about
-    the domain center; None when a source is off the lattice or the grid."""
+    """Source voxel g^-1 i of every output voxel i, by float arithmetic on
+    world offsets from the domain center; None when a source is off the
+    lattice or the grid."""
     center = grid.center_index().reshape((-1,) + (1,) * grid.dim)
+    h = np.reshape(grid.spacing, (-1,) + (1,) * grid.dim)
     src = np.einsum("ab,b...->a...", rot.matrix.T.astype(float),
-                    np.indices(grid.shape, dtype=float) - center) + center
+                    (np.indices(grid.shape, dtype=float) - center) * h) / h + center
     src_int = np.rint(src).astype(int)
     if np.max(np.abs(src - src_int)) > 1e-9:
         return None
@@ -325,7 +328,7 @@ def test_rotate_field_matches_float_index_map(shape):
             src = _float_index_map(g, rot)
             if src is None:
                 with pytest.raises(eq.FieldError, match=r"^rotation incompatible with grid "
-                                   r"shape \(non-square/cube domain\)$"):
+                                   r"shape or spacing \(it exchanges axes that differ\)$"):
                     eq.rotate_field(u, rot)
                 continue
             want = np.einsum("ab,b...->a...", rot.representation(l),
@@ -351,6 +354,74 @@ def test_compatible_rotations_match_axis_length_test(shape):
 
 # ---------------------------------------------------------------------------
 # EQF format
+
+
+REFUSED = r"^rotation incompatible with grid shape or spacing \(it exchanges axes that differ\)$"
+
+
+def _check_lattice_rotations(grid, rnd):
+    """Every rotation that maps the grid's lattice onto itself, shape and
+    spacing, is kept and commutes with a sampled radial kernel; every other
+    one is refused, by ``rotate_field`` and by a model's ``rotated``."""
+    kept = compatible_rotations(grid)
+    assert kept == [rot for rot in eq.all_rotations(grid.dim)
+                    if _float_index_map(grid, rot) is not None]
+    rule = rnd.choice(eq.supported_rules(grid.dim))
+    kernel = eq.sample_kernel(eq.kernel_grid((5,) * grid.dim, grid.spacing),
+                              eq.gaussian(1.5 * max(grid.spacing)), rule.l_h)
+    u = eq.TensorField.random(grid, rule.l_u, np.random.default_rng(rnd.randrange(2**32)))
+    ref = eq.conv(u, kernel, rule, path=eq.DIRECT)
+    model = eq.DiffusionAdvectionModel(grid, 0.01, np.zeros(grid.dim), 1e-3)
+    for rot in eq.all_rotations(grid.dim):
+        if rot in kept:
+            out = eq.conv(eq.rotate_field(u, rot), kernel, rule, path=eq.DIRECT)
+            dev = np.max(np.abs(out.components - eq.rotate_field(ref, rot).components))
+            assert dev / ref.max_abs() < EQUIVARIANCE_TOL
+            continue
+        with pytest.raises(eq.FieldError, match=REFUSED):
+            eq.rotate_field(u, rot)
+        with pytest.raises(eq.FieldError, match=REFUSED):
+            model.rotated(rot)
+    return kept
+
+
+@pytest.mark.parametrize("shape, spacing, n_kept", [
+    ((8, 8, 6), (1.0, 1.0, 2.0), 8),    # the quarter turns about z, and the half turns
+    ((6, 6, 6), (1.0, 2.0, 3.0), 4),    # the identity and the three half turns
+    ((6, 6, 6), (0.5, 0.5, 0.5), 24),
+    ((6, 6), (1.0, 2.0), 2),
+    ((6, 6), (2.0, 2.0), 4)])
+def test_rotations_keep_the_grid_spacing(shape, spacing, n_kept):
+    kept = _check_lattice_rotations(eq.Grid.centered(shape, spacing), random.Random(n_kept))
+    assert len(kept) == n_kept
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rotations_keep_the_grid_spacing_property(seed):
+    rnd = random.Random(seed)
+    dim = rnd.choice((2, 3))
+    shape = [rnd.choice((4, 5, 6)) for _ in range(dim)]
+    spacing = [rnd.choice((0.5, 1.0, 2.0)) for _ in range(dim)]
+    if rnd.random() < 0.5:   # a cube admits every rotation its spacing allows
+        shape = [shape[0]] * dim
+    if rnd.random() < 0.5:
+        spacing = [spacing[0]] * dim
+    _check_lattice_rotations(eq.Grid.centered(shape, spacing, rnd.choice(eq.BOUNDARIES)), rnd)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: eq.LatticeRotation([[1]]), "rotation matrix must be 2x2 or 3x3"),
+    (lambda: eq.LatticeRotation(np.eye(4, dtype=int)), "rotation matrix must be 2x2 or 3x3"),
+    (lambda: eq.LatticeRotation([[1, 1], [0, 1]]),
+     "matrix is not a signed permutation (not orthogonal)"),
+    (lambda: eq.LatticeRotation([[0, 1], [1, 0]]),
+     "improper rotation (det != +1); reflections unsupported"),
+    (lambda: eq.rotation_2d(1).representation(2), "no order-2 representation in 2d"),
+    (lambda: eq.all_rotations(4), "unsupported dimension 4")])
+def test_rotation_guards_name_what_is_wrong(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_eqf_round_trip_bitexact(tmp_path):

@@ -52,6 +52,8 @@ def test_default_param_radial_layout():
     # the embedded stencil order matches the kernel order
     assert p.stencils[0][1] == 0
     assert eq.default_param_radial(g, l_h=1).stencils[0][1] == 1
+    # no compact stencil has order 2
+    assert eq.default_param_radial(g, l_h=2, n_gaussians=4).stencils == ()
 
 
 def test_param_radial_evaluate():
