@@ -341,16 +341,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report = args.func(args)
+        with np.errstate(all="ignore"):   # a non-finite value is refused where its field is built
+            report = args.func(args)
         _emit(report, args.report)   # so an unwritable --report path exits 2
         return report.exit_code
-    except (OSError, SimulationError, ValueError, MemoryError) as exc:
+    except (OSError, SimulationError, ValueError, MemoryError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (OSError, FormatError)):
             return EXIT_FORMAT
         if isinstance(exc, (StabilityError, SimulationError, EstimationError)):
             return EXIT_NUMERIC
-        # RuleError, FieldError, GridError, KernelError, other ValueErrors, MemoryError
+        # RuleError, FieldError, GridError, KernelError, other ValueErrors, MemoryError,
+        # and arithmetic beyond float64's range (a stencil on a spacing of 1e-300)
         return EXIT_RULE
 
 

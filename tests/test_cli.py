@@ -158,6 +158,19 @@ def test_a_shape_too_large_to_allocate_exits_3(capsys):
     assert err.startswith("error: Unable to allocate 7.11 PiB") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["apply", "grad", "FIELD", "OUT"], ["check", "FIELD"]])
+def test_a_spacing_past_the_float_range_exits_3_with_one_line(tmp_path, capsys, argv):
+    # a gradient weight 1/(2 h^2) on h = 1e-300 divides by an underflowed zero,
+    # and the Gaussian of check's kernels overflows on the way to exp(-inf) = 0
+    g = eq.Grid.centered((5, 6), (1e-300, 1.0))
+    _write_scalar(tmp_path / "u.eqf", g, np.ones(g.shape))
+    paths = {"FIELD": str(tmp_path / "u.eqf"), "OUT": str(tmp_path / "o.eqf")}
+    assert main([paths.get(a, a) for a in argv]) == 3
+    out, err = capsys.readouterr()
+    assert err == "error: float division by zero\n"
+    assert not (tmp_path / "o.eqf").exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("spacing", "nan,1,1"),
     ("spacing", "-1,1,1"),
