@@ -135,16 +135,16 @@ def test_fuzzed_eqf_headers(field_files, capsys):
         key = rnd.choice(list(HEADER_VALUES))
         value = rnd.choice(HEADER_VALUES[key])
         text = " ".join(_set(tokens, key, value)).encode("ascii")
-        cases.append((f"{key}={value}", text, rnd.choice((1, 2, 0))))
-    for _ in range(40):   # byte flips in the header line
+        cases.append((f"{key}={value}", text, rnd.choice((2, 1, 0))))
+    for _ in range(40):   # byte flips in the header line, over the whole payload
         text = bytearray(header)
         for _ in range(rnd.randint(1, 3)):
             text[rnd.randrange(len(text))] = rnd.randrange(256)
-        cases.append((f"flipped {bytes(text)!r}", bytes(text), 1))
+        cases.append((f"flipped {bytes(text)!r}", bytes(text), 2))
     commands = (["apply", "grad"], ["apply", str(field_files / "model.txt")], ["check"])
-    for n, (name, text, part) in enumerate(cases):
+    for n, (name, text, halves) in enumerate(cases):   # the whole payload, half or none
         path = field_files / f"case{n}.eqf"
-        path.write_bytes(text + b"\n" + payload[:len(payload) * part // 2])
+        path.write_bytes(text + b"\n" + payload[:len(payload) * halves // 2])
         _loads(eq.read_eqf, path)
         command = commands[n % 3]
         if command[0] == "apply":
