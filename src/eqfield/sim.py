@@ -74,11 +74,12 @@ class DiffusionAdvectionModel(Frozen):
         if source.grid != grid or source.l != 0:
             raise ValueError("source must be a scalar field on the model grid")
         with np.errstate(over="ignore"):   # a |w| past the float range is inf: limit 0
-            limit, speed = max_stable_dt(grid, D, w), np.linalg.norm(w)
-        if dt > limit:
-            raise StabilityError(
-                f"dt={dt:g} exceeds the stability guard {limit:g} "
-                f"for D={D:g}, |w|={speed:g}; largest stable dt = {fmt_value(limit)}")
+            limit = max_stable_dt(grid, D, w)
+            if dt > limit:
+                raise StabilityError(
+                    f"dt={dt:g} exceeds the stability guard {limit:g} "
+                    f"for D={D:g}, |w|={np.linalg.norm(w):g}; "
+                    f"largest stable dt = {fmt_value(limit)}")
         self._set(grid=grid, D=D, w=w, dt=dt, source=source)
 
     def rotated(self, rot) -> "DiffusionAdvectionModel":
