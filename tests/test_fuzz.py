@@ -157,7 +157,7 @@ def test_fuzzed_eqf_headers(field_files, capsys):
 def test_fuzzed_model_manifests(field_files, capsys):
     rnd = random.Random(2302)
     lines = (field_files / "model.txt").read_text().splitlines()
-    # the model of ROADMAP D23, whose build would need petabytes: refused
+    # a model whose build would need petabytes: refused
     # at the grid comparison, before anything is allocated
     oversized = _set(_set(_set(_set(lines, "dim", "3"), "shape", PETA), "spacing", "1,1,1"),
                      "origin", "0,0,0")
