@@ -18,8 +18,8 @@ to the next 11-smooth length on the leading axes and 5-smooth on the last
 (real) one, and the periodic case at the field's own size.
 The kernel's half of that product is built in a ``KernelLayout``: the
 kernel is laid out circularly in the real view of the half-complex work
-array that then transforms it in place, slab by slab as it is sampled when
-it comes from a recipe.  An operator builds it once and keeps it, and
+array that then transforms it in place; a recipe samples it there, slab by
+slab, at its circular offsets.  An operator builds it once and keeps it, and
 ``conv_fourier`` applies it without the kernel.  A sampled radial kernel is
 exactly even or odd on the first axis, so its spectrum mirrors there and is
 held for rows 0 ... W0//2 of the W0 first-axis rows alone, with one sign per
@@ -85,25 +85,20 @@ def conv_direct(u: TensorField, kernel: KernelField, rule: ProductRule,
     return TensorField(u.grid, rule.l_v, out)
 
 
-def _circular_kernel(karr: np.ndarray, out: np.ndarray, first: int = 0,
-                     extent: int | None = None) -> np.ndarray:
-    """Add a kernel into ``out``, laid out circularly (center at index 0) on
-    every axis after the first, which (the components) is carried along,
-    and return ``out``.
+def _circular_kernel(karr: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add a whole kernel into ``out``, laid out circularly (center at index
+    0) on every axis after the first, which (the components) is carried
+    along, and return ``out``.
 
     Index i lands on (i - center) mod w; one sliced add per combination of
     per-axis runs with contiguous targets, in kernel-index order, sums aliased
     offsets in ``np.add.at``'s order: the image sum of a narrow periodic domain.
-    ``karr`` may be a slab, rows ``first`` ... of a kernel ``extent`` rows
-    long on the first laid-out axis; slabs added in row order sum as the
-    whole kernel does.
     """
     runs = []
-    for a, (n, w) in enumerate(zip(karr.shape[1:], out.shape[1:])):
-        lo, k = (first, n if extent is None else extent) if a == 0 else (0, n)
-        c = (k - 1) // 2
-        cuts = [0, *range((c - lo) % w or w, n, w), n]   # where the target wraps
-        runs.append([(slice((lo + i - c) % w, (lo + i - c) % w + j - i), slice(i, j))
+    for n, w in zip(karr.shape[1:], out.shape[1:]):
+        c = (n - 1) // 2
+        cuts = [0, *range(c % w or w, n, w), n]   # where the target wraps
+        runs.append([(slice((i - c) % w, (i - c) % w + j - i), slice(i, j))
                      for i, j in zip(cuts, cuts[1:])])
     for pairs in itertools.product(*runs):
         dst, src = zip(*pairs)
@@ -197,8 +192,8 @@ class KernelLayout:
     component, C x W0 x ... x (W[-1]//2 + 1) at the work shape W.  The kernel
     is laid out circularly in its real view, C x W, and each component is
     then transformed in place, so no other kernel- or work-sized array is
-    made.  ``sample_kernel`` lays its samples out here slab by slab when
-    ``open`` takes them; ``lay`` lays out a whole kernel.
+    made.  ``sample_kernel`` samples into the view when ``open`` takes the
+    kernel; ``lay`` lays out a whole kernel.
 
     Two exact parity tests shape the held spectrum.  A kernel whose every
     component k has a parity on the first axis, k(-x, ...) = s k(x, ...),
@@ -207,10 +202,11 @@ class KernelLayout:
     inversion parity, h(-r) = (-1)^l_h h(r), has a real or imaginary
     spectrum, so it holds one float64 part; any other a complex spectrum.
     Every sampled radial kernel passes both, and holds
-    8 C (W0//2 + 1) prod(W[1:-1]) (W[-1]//2 + 1) bytes.  A kernel laid out
-    in slabs, which never aliases, is tested on its layout, one block at a
-    time; a whole one on its own array, since a periodic layout that aliases
-    sums mirrored offsets in different orders, so is not exactly symmetric.
+    8 C (W0//2 + 1) prod(W[1:-1]) (W[-1]//2 + 1) bytes.  A kernel sampled
+    into the view, which never aliases, is tested on its layout, one block
+    at a time; a whole one on its own array, since a periodic layout that
+    aliases sums mirrored offsets in different orders, so is not exactly
+    symmetric.
     """
 
     def __init__(self, ushape, boundary: str):
@@ -229,8 +225,8 @@ class KernelLayout:
         return self.arrays.view(float)[..., :self.work[-1]]
 
     def open(self, grid, l_h: int) -> bool:
-        """Allocate the work array for a kernel of order ``l_h`` on ``grid``,
-        to be laid out slab by slab with ``add``, and return True.  Return
+        """Allocate the zeroed work array for a kernel of order ``l_h`` on
+        ``grid``, to be sampled straight into ``view``, and return True.  Return
         False, allocating nothing, for a kernel of another dimension, one
         that goes direct by default, or one that on some axis is wider than
         the periodic field or than 2N - 1, so would alias or be cropped: it
@@ -241,11 +237,6 @@ class KernelLayout:
             return False
         self._allocate(grid, l_h)
         return True
-
-    def add(self, first: int, block: np.ndarray) -> None:
-        """Lay out kernel rows ``first`` ... on the first axis, held by
-        ``block`` for every component; slabs are added in row order."""
-        _circular_kernel(block, self.view, first, self.grid.shape[0])
 
     def lay(self, kernel: KernelField) -> None:
         """Lay out a whole kernel.  For the zero boundary it is first cropped

@@ -184,45 +184,60 @@ def sample_kernel(grid: Grid, profile: RadialProfile, l_h: int, out=None):
     where rhat is 0, so Y_l vanishes there for l_h >= 1; a singular profile
     reads 0 there, and a non-finite one fails.
 
-    Each slab goes into one KernelField's array; or, given ``out``, a
-    ``convolve.KernelLayout`` that ``out.open`` readies for this kernel,
-    straight into its circular place there, and ``out`` is returned, so no
-    kernel-sized array is made.  A kernel that ``out`` does not open is
-    sampled into a KernelField as without it.
+    The slabs fill one KernelField's array; or, given ``out``, a
+    ``convolve.KernelLayout`` that ``out.open`` readies, its real view, at
+    the circular offsets of a work length W: i for i <= c, the center index,
+    and i - W past it, with -0.0 read as +0.0 and the offsets past the
+    kernel's reach zeroed, as laying out the whole kernel leaves them.  Then
+    ``out`` is returned, and no kernel-sized array is made; a kernel that
+    ``out`` does not open is sampled into a KernelField as without it.
     """
     _check_centered(grid)
-    axes = [((np.arange(n) - c) * s).reshape((n,) + (1,) * (grid.dim - 1 - a))
-            for a, (n, c, s) in enumerate(zip(grid.shape, grid.center_index(), grid.spacing))]
-    squares = [x ** 2 for x in axes]
-    shape = (components_for(l_h, grid.dim),) + grid.shape
     laid = out is not None and out.open(grid, l_h)
-    values = None if laid else np.zeros(shape)
-    rows = max(1, SAMPLE_SLAB_VOXELS // math.prod(grid.shape[1:]))
-    for start in range(0, grid.shape[0], rows):
+    values = out.view if laid else np.zeros((components_for(l_h, grid.dim),) + grid.shape)
+    center = [(n - 1) // 2 for n in grid.shape]
+    axes = np.ix_(*[(np.where(i <= c, i, i - len(i)) if laid else i - c) * s
+                    for i, c, s in zip(map(np.arange, values.shape[1:]), center, grid.spacing)])
+    squares = [x ** 2 for x in axes]
+    rows = max(1, SAMPLE_SLAB_VOXELS // math.prod(values.shape[2:]))
+    for start in range(0, values.shape[1], rows):
         slab = slice(start, start + rows)
         r = np.sqrt(sum([squares[0][slab], *squares[1:]]))
+        block = values[:, slab]
         if l_h == 0:
-            block = profile(r)[None]
+            block[0] = profile(r)
         else:
-            block = np.zeros(shape[:1] + r.shape) if laid else values[:, slab]
             rhat = block if l_h == 1 else np.zeros((grid.dim,) + r.shape)
             for x, o in zip([axes[0][slab], *axes[1:]], rhat):
                 np.divide(x, r, out=o, where=r != 0.0)
             np.multiply(unit_harmonic(l_h, rhat), profile(r), out=block)
-        if laid:
-            out.add(start, block)
-        elif l_h == 0:
-            values[:, slab] = block
-        del block   # freed before the next slab's temporaries are made
+        del block, r   # freed before the next slab's temporaries are made
+    if laid:   # -0.0 reads +0.0, as an add into the zeroed view leaves it; 0 past the reach
+        values += 0.0
+        for a, (w, c) in enumerate(zip(values.shape[1:], center)):
+            values[(slice(None),) * (a + 1) + (slice(c + 1, w - c),)] = 0.0
     return out if laid else KernelField(TensorField(grid, l_h, values), l_h)
+
+
+def _reciprocal(x: float) -> float:
+    """1 / x, infinite where x underflowed to 0."""
+    return 1.0 / x if x else math.inf
+
+
+def _stencil_kernel(grid: Grid, l_h: int, arr: np.ndarray) -> KernelField:
+    """Stencil weights ``arr`` as a kernel on a centered grid of ``grid``'s
+    spacing.  A weight past the float range, which a spacing too fine for
+    its 1/h^k makes, is refused with a KernelError that names the spacing."""
+    if not np.isfinite(arr).all():
+        raise KernelError(f"spacing {grid.spacing} puts a stencil weight past the float range")
+    return KernelField(TensorField(kernel_grid(arr.shape[1:], grid.spacing), l_h, arr), l_h)
 
 
 def delta_stencil(grid: Grid) -> KernelField:
     """Identity kernel: one center voxel of weight 1/voxel_volume, l_h = 0."""
-    kgrid = kernel_grid((3,) * grid.dim, grid.spacing)
-    arr = np.zeros((1,) + kgrid.shape)
-    arr[(0,) + (1,) * grid.dim] = 1.0 / grid.voxel_volume
-    return KernelField(TensorField(kgrid, 0, arr), 0)
+    arr = np.zeros((1,) + (3,) * grid.dim)
+    arr[(0,) + (1,) * grid.dim] = _reciprocal(grid.voxel_volume)
+    return _stencil_kernel(grid, 0, arr)
 
 
 def gradient_stencil(grid: Grid) -> KernelField:
@@ -232,18 +247,17 @@ def gradient_stencil(grid: Grid) -> KernelField:
     (weights stored over voxel volume), so convolution returns the forward
     central difference: exact on linear and quadratic fields.
     """
-    kgrid = kernel_grid((3,) * grid.dim, grid.spacing)
     vol = grid.voxel_volume
-    arr = np.zeros((grid.dim,) + kgrid.shape)
+    arr = np.zeros((grid.dim,) + (3,) * grid.dim)
     for a in range(grid.dim):
-        w = 1.0 / (2.0 * grid.spacing[a] * vol)
+        w = _reciprocal(2.0 * grid.spacing[a] * vol)
         minus = [1] * grid.dim
         minus[a] = 0
         plus = [1] * grid.dim
         plus[a] = 2
         arr[(a, *minus)] = +w
         arr[(a, *plus)] = -w
-    return KernelField(TensorField(kgrid, 1, arr), 1)
+    return _stencil_kernel(grid, 1, arr)
 
 
 def laplacian_stencil(grid: Grid) -> KernelField:
@@ -253,12 +267,11 @@ def laplacian_stencil(grid: Grid) -> KernelField:
     step, so the weights sit at offsets +-2 e_a with step 2 h_a (still
     O(h^2) truncation).
     """
-    kgrid = kernel_grid((5,) * grid.dim, grid.spacing)
     vol = grid.voxel_volume
-    arr = np.zeros((1,) + kgrid.shape)
+    arr = np.zeros((1,) + (5,) * grid.dim)
     center = (0,) + (2,) * grid.dim
     for a in range(grid.dim):
-        w = 1.0 / ((2.0 * grid.spacing[a]) ** 2 * vol)
+        w = _reciprocal((2.0 * grid.spacing[a]) ** 2 * vol)
         lo = [2] * grid.dim
         lo[a] = 0
         hi = [2] * grid.dim
@@ -266,7 +279,7 @@ def laplacian_stencil(grid: Grid) -> KernelField:
         arr[(0, *lo)] += w
         arr[(0, *hi)] += w
         arr[center] -= 2.0 * w
-    return KernelField(TensorField(kgrid, 0, arr), 0)
+    return _stencil_kernel(grid, 0, arr)
 
 
 def save_kernel(path, kernel: KernelField) -> None:

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .convolve import _circular_kernel
 from .fields import (FieldError, ProductRule, RuleError, TensorField, field_norm,
                      pointwise_product, product_rule, supported_rules)
 from .formats import (FormatError, grid_entries, grid_from_entries, manifest_values,
@@ -169,7 +170,7 @@ class NeuralOp(Frozen):
         """The ``EquivariantOp`` with ``kernel`` as its recipe, held under this
         frozen recipe: built on first use, shared by equal recipes, never stale."""
         return held(self, lambda: EquivariantOp("neural", self.grid,
-                                                lambda out=None: self.kernel(),
+                                                lambda out=None: self.kernel(out),
                                                 self.rule.kind, boundary=ZERO,
                                                 input_l=self.rule.l_u))
 
@@ -180,16 +181,22 @@ class NeuralOp(Frozen):
             raise FieldError("operator 'neural' was built for another grid")
         return self.operator.apply(u, path=path)
 
-    def kernel(self) -> KernelField:
-        """R(r) Y_l(rhat) of ``param.evaluate``, sampled once; stencils added at the centre."""
+    def kernel(self, out=None) -> KernelField:
+        """R(r) Y_l(rhat) of ``param.evaluate``, sampled once; stencils added at the
+        centre, the circular one of a ``KernelLayout`` ``out`` that it samples into."""
         kgrid = free_space_kernel_grid(self.grid)
-        comps = sample_kernel(kgrid, RadialProfile(self.param.evaluate), self.l_h).field.components
+        sampled = sample_kernel(kgrid, RadialProfile(self.param.evaluate), self.l_h, out)
+        laid = sampled is out
+        comps = out.view if laid else sampled.field.components
         comps.setflags(write=True)   # a fresh sample, held nowhere else
         for a, order in self.param.stencils:
-            term = _stencil(self.grid, order).field.components
-            comps[tuple(slice((n - k) // 2, (n + k) // 2)
-                        for n, k in zip(comps.shape, term.shape))] += a * term
-        return KernelField(TensorField(kgrid, self.l_h, comps), self.l_h)
+            term = a * _stencil(self.grid, order).field.components
+            if laid:
+                _circular_kernel(term, comps)
+            else:
+                comps[tuple(slice((n - k) // 2, (n + k) // 2)
+                            for n, k in zip(comps.shape, term.shape))] += term
+        return out if laid else KernelField(TensorField(kgrid, self.l_h, comps), self.l_h)
 
 
 def make_neural_op(grid: Grid, kind: str = "scalar", l_u: int = 0, l_h: int = 0,

@@ -6,6 +6,7 @@ and the FFT module by name; a renamed or deleted entry point would break
 catches that here.
 """
 
+import collections
 import os
 
 import numpy as np
@@ -41,4 +42,28 @@ def test_traced_inverse_laplacian_records_fourier_spans(monkeypatch):
     names = [s[0] for s in rec.spans]
     assert "convolve.fourier" in names and "convolve.fft" in names
     assert np.array_equal(traced.components, plain.components)
+    assert spans.leftovers() == []
+
+
+def test_traced_learned_build_samples_inside_its_kernel_span(monkeypatch):
+    # NeuralOp.kernel takes the layout that the build hands its recipe, so the
+    # tracer's wrapper must pass it through: the sample lands in the layout
+    # and the spectrum is the plain build's
+    monkeypatch.syspath_prepend(BENCH)
+    import spans
+    g = eq.Grid.centered((9, 8, 7))
+    learned = eq.make_neural_op(g).with_params(np.random.default_rng(1).standard_normal(11))
+    plain = learned.operator.spectrum
+    monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
+    rec = spans.Recorder()
+    patches = spans.install(rec)
+    try:
+        traced = learned.operator.spectrum
+    finally:
+        spans.uninstall(patches)
+    names = [s[0] for s in rec.spans]
+    assert "learn.kernel" in names
+    assert any(s[0] == "kernels.sample" and s[3] == names.index("learn.kernel")
+               for s in rec.spans)
+    assert traced.tobytes() == plain.tobytes() and traced.dtype == plain.dtype
     assert spans.leftovers() == []

@@ -160,15 +160,22 @@ def test_a_shape_too_large_to_allocate_exits_3(capsys):
 
 @pytest.mark.parametrize("argv", [["apply", "grad", "FIELD", "OUT"], ["check", "FIELD"]])
 def test_a_spacing_past_the_float_range_exits_3_with_one_line(tmp_path, capsys, argv):
-    # a gradient weight 1/(2 h^2) on h = 1e-300 divides by an underflowed zero,
-    # and the Gaussian of check's kernels overflows on the way to exp(-inf) = 0
-    g = eq.Grid.centered((5, 6), (1e-300, 1.0))
-    _write_scalar(tmp_path / "u.eqf", g, np.ones(g.shape))
+    # a stencil weight past the float range is refused, naming the spacing:
+    # the gradient's 1/(2 h^2) divides by an underflowed zero at h = 1e-300
+    # and overflows at 1e-160; at 1e-110 it is 5e219, so grad applies, and
+    # check stops at the Laplacian's 1/(4 h^3), whose 4h^3 underflows to 0
     paths = {"FIELD": str(tmp_path / "u.eqf"), "OUT": str(tmp_path / "o.eqf")}
-    assert main([paths.get(a, a) for a in argv]) == 3
-    out, err = capsys.readouterr()
-    assert err == "error: float division by zero\n"
-    assert not (tmp_path / "o.eqf").exists()
+    for h in (1e-300, 1e-160, 1e-110):
+        g = eq.Grid.centered((5, 6), (h, 1.0))
+        _write_scalar(tmp_path / "u.eqf", g, np.ones(g.shape))
+        code = main([paths.get(a, a) for a in argv])
+        out, err = capsys.readouterr()
+        if argv[0] == "apply" and h == 1e-110:
+            assert code == 0 and err == ""
+            continue
+        assert code == 3 and out == ""
+        assert err == f"error: spacing ({h!r}, 1.0) puts a stencil weight past the float range\n"
+        assert not (tmp_path / "o.eqf").exists()
 
 
 @pytest.mark.parametrize("key,value", [

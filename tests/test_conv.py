@@ -536,13 +536,34 @@ def test_circular_kernel_matches_add_at_property(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     karr = rng.standard_normal(kshape)
     karr[rng.random(kshape) < 0.2] = -0.0
-    ref = _add_at_layout(karr, target)
-    assert _same_bits(_laid_out(karr, target), ref)
-    # slabs of rows added in row order, as sample_kernel lays them out
-    rows, out = data.draw(st.integers(1, kshape[0])), np.zeros((1, *target))
-    for first in range(0, kshape[0], rows):
-        eq.convolve._circular_kernel(karr[None, first:first + rows], out, first, kshape[0])
-    assert _same_bits(out[0], ref)
+    assert _same_bits(_laid_out(karr, target), _add_at_layout(karr, target))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sample_kernel_into_a_layout_matches_laying_out_the_whole_sample(data):
+    # evaluated at the layout's circular offsets, slab by slab, the view
+    # holds what laying out the whole sample leaves there: the same values,
+    # +0.0 where the sample reads -0.0 (log_r at r = 1), and zeros past the
+    # kernel's reach, on either boundary
+    dim = data.draw(st.sampled_from([2, 3]))
+    l_h = data.draw(st.integers(0, dim - 1))
+    boundary = data.draw(st.sampled_from(eq.BOUNDARIES))
+    ushape = (data.draw(st.integers(7, 11)),
+              *data.draw(st.lists(st.integers(3, 11), min_size=dim - 1, max_size=dim - 1)))
+    spans = [n if boundary == eq.PERIODIC else 2 * n - 1 for n in ushape]
+    kshape = tuple(2 * data.draw(st.integers(3 if a == 0 else 1, (s - 1) // 2)) + 1
+                   for a, s in enumerate(spans))
+    spacing = tuple(data.draw(st.lists(st.sampled_from([0.5, 0.7, 1.0, 1.3]),
+                                       min_size=dim, max_size=dim)))
+    kgrid = eq.kernel_grid(kshape, spacing)
+    for profile in (eq.log_r(), eq.inverse_r2(), eq.gaussian(1.3),
+                    eq.gaussian_diffusion(0.5, 0.04, dim)):
+        layout = eq.convolve.KernelLayout(ushape, boundary)
+        assert eq.sample_kernel(kgrid, profile, l_h, layout) is layout
+        whole = eq.convolve.KernelLayout(ushape, boundary)
+        whole.lay(eq.sample_kernel(kgrid, profile, l_h))
+        assert _same_bits(layout.view, whole.view), profile.name
 
 
 @pytest.mark.parametrize("kshape,target", [((95, 95, 95), (96, 96, 96)), ((95, 95, 95), (48, 48, 48)),
@@ -626,11 +647,23 @@ def _multi_slab_ops():
                            id=f"{name}-{shape}-several-slabs")
 
 
-@pytest.mark.parametrize("op", [*_fourier_registry_ops(), *_multi_slab_ops()])
+def _learned_ops():
+    # a learned recipe samples into the layout and adds its stencil at the
+    # circular centre: 16^3 with l_h = 0, a 31^3 kernel of several slabs,
+    # and 10 x 7 with l_h = 1 on an anisotropic grid
+    rng = np.random.default_rng(23)
+    for shape, spacing, l_h in (((16, 16, 16), 1.0, 0), ((10, 7), (1.0, 0.7), 1)):
+        learned = eq.make_neural_op(eq.Grid.centered(shape, spacing), l_h=l_h)
+        yield pytest.param(learned.with_params(rng.standard_normal(learned.param.n_params))
+                           .operator, id=f"neural-{shape}-l{l_h}")
+
+
+@pytest.mark.parametrize("op", [*_fourier_registry_ops(), *_multi_slab_ops(), *_learned_ops()])
 def test_held_spectrum_matches_the_whole_layout_route(op):
     # sampled slab by slab into the transform buffer (inverse_laplacian,
-    # gauss_law) or laid out whole there (diffusion, whose periodic kernel
-    # aliases on these grids), to the bits of the whole-layout route
+    # gauss_law, a learned kernel and its stencil) or laid out whole there
+    # (diffusion, whose periodic kernel aliases on these grids), to the bits
+    # of the whole-layout route
     spectrum, signs = _whole_layout_route(op)
     assert _same_bits(op.spectrum, spectrum) and op.signs == signs
 

@@ -130,7 +130,8 @@ def test_learned_operator_builds_its_kernel_once(monkeypatch):
     expect_direct = zero.with_params(amps).apply(u, path=eq.DIRECT).components
     monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
     kernel, calls = eq.NeuralOp.kernel, []
-    monkeypatch.setattr(eq.NeuralOp, "kernel", lambda self: calls.append(1) or kernel(self))
+    monkeypatch.setattr(eq.NeuralOp, "kernel",
+                        lambda self, out=None: calls.append(1) or kernel(self, out))
     fresh = eq.make_neural_op(g, kind="scalar", l_u=0, l_h=0, param=_small_param())
     assert np.array_equal(eq.fit_least_squares(fresh, data).amplitudes, expect_fit)
     assert calls == []
@@ -153,7 +154,8 @@ def test_equal_models_share_one_held_operator(tmp_path, monkeypatch):
     u = eq.TensorField.random(g, 0, np.random.default_rng(16))
     monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
     kernel, calls = eq.NeuralOp.kernel, []
-    monkeypatch.setattr(eq.NeuralOp, "kernel", lambda self: calls.append(1) or kernel(self))
+    monkeypatch.setattr(eq.NeuralOp, "kernel",
+                        lambda self, out=None: calls.append(1) or kernel(self, out))
     a, b = eq.load_model(model), eq.load_model(model)
     assert a == b and a is not b
     assert np.array_equal(a.apply(u).components, b.apply(u).components)
@@ -334,7 +336,8 @@ def test_recipes_look_up_their_sampler_when_they_run(monkeypatch):
     learned = eq.make_neural_op(g).with_params(np.arange(1.0, 12.0))
     with monkeypatch.context() as m:
         m.setattr(eq.learn, "sample_kernel", lambda *a: calls.append(1) or sample(*a))
-        m.setattr(eq.NeuralOp, "kernel", lambda self: calls.append(1) or kernel(self))
+        m.setattr(eq.NeuralOp, "kernel",
+                  lambda self, out=None: calls.append(1) or kernel(self, out))
         basis = eq.basis_kernels(learned)
         op = learned.operator
     built = len(calls)
@@ -349,13 +352,15 @@ def test_recipes_look_up_their_sampler_when_they_run(monkeypatch):
 @pytest.mark.parametrize("n", [16, 24])
 @pytest.mark.parametrize("l_h", [0, 1])
 def test_learned_op_build_holds_one_kernel_beside_its_work_arrays(monkeypatch, n, l_h):
-    # the build samples one radial function into one kernel-sized array, slab
-    # by slab, then lays it out in the C half-complex work arrays of its
-    # spectrum, with numpy's three ufunc buffers of getbufsize() float64s for
-    # the sliced adds.  Sampling's temporaries, at most eight slabs, come
-    # before the work arrays exist and are smaller.  64 KiB covers the interpreter's objects.  A sum
-    # of per-term samples held three kernel-sized arrays: the sum, a term and
-    # the term scaled
+    # the build samples one radial function straight into the C half-complex
+    # work arrays of its spectrum, slab by slab, and adds its stencil there;
+    # the held spectrum is allocated while they are alive, and numpy's three
+    # ufunc buffers of getbufsize() float64s serve the sliced adds.
+    # Sampling's temporaries, at most eight slabs, live beside the work
+    # arrays before the spectrum does, and take less than the spectrum and
+    # the buffers.  64 KiB covers the interpreter's objects.  No kernel-sized
+    # array is made: sampling the whole kernel and laying it out held one
+    # beside the work arrays, and a sum of per-term samples three
     g = eq.Grid.centered((n,) * 3)
     learned = eq.make_neural_op(g, l_h=l_h).with_params(
         np.random.default_rng(22).standard_normal(11))
@@ -369,13 +374,13 @@ def test_learned_op_build_holds_one_kernel_beside_its_work_arrays(monkeypatch, n
     finally:
         tracemalloc.stop()
     c, kshape = 2 * l_h + 1, (2 * n - 1,) * 3
-    kernel = 8 * c * math.prod(kshape)
     w = eq.convolve.work_shape(g.shape, kshape, eq.ZERO)
     work = 16 * c * math.prod(w[:-1]) * (w[-1] // 2 + 1)
-    row = math.prod(kshape[1:])
+    spectrum = learned.operator.spectrum.nbytes
+    row = math.prod(w[1:])
     slab = 8 * row * max(1, eq.kernels.SAMPLE_SLAB_VOXELS // row)
-    assert 8 * slab < work
-    assert peak <= kernel + work + 24 * np.getbufsize() + 64 * 2**10
+    assert 8 * slab < spectrum + 24 * np.getbufsize()
+    assert peak <= work + spectrum + 24 * np.getbufsize() + 64 * 2**10
 
 
 @pytest.mark.parametrize("terms", [
