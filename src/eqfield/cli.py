@@ -352,7 +352,7 @@ def main(argv=None) -> int:
         if isinstance(exc, (StabilityError, SimulationError, EstimationError)):
             return EXIT_NUMERIC
         # RuleError, FieldError, GridError, KernelError, other ValueErrors, MemoryError,
-        # and arithmetic beyond float64's range (the Laplacian's (2h)^2 at h = 1e200)
+        # and, as a guard, arithmetic beyond float64's range that no command refuses first
         return EXIT_RULE
 
 

@@ -42,9 +42,9 @@ import math
 import numpy as np
 from numpy import fft as sfft
 
-from .fields import ProductRule, TensorField, components_for, rule_coefficients
+from .fields import ProductRule, TensorField, all_finite, components_for, rule_coefficients
 from .grid import PERIODIC, ZERO
-from .kernels import SAMPLE_SLAB_VOXELS, KernelField
+from .kernels import SAMPLE_SLAB_VOXELS, KernelError, KernelField
 
 DIRECT = "direct"
 FOURIER = "fourier"
@@ -259,6 +259,8 @@ class KernelLayout:
         lets go of the work array.  A float64 spectrum keeps one part per
         component, the real one for even l_h and the imaginary one for odd
         l_h (``conv_fourier`` restores the factor i); a complex one keeps both.
+        A kernel sampled into the view, which no ``TensorField`` has checked, is
+        first held to its rule: one with a non-finite value raises KernelError.
 
         The held spectrum, which outlives the build, is allocated while the
         work array is alive: under glibc's malloc, allocated after the sampled
@@ -266,6 +268,8 @@ class KernelLayout:
         benchmark faulting about 1,900 pages of work arrays in again, against
         none.
         """
+        if self.parity is None and not all_finite(self.view):   # sampled into the view
+            raise KernelError(f"kernel of shape {self.grid.shape} has a non-finite value")
         signs, real = self.parity or _parities(self.view, self.l_h, _circular_parity)
         rows = self.work[0] // 2 + 1 if signs else self.work[0]
         spectrum = np.empty((len(self.arrays), rows) + self.arrays.shape[2:],

@@ -45,6 +45,14 @@ _L2_BASIS = np.array([
 _L2_BASIS.setflags(write=False)
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every value of ``arr`` is finite.  A finite sum means every value
+    is, so the exact mask is built only for a sum that is not: one holding inf
+    or nan, or one that overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.isfinite(np.sum(arr)) or np.all(np.isfinite(arr))
+
+
 def l2_basis() -> np.ndarray:
     """The five order-2 basis matrices, shape (5, 3, 3)."""
     return _L2_BASIS
@@ -131,11 +139,7 @@ class TensorField(Frozen):
         want = (components_for(self.l, self.grid.dim),) + self.grid.shape
         if arr.shape != want:
             raise FieldError(f"component array shape {arr.shape} != expected {want}")
-        # a finite sum means every value is finite, so the exact mask is built
-        # only for a sum that is not: one holding inf or nan, or one that overflows
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = np.sum(arr)
-        if not np.isfinite(total) and not np.all(np.isfinite(arr)):
+        if not all_finite(arr):
             raise FieldError("field contains non-finite values")
         self._set(components=arr)
 

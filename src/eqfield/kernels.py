@@ -182,7 +182,8 @@ def sample_kernel(grid: Grid, profile: RadialProfile, l_h: int, out=None):
     so the temporaries are slab-sized; for l_h = 1 the unit directions are
     written into the slab and scaled there.  The profile alone sets r=0,
     where rhat is 0, so Y_l vanishes there for l_h >= 1; a singular profile
-    reads 0 there, and a non-finite one fails.
+    reads 0 there.  A non-finite value fails: a FieldError in a KernelField,
+    a KernelError from ``out.spectrum`` before it transforms anything.
 
     The slabs fill one KernelField's array; or, given ``out``, a
     ``convolve.KernelLayout`` that ``out.open`` readies, its real view, at
@@ -219,25 +220,25 @@ def sample_kernel(grid: Grid, profile: RadialProfile, l_h: int, out=None):
     return out if laid else KernelField(TensorField(grid, l_h, values), l_h)
 
 
-def _reciprocal(x: float) -> float:
-    """1 / x, infinite where x underflowed to 0."""
-    return 1.0 / x if x else math.inf
-
-
-def _stencil_kernel(grid: Grid, l_h: int, arr: np.ndarray) -> KernelField:
-    """Stencil weights ``arr`` as a kernel on a centered grid of ``grid``'s
-    spacing.  A weight past the float range, which a spacing too fine for
-    its 1/h^k makes, is refused with a KernelError that names the spacing."""
-    if not np.isfinite(arr).all():
-        raise KernelError(f"spacing {grid.spacing} puts a stencil weight past the float range")
+def _stencil(grid: Grid, l_h: int, width: int, taps) -> KernelField:
+    """A stencil of order ``l_h``, ``width`` voxels wide per axis, on a centered
+    grid of ``grid``'s spacing.  Each tap ``(component, axis, shift, d)`` in turn
+    adds the weight 1/d to its component at the center shifted by ``shift``
+    along ``axis`` (None: the center).  A weight that is not finite and non-zero,
+    which a spacing too fine or too coarse for its d makes, is refused with a
+    KernelError that names the spacing."""
+    arr = np.zeros((components_for(l_h, grid.dim),) + (width,) * grid.dim)
+    for component, axis, shift, d in taps:
+        w = 1.0 / d if d else math.inf
+        if not (math.isfinite(w) and w):
+            raise KernelError(f"spacing {grid.spacing} puts a stencil weight past the float range")
+        arr[(component, *[width // 2 + shift * (i == axis) for i in range(grid.dim)])] += w
     return KernelField(TensorField(kernel_grid(arr.shape[1:], grid.spacing), l_h, arr), l_h)
 
 
 def delta_stencil(grid: Grid) -> KernelField:
     """Identity kernel: one center voxel of weight 1/voxel_volume, l_h = 0."""
-    arr = np.zeros((1,) + (3,) * grid.dim)
-    arr[(0,) + (1,) * grid.dim] = _reciprocal(grid.voxel_volume)
-    return _stencil_kernel(grid, 0, arr)
+    return _stencil(grid, 0, 3, [(0, None, 0, grid.voxel_volume)])
 
 
 def gradient_stencil(grid: Grid) -> KernelField:
@@ -248,38 +249,23 @@ def gradient_stencil(grid: Grid) -> KernelField:
     central difference: exact on linear and quadratic fields.
     """
     vol = grid.voxel_volume
-    arr = np.zeros((grid.dim,) + (3,) * grid.dim)
-    for a in range(grid.dim):
-        w = _reciprocal(2.0 * grid.spacing[a] * vol)
-        minus = [1] * grid.dim
-        minus[a] = 0
-        plus = [1] * grid.dim
-        plus[a] = 2
-        arr[(a, *minus)] = +w
-        arr[(a, *plus)] = -w
-    return _stencil_kernel(grid, 1, arr)
+    return _stencil(grid, 1, 3, [(a, a, s, -s * 2.0 * h * vol)
+                                 for a, h in enumerate(grid.spacing) for s in (-1, 1)])
 
 
 def laplacian_stencil(grid: Grid) -> KernelField:
     """(2 dim + 1)-point Laplacian kernel matching div(grad(.)) exactly.
 
     Central-difference grad followed by central-difference div doubles the
-    step, so the weights sit at offsets +-2 e_a with step 2 h_a (still
-    O(h^2) truncation).
+    step, so the weights 1/(2 h_a)^2 sit at offsets +-2 e_a, with step 2 h_a
+    (still O(h^2) truncation), and the center sums -2/(2 h_a)^2 in axis order.
     """
     vol = grid.voxel_volume
-    arr = np.zeros((1,) + (5,) * grid.dim)
-    center = (0,) + (2,) * grid.dim
-    for a in range(grid.dim):
-        w = _reciprocal((2.0 * grid.spacing[a]) ** 2 * vol)
-        lo = [2] * grid.dim
-        lo[a] = 0
-        hi = [2] * grid.dim
-        hi[a] = 4
-        arr[(0, *lo)] += w
-        arr[(0, *hi)] += w
-        arr[center] -= 2.0 * w
-    return _stencil_kernel(grid, 0, arr)
+    taps = []
+    for a, h in enumerate(grid.spacing):
+        d = (2.0 * h) * (2.0 * h) * vol
+        taps += [(0, a, -2, d), (0, a, 2, d), (0, None, 0, -d / 2)]
+    return _stencil(grid, 0, 5, taps)
 
 
 def save_kernel(path, kernel: KernelField) -> None:

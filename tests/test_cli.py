@@ -158,24 +158,48 @@ def test_a_shape_too_large_to_allocate_exits_3(capsys):
     assert err.startswith("error: Unable to allocate 7.11 PiB") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["apply", "grad", "FIELD", "OUT"], ["check", "FIELD"]])
+@pytest.mark.parametrize("argv", [["apply", "grad", "FIELD", "OUT"], ["check", "FIELD"],
+                                  ["apply", "laplacian", "FIELD", "OUT"]])
 def test_a_spacing_past_the_float_range_exits_3_with_one_line(tmp_path, capsys, argv):
-    # a stencil weight past the float range is refused, naming the spacing:
-    # the gradient's 1/(2 h^2) divides by an underflowed zero at h = 1e-300
-    # and overflows at 1e-160; at 1e-110 it is 5e219, so grad applies, and
-    # check stops at the Laplacian's 1/(4 h^3), whose 4h^3 underflows to 0
+    # a stencil weight that is not finite and non-zero is refused, naming the
+    # spacing.  Too fine: the gradient's 1/(2 h^2) divides by an underflowed
+    # zero at h = 1e-300 and overflows at 1e-160; at 1e-110 it is 5e219, so
+    # grad applies, while the Laplacian's 4 h^3 underflows to 0.  Too coarse:
+    # at 6e153 the gradient's weight is subnormal, not 0, so grad applies,
+    # while the Laplacian's 4 h^3 overflows; at 1e200 the gradient's 2 h^2
+    # overflows too, and at (1e300, 1e10) the voxel volume, the delta's d,
+    # does.  check stops before its stencils there, so it runs only to 1e200
     paths = {"FIELD": str(tmp_path / "u.eqf"), "OUT": str(tmp_path / "o.eqf")}
-    for h in (1e-300, 1e-160, 1e-110):
-        g = eq.Grid.centered((5, 6), (h, 1.0))
+    spacings = [(1e-300, 1.0), (1e-160, 1.0), (1e-110, 1.0), (6e153, 1.0), (1e200, 1.0)]
+    for spacing in spacings + ([(1e300, 1e10)] if argv[0] == "apply" else []):
+        g = eq.Grid.centered((5, 6), spacing)
         _write_scalar(tmp_path / "u.eqf", g, np.ones(g.shape))
         code = main([paths.get(a, a) for a in argv])
         out, err = capsys.readouterr()
-        if argv[0] == "apply" and h == 1e-110:
+        if argv[1] == "grad" and spacing[0] in (1e-110, 6e153):
             assert code == 0 and err == ""
+            (tmp_path / "o.eqf").unlink()
             continue
         assert code == 3 and out == ""
-        assert err == f"error: spacing ({h!r}, 1.0) puts a stencil weight past the float range\n"
+        assert err == f"error: spacing {spacing!r} puts a stencil weight past the float range\n"
         assert not (tmp_path / "o.eqf").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--path", "direct"]])
+def test_a_model_whose_kernel_is_not_finite_exits_3_naming_the_kernel(tmp_path, capsys, flags):
+    # two Gaussian amplitudes of 1e308 overflow the sampled kernel, which its
+    # layout refuses before the transform, whichever path the apply takes
+    g = eq.Grid.centered((12, 12, 12))
+    op = eq.make_neural_op(g)
+    amps = np.zeros(op.param.n_params)
+    amps[6] = amps[7] = 1e308
+    eq.save_model(tmp_path / "m.eqm", op.with_params(amps))
+    _write_scalar(tmp_path / "u.eqf", g, _blob(g))
+    argv = ["apply", str(tmp_path / "m.eqm"), str(tmp_path / "u.eqf"), str(tmp_path / "o.eqf")]
+    assert main(argv + flags) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: kernel of shape (23, 23, 23) has a non-finite value\n"
+    assert not (tmp_path / "o.eqf").exists()
 
 
 @pytest.mark.parametrize("key,value", [

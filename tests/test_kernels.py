@@ -273,31 +273,59 @@ def test_gradient_stencil_weights():
     vol = g.voxel_volume
     c = tuple(int(i) for i in k.field.grid.center_index())
     # conv reverses offsets, so the +h voxel carries the -1/(2h) coefficient
-    for a in range(3):
-        plus = list(c)
-        plus[a] += 1
-        w = vals[(a,) + tuple(plus)]
-        assert w == pytest.approx(-1.0 / (2.0 * g.spacing[a] * vol))
+    expected = np.zeros_like(vals)
+    for a, h in enumerate(g.spacing):
+        for shift, w in ((-1, 1.0 / (2.0 * h * vol)), (1, -1.0 / (2.0 * h * vol))):
+            tap = list(c)
+            tap[a] += shift
+            expected[(a, *tap)] = w
+    assert np.array_equal(vals, expected)
     # antisymmetric under inversion
     assert np.allclose(vals, -vals[:, ::-1, ::-1, ::-1])
 
 
 def test_laplacian_stencil_structure():
-    g = eq.Grid.centered((9, 9), spacing=(0.5, 1.0))
-    k = eq.laplacian_stencil(g)
-    # 5 voxels per axis sends it down the direct path
-    u = eq.TensorField.random(g, 0, np.random.default_rng(3))
-    rule = eq.product_rule("scalar", 0, 0, g.dim)
-    assert np.array_equal(eq.conv(u, k, rule).components,
-                          eq.conv(u, k, rule, path=eq.DIRECT).components)
-    vals = k.field.components[0]
-    assert vals.shape == (5, 5)  # reaches +-2 voxels per axis
-    assert np.sum(vals != 0.0) == 2 * g.dim + 1
-    assert abs(np.sum(vals)) < 1e-12  # annihilates constants
-    vol = g.voxel_volume
-    # weight at +-2h per axis is 1/(2h)^2, scaled by the voxel volume split
-    assert vals[4, 2] == pytest.approx(1.0 / ((2.0 * 0.5) ** 2 * vol))
-    assert vals[2, 4] == pytest.approx(1.0 / ((2.0 * 1.0) ** 2 * vol))
+    for g in (eq.Grid.centered((9, 9), spacing=(0.5, 1.0)),
+              eq.Grid.centered((9, 9, 9), spacing=(0.5, 1.0, 2.0))):
+        k = eq.laplacian_stencil(g)
+        # 5 voxels per axis sends it down the direct path
+        u = eq.TensorField.random(g, 0, np.random.default_rng(3))
+        rule = eq.product_rule("scalar", 0, 0, g.dim)
+        assert np.array_equal(eq.conv(u, k, rule).components,
+                              eq.conv(u, k, rule, path=eq.DIRECT).components)
+        vals = k.field.components[0]
+        assert vals.shape == (5,) * g.dim  # reaches +-2 voxels per axis
+        assert np.sum(vals != 0.0) == 2 * g.dim + 1
+        assert abs(np.sum(vals)) < 1e-12  # annihilates constants
+        # weight at +-2h per axis is 1/(2h)^2, scaled by the voxel volume split;
+        # the center sums -2 of each, in axis order
+        vol = g.voxel_volume
+        expected = np.zeros_like(vals)
+        center = 0.0
+        for a, h in enumerate(g.spacing):
+            w = 1.0 / ((2.0 * h) * (2.0 * h) * vol)
+            for end in (0, 4):
+                expected[tuple(end if i == a else 2 for i in range(g.dim))] = w
+            center -= 2.0 * w
+        expected[(2,) * g.dim] = center
+        assert np.array_equal(vals, expected)
+
+
+@pytest.mark.parametrize("build, spacing", [
+    (eq.delta_stencil, (1e300, 1e10)),     # the voxel volume overflows: 1/vol reads 0
+    (eq.gradient_stencil, (1e200, 1.0)),   # 2 h vol overflows
+    (eq.gradient_stencil, (1e300, 1e10)),
+    (eq.laplacian_stencil, (6e153, 1.0)),  # 4 h^2 vol overflows
+    (eq.laplacian_stencil, (1e200, 1.0)),
+    (eq.laplacian_stencil, (1e300, 1e10)),
+])
+def test_a_stencil_refuses_a_spacing_too_coarse_for_its_weights(build, spacing):
+    # a weight that underflows to 0 would silently drop its axis, so it is
+    # refused as one that overflows is; numpy's warning that the voxel volume
+    # overflows is silenced, as ``cli.main`` silences it
+    with pytest.raises(eq.KernelError) as info, np.errstate(over="ignore"):
+        build(eq.Grid.centered((5, 6), spacing))
+    assert str(info.value) == f"spacing {spacing!r} puts a stencil weight past the float range"
 
 
 def test_kernel_save_load_round_trip(tmp_path):

@@ -144,6 +144,23 @@ def test_learned_operator_builds_its_kernel_once(monkeypatch):
         assert len(calls) == forced
 
 
+def test_a_learned_kernel_with_a_non_finite_value_is_refused_and_not_held(monkeypatch):
+    # two Gaussian amplitudes of 1e308 sum past the float range in the kernel;
+    # sampled into its layout, it is held to TensorField's finite rule before
+    # it is transformed, so no NaN spectrum enters the cache
+    g = eq.Grid.centered((12, 12, 12))
+    monkeypatch.setattr(eq.operators, "_held", collections.OrderedDict())
+    eq.make_operator("grad", g)
+    before = dict(eq.operators._held)
+    amps = np.zeros(eq.make_neural_op(g).param.n_params)
+    amps[6] = amps[7] = 1e308
+    op = eq.make_neural_op(g).with_params(amps)
+    with (pytest.raises(eq.KernelError, match=r"^kernel of shape \(23, 23, 23\) has a "
+                        r"non-finite value$"), np.errstate(over="ignore")):
+        op.operator
+    assert eq.operators._held == before
+
+
 def test_equal_models_share_one_held_operator(tmp_path, monkeypatch):
     # two loads of one manifest are equal recipes: the second finds the op
     # that the first built

@@ -123,6 +123,20 @@ def test_operator_cache_reuses_instances():
     assert a is not eq.make_operator("diffusion", g, D=0.5, t=0.5)
 
 
+def test_a_recipe_sampled_with_a_non_finite_value_is_refused_before_its_transform():
+    # the kernel goes to its layout unchecked by any TensorField; the layout
+    # refuses it before transforming it, as a whole sample would be refused
+    g = eq.Grid.centered((12, 12, 12))
+    kgrid = eq.kernels.free_space_kernel_grid(g)
+    profile = eq.RadialProfile(lambda r: np.where(r > 3.0, np.inf, 1.0))
+    with pytest.raises(eq.FieldError):
+        eq.sample_kernel(kgrid, profile, 0)
+    with pytest.raises(eq.KernelError, match=r"^kernel of shape \(23, 23, 23\) has a "
+                       r"non-finite value$"):
+        eq.EquivariantOp("inf", g, lambda out=None: eq.sample_kernel(kgrid, profile, 0, out),
+                         "scalar", boundary=eq.ZERO)
+
+
 def test_make_operator_validation():
     g = eq.Grid.centered((6, 6, 6))
     with pytest.raises(KeyError):
